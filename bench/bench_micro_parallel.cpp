@@ -1,15 +1,14 @@
 // Parallel-engine scaling bench: times the heavy pipeline stages — the
-// sharded two-scan campaign, the join, the filter funnel in both its row
-// (legacy) and columnar executions, and alias resolution — across a
-// 1/2/4/8 thread sweep, and reports per-stage speedup, scaling efficiency
-// (speedup / threads) and record throughput. Results go to stdout and,
-// machine-readable, to BENCH_parallel.json as
+// sharded two-scan campaign, the join, the columnar filter funnel and
+// alias resolution — across a 1/2/4/8 thread sweep, and reports per-stage
+// speedup, scaling efficiency (speedup / threads) and record throughput.
+// Results go to stdout and, machine-readable, to BENCH_parallel.json as
 //   {meta: {...}, rows: [{stage, threads, wall_ms, speedup, efficiency,
 //                         records, krecords_per_s}, ...]}.
 //
-// All stages are bit-identical across thread counts and across the
-// columnar knob (tests/test_parallel.cpp, tests/test_columnar.cpp), so the
-// timings compare identical work.
+// All stages are bit-identical across thread counts
+// (tests/test_parallel.cpp, tests/test_columnar.cpp), so the timings
+// compare identical work.
 //
 // Usage: bench_micro_parallel [--quick] [--gate] [--baseline=<path>]
 // Exits non-zero when:
@@ -18,7 +17,8 @@
 //   - the columnar filter's single-thread wall time is not >= 4x faster
 //     than the recorded pre-columnar row filter's (the "filter" stage at
 //     one thread in the --baseline artifact, default
-//     bench/baselines/BENCH_parallel_before.json),
+//     bench/baselines/BENCH_parallel_before.json; that row filter no
+//     longer exists, so its baseline rows only anchor this gate),
 //   - the campaign's 8-thread speedup falls below 3x — enforced only when
 //     the machine has >= 8 hardware threads (printed as SKIPPED
 //     otherwise: a scaling claim measured on fewer cores is fiction),
@@ -73,9 +73,8 @@ bool schema_ok(const std::string& json) {
       if (!row.find(key)) return false;
     stages.insert(std::string(row.find("stage")->as_string()));
   }
-  // The five stages the scaling table reads must all be present.
-  for (const char* stage :
-       {"scan_campaign", "join", "filter", "filter_columnar", "alias"})
+  // The four stages the scaling table reads must all be present.
+  for (const char* stage : {"scan_campaign", "join", "filter_columnar", "alias"})
     if (!stages.count(stage)) return false;
   return true;
 }
@@ -167,11 +166,6 @@ int main(int argc, char** argv) {
       {"join", joined.size(),
        [&](util::ParallelOptions parallel) {
          core::join_scans(campaign.scan1, campaign.scan2, nullptr, parallel);
-       }},
-      {"filter", joined.size(),
-       [&](util::ParallelOptions parallel) {
-         auto records = joined;
-         pipeline.apply(records, parallel);
        }},
       {"filter_columnar", joined.size(),
        [&](util::ParallelOptions parallel) {

@@ -10,11 +10,13 @@
 #   3. Focused memory/UB check: ASan+UBSan build in build-asan/ running the
 #      hostile-input corpus plus the decode-path suites (test_hostile,
 #      test_asn1, test_snmp_message, test_checkpoint, test_store,
-#      test_wire) — >=10k corrupted payloads must decode-reject with zero
-#      memory errors or UB; the store suites re-run the codec mutation
-#      corpus and the spill/restore paths under the sanitizers; the wire
-#      suites re-run the fast-parser differential fuzz (fast-accept must
-#      imply full-accept with equal fields, throw-free).
+#      test_wire) plus the filter funnel's oracle suite (test_columnar's
+#      ColumnarFilterTest) — >=10k corrupted payloads must decode-reject
+#      with zero memory errors or UB; the store suites re-run the codec
+#      mutation corpus and the spill/restore paths under the sanitizers,
+#      the funnel suite its dictionary/census code over campaign data; the
+#      wire suites re-run the fast-parser differential fuzz (fast-accept
+#      must imply full-accept with equal fields, throw-free).
 #   4. Bench-artifact schema checks: bench_store --quick and
 #      bench_wire --quick must emit BENCH_*.json files that pass their own
 #      schema validation (the binaries exit non-zero on drift). bench_wire
@@ -97,9 +99,9 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake -B build-asan -S . -DSNMPFP_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
-               test_store test_wire
+               test_store test_wire test_columnar
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|StoreFilterStream|StorePipelineTest|ScanResultAccessors|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|ScanResultAccessors|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
 fi
 
 echo "==> bench-artifact schema check (bench_store --quick)"

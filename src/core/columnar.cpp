@@ -7,38 +7,12 @@
 
 namespace snmpv3fp::core {
 
-// ---- ColumnarJoined ----
-
-void ColumnarJoined::append(const JoinedRecord& record) {
-  first.engine_code.push_back(dict.encode(record.first.engine_id.raw()));
-  first.engine_boots.push_back(record.first.engine_boots);
-  first.engine_time.push_back(record.first.engine_time);
-  first.receive_time.push_back(record.first.receive_time);
-  second.engine_code.push_back(dict.encode(record.second.engine_id.raw()));
-  second.engine_boots.push_back(record.second.engine_boots);
-  second.engine_time.push_back(record.second.engine_time);
-  second.receive_time.push_back(record.second.receive_time);
-}
-
-ColumnarJoined ColumnarJoined::from_rows(std::span<const JoinedRecord> rows) {
-  ColumnarJoined out;
-  for (auto* side : {&out.first, &out.second}) {
-    side->engine_code.reserve(rows.size());
-    side->engine_boots.reserve(rows.size());
-    side->engine_time.reserve(rows.size());
-    side->receive_time.reserve(rows.size());
-  }
-  for (const auto& row : rows) out.append(row);
-  return out;
-}
-
 // ---- ColumnarFunnel ----
 
 namespace {
 
-// Stage positions in the published order (== FilterStage enum values; the
-// enum is declared in that order and filters.cpp's kStageOrder preserves
-// it, so `dropped[position]` is also `dropped[enum]`).
+// Stage positions in the published order (== FilterStage enum values, so
+// `dropped[position]` is also `dropped[enum]`).
 constexpr std::uint8_t kPosMissing = 0;
 constexpr std::uint8_t kPosInconsistentId = 1;
 constexpr std::uint8_t kPosTooShort = 2;
@@ -80,62 +54,6 @@ std::uint32_t ColumnarFunnel::encode_id(const snmp::EngineId& id) {
     info_.push_back(info);
   }
   return code;
-}
-
-void ColumnarFunnel::feed(const ColumnarJoined& block,
-                          const util::ParallelOptions& parallel) {
-  // Map the block's code space onto the run-global one: one dictionary
-  // lookup (and, for unseen IDs, one predicate evaluation) per *distinct*
-  // engine ID in the block — rows below touch only integers.
-  const auto& entries = block.dictionary();
-  std::vector<std::uint32_t> remap(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    remap[i] = encode_id(entries[i]);
-
-  const std::size_t base = verdict_row_.size();
-  const std::size_t m = block.size();
-  verdict_row_.resize(base + m);
-  code_.resize(base + m);
-  const double threshold = options_.reboot_threshold_seconds;
-  util::parallel_for(0, m, parallel, [&](std::size_t i) {
-    const std::uint32_t c1 = remap[block.first.engine_code[i]];
-    const std::uint32_t c2 = remap[block.second.engine_code[i]];
-    code_[base + i] = c1;
-    const CodeInfo& a = info_[c1];
-    std::uint8_t verdict = kPosPass;
-    if (a.empty || info_[c2].empty) {
-      verdict = kPosMissing;
-    } else if (c1 != c2) {
-      verdict = kPosInconsistentId;
-    } else if (a.too_short) {
-      verdict = kPosTooShort;
-    } else if (a.unroutable_v4) {
-      verdict = kPosUnroutable;
-    } else if (a.unregistered_mac) {
-      verdict = kPosUnregisteredMac;
-    } else if (block.first.engine_time[i] == 0 ||
-               block.first.engine_boots[i] == 0 ||
-               block.second.engine_time[i] == 0 ||
-               block.second.engine_boots[i] == 0) {
-      verdict = kPosZero;
-    } else {
-      const util::VTime lr1 =
-          block.first.receive_time[i] -
-          static_cast<util::VTime>(block.first.engine_time[i]) * util::kSecond;
-      const util::VTime lr2 =
-          block.second.receive_time[i] -
-          static_cast<util::VTime>(block.second.engine_time[i]) *
-              util::kSecond;
-      if (lr1 < util::kUnixEpochVtime || lr2 < util::kUnixEpochVtime) {
-        verdict = kPosFuture;
-      } else if (block.first.engine_boots[i] != block.second.engine_boots[i]) {
-        verdict = kPosBoots;
-      } else if (std::abs(util::to_seconds(lr1 - lr2)) > threshold) {
-        verdict = kPosReboot;
-      }
-    }
-    verdict_row_[base + i] = verdict;
-  });
 }
 
 void ColumnarFunnel::feed_rows(std::span<const JoinedRecord> rows,

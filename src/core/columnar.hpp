@@ -1,25 +1,22 @@
-// Columnar execution of the analysis funnel (execution-only, see the
-// `columnar` knob in core/pipeline.hpp).
+// Columnar execution of the analysis funnel: the one implementation of the
+// ten-stage filter (FilterPipeline::apply_columnar and the overlapped
+// store join both drive ColumnarFunnel).
 //
 // The filter funnel consults a handful of scalar fields per record plus a
-// few predicates of the engine ID. Row-layout execution re-derives the
-// engine-ID predicates (format parse, OUI lookup, routability) per record
-// per stage; columnar execution pivots a batch of JoinedRecords into flat
-// per-field columns with both scans' engine IDs dictionary-encoded through
-// ONE shared dictionary, so
+// few predicates of the engine ID. Both scans' engine IDs are
+// dictionary-encoded through ONE run-global dictionary, so
 //   - engine-ID equality between the scans is a u32 compare (shared
 //     dictionary: code equality <=> byte equality), and
 //   - every engine-ID predicate is evaluated once per *distinct* engine ID
 //     for the whole run, not once per record per stage.
-// The verdict loop is then a single branch-light pass over integer
-// columns. Drop accounting decomposes exactly as apply_stream's does:
-// verdict_row = first failed row-local stage (promiscuous skipped), the
-// promiscuous census runs over rows alive before its position, and the
-// final verdict re-inserts the promiscuous stage — bit-identical to
-// FilterPipeline::apply on the same input (tests/test_columnar.cpp).
+// The verdict loop is then a single branch-light pass per row. Drop
+// accounting: verdict_row = first failed row-local stage (promiscuous
+// skipped), the promiscuous census runs over rows alive before its
+// position, and the final verdict re-inserts the promiscuous stage — the
+// sequential funnel's counts exactly (tests/filter_oracle.hpp).
 //
 // ColumnarFunnel is incremental so the store-backed pipeline can overlap
-// stages: feed() consumes pivoted blocks as the merge join produces them
+// stages: feed_rows() consumes blocks as the merge join produces them
 // (core/overlap.hpp), finish() runs the census and materializes survivors
 // once the last block has arrived.
 #pragma once
@@ -31,48 +28,20 @@
 
 namespace snmpv3fp::core {
 
-// Funnel-relevant columns of a JoinedRecord batch. Deliberately NOT a full
-// pivot: addresses, send times and response counters are never consulted
-// by the filter stages, and survivors rematerialize from the caller's row
-// vector, so pivoting them would be pure memory traffic.
-struct ColumnarJoined {
-  store::EngineDictionary dict;  // shared by BOTH scans' engine IDs
-  struct Side {
-    std::vector<std::uint32_t> engine_code;
-    std::vector<std::uint32_t> engine_boots;
-    std::vector<std::uint32_t> engine_time;
-    std::vector<util::VTime> receive_time;
-  } first, second;
-
-  std::size_t size() const { return first.engine_code.size(); }
-  const std::vector<snmp::EngineId>& dictionary() const {
-    return dict.entries();
-  }
-
-  void append(const JoinedRecord& record);
-  static ColumnarJoined from_rows(std::span<const JoinedRecord> rows);
-};
-
 // Incremental columnar filter executor. Usage:
 //   ColumnarFunnel funnel(options);
-//   for each block (in row order): funnel.feed(block, parallel);
+//   for each block (in row order): funnel.feed_rows(block, parallel);
 //   report = funnel.finish(all_rows, survivors, parallel, obs);
-// feed() computes per-row verdicts for the row-local stages; finish() runs
-// the promiscuous census over the accumulated verdicts and materializes
-// survivors from `rows` (which must be the concatenation, in order, of
-// every row fed). Blocks must arrive in row order — the verdict store is
-// positional.
+// feed_rows() encodes both engine IDs of every row into the run-global
+// dictionary and computes per-row verdicts for the row-local stages;
+// finish() runs the promiscuous census over the accumulated verdicts and
+// materializes survivors from `rows` (which must be the concatenation, in
+// order, of every row fed). Blocks must arrive in row order — the verdict
+// store and the dictionary's first-appearance codes are positional.
 class ColumnarFunnel {
  public:
   explicit ColumnarFunnel(FilterOptions options);
 
-  void feed(const ColumnarJoined& block,
-            const util::ParallelOptions& parallel = {});
-
-  // Row-layout entry point: encodes both engine IDs of every row straight
-  // into the run-global dictionary (no per-batch pivot, no remap pass) and
-  // computes the same verdicts feed() would. apply_columnar uses this when
-  // the input is already materialized as rows.
   void feed_rows(std::span<const JoinedRecord> rows,
                  const util::ParallelOptions& parallel = {});
 

@@ -1,134 +1,6 @@
 #include "core/filters.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
-
-#include "net/registry.hpp"
-
 namespace snmpv3fp::core {
-
-namespace {
-
-using snmp::EngineIdFormat;
-
-// The paper's published stage order (drives Table 1's funnel accounting).
-constexpr FilterStage kStageOrder[kFilterStageCount] = {
-    FilterStage::kMissingEngineId,    FilterStage::kInconsistentEngineId,
-    FilterStage::kTooShortEngineId,   FilterStage::kPromiscuousEngineId,
-    FilterStage::kUnroutableIpv4,     FilterStage::kUnregisteredMac,
-    FilterStage::kZeroTimeOrBoots,    FilterStage::kFutureEngineTime,
-    FilterStage::kInconsistentBoots,  FilterStage::kInconsistentReboot,
-};
-
-// True if the record survives a single-record stage.
-bool passes(FilterStage stage, const JoinedRecord& record,
-            const FilterOptions& options) {
-  const auto& id = record.engine_id();
-  switch (stage) {
-    case FilterStage::kMissingEngineId:
-      return !record.first.engine_id.empty() &&
-             !record.second.engine_id.empty();
-    case FilterStage::kInconsistentEngineId:
-      return record.engine_ids_match();
-    case FilterStage::kTooShortEngineId:
-      return id.size() >= options.min_engine_id_bytes;
-    case FilterStage::kUnroutableIpv4: {
-      const auto addr = id.ipv4();
-      return !addr.has_value() || addr->is_routable();
-    }
-    case FilterStage::kUnregisteredMac: {
-      const auto mac = id.mac();
-      return !mac.has_value() ||
-             net::OuiRegistry::embedded().contains(mac->oui());
-    }
-    case FilterStage::kZeroTimeOrBoots:
-      return record.first.engine_time != 0 && record.first.engine_boots != 0 &&
-             record.second.engine_time != 0 && record.second.engine_boots != 0;
-    case FilterStage::kFutureEngineTime:
-      // An engineTime exceeding the seconds since the Unix epoch implies a
-      // reboot before 1970 — "engine time in the future" in the paper.
-      return record.first.last_reboot() >= util::kUnixEpochVtime &&
-             record.second.last_reboot() >= util::kUnixEpochVtime;
-    case FilterStage::kInconsistentBoots:
-      return record.boots_match();
-    case FilterStage::kInconsistentReboot:
-      return record.reboot_delta_seconds() <= options.reboot_threshold_seconds;
-    case FilterStage::kPromiscuousEngineId:
-      return true;  // handled as a global stage
-  }
-  return true;
-}
-
-// Promiscuous detection is global: the same format-specific payload seen
-// under more than one enterprise number marks every holder for removal.
-// Chunks build local payload->enterprise maps merged by set union, so the
-// result is independent of chunking.
-// `prefilter` restricts the census to records that survive every stage
-// ordered before the promiscuous one — the population `apply` sees at that
-// point after its in-place compactions (the streaming path needs this; the
-// in-place path passes records already compacted and prefilter=false).
-std::set<util::Bytes> promiscuous_payloads(
-    std::span<const JoinedRecord> records, const FilterOptions& options,
-    bool prefilter, const util::ParallelOptions& parallel) {
-  using PayloadMap = std::map<util::Bytes, std::set<std::uint32_t>>;
-  std::vector<PayloadMap> parts(
-      std::max<std::size_t>(parallel.resolved_threads(), 1));
-  util::parallel_for_chunks(
-      0, records.size(), parallel,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto& local = parts[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          if (prefilter) {
-            bool alive = true;
-            for (std::size_t s = 0;
-                 kStageOrder[s] != FilterStage::kPromiscuousEngineId; ++s)
-              if (!passes(kStageOrder[s], records[i], options)) {
-                alive = false;
-                break;
-              }
-            if (!alive) continue;
-          }
-          const auto& id = records[i].engine_id();
-          const auto enterprise = id.enterprise();
-          const auto payload = id.payload();
-          if (!enterprise || !payload || payload->empty()) continue;
-          local[util::Bytes(payload->begin(), payload->end())]
-              .insert(*enterprise);
-        }
-      });
-  PayloadMap enterprises_by_payload = std::move(parts.front());
-  for (std::size_t p = 1; p < parts.size(); ++p)
-    for (auto& [payload, enterprises] : parts[p])
-      enterprises_by_payload[payload].insert(enterprises.begin(),
-                                             enterprises.end());
-  std::set<util::Bytes> promiscuous;
-  for (const auto& [payload, enterprises] : enterprises_by_payload)
-    if (enterprises.size() > 1) promiscuous.insert(payload);
-  return promiscuous;
-}
-
-// Position in kStageOrder of the first stage the record fails, or
-// kFilterStageCount when it survives the whole funnel.
-std::size_t first_failed_stage(const JoinedRecord& record,
-                               const FilterOptions& options,
-                               const std::set<util::Bytes>& promiscuous) {
-  for (std::size_t s = 0; s < kFilterStageCount; ++s) {
-    const FilterStage stage = kStageOrder[s];
-    if (stage == FilterStage::kPromiscuousEngineId) {
-      if (promiscuous.empty()) continue;
-      const auto payload = record.engine_id().payload();
-      if (payload && promiscuous.count(util::Bytes(payload->begin(),
-                                                   payload->end())) > 0)
-        return s;
-      continue;
-    }
-    if (!passes(stage, record, options)) return s;
-  }
-  return kFilterStageCount;
-}
-
-}  // namespace
 
 std::string_view to_string(FilterStage stage) {
   switch (stage) {
@@ -175,115 +47,6 @@ std::size_t FilterReport::total_dropped() const {
   std::size_t total = 0;
   for (const auto d : dropped) total += d;
   return total;
-}
-
-FilterReport FilterPipeline::apply(std::vector<JoinedRecord>& records,
-                                   const util::ParallelOptions& parallel,
-                                   const obs::ObsOptions& obs) const {
-  obs::Span pipeline_span(obs.trace(), obs.scoped("filter"));
-  if (obs.enabled()) obs.counter("input").add(records.size());
-
-  FilterReport report;
-  report.input = records.size();
-
-  std::vector<unsigned char> keep;
-  for (const FilterStage stage : kStageOrder) {
-    obs::Span stage_span(
-        obs.trace(),
-        obs.scoped(std::string("filter.") + std::string(to_slug(stage))));
-    const std::size_t before = records.size();
-    keep.assign(before, 1);
-    if (stage == FilterStage::kPromiscuousEngineId) {
-      const auto promiscuous =
-          promiscuous_payloads(records, options_, false, parallel);
-      if (!promiscuous.empty()) {
-        util::parallel_for(0, before, parallel, [&](std::size_t i) {
-          const auto payload = records[i].engine_id().payload();
-          if (!payload) return;
-          keep[i] = promiscuous.count(util::Bytes(payload->begin(),
-                                                  payload->end())) == 0;
-        });
-      }
-    } else {
-      util::parallel_for(0, before, parallel, [&](std::size_t i) {
-        keep[i] = passes(stage, records[i], options_);
-      });
-    }
-    // Stable in-place compaction of the survivors.
-    std::size_t write = 0;
-    for (std::size_t i = 0; i < before; ++i) {
-      if (!keep[i]) continue;
-      if (write != i) records[write] = std::move(records[i]);
-      ++write;
-    }
-    records.resize(write);
-    report.dropped[static_cast<std::size_t>(stage)] = before - write;
-    if (obs.enabled())
-      obs.counter(std::string("dropped.") + std::string(to_slug(stage)))
-          .add(before - write);
-  }
-  report.output = records.size();
-  if (obs.enabled()) obs.counter("output").add(report.output);
-  if (obs::Logger::global().enabled(obs::LogLevel::kInfo)) {
-    obs::log_info("filter pipeline finished",
-                  {{"scope", obs.scope},
-                   {"input", report.input},
-                   {"dropped", report.total_dropped()},
-                   {"output", report.output}});
-  }
-  return report;
-}
-
-FilterReport FilterPipeline::apply_stream(
-    std::span<const JoinedRecord> input, std::vector<JoinedRecord>& survivors,
-    const util::ParallelOptions& parallel, const obs::ObsOptions& obs) const {
-  obs::Span pipeline_span(obs.trace(), obs.scoped("filter"));
-  if (obs.enabled()) obs.counter("input").add(input.size());
-
-  FilterReport report;
-  report.input = input.size();
-  const std::size_t n = input.size();
-
-  // Pass 1: the promiscuous-payload census (the one stage with global
-  // state), over the records still alive when that stage runs.
-  const auto promiscuous =
-      promiscuous_payloads(input, options_, true, parallel);
-
-  // Pass 2: per-record verdict — the first stage failed, in stage order.
-  std::vector<std::uint8_t> verdict(n);
-  util::parallel_for(0, n, parallel, [&](std::size_t i) {
-    verdict[i] = static_cast<std::uint8_t>(
-        first_failed_stage(input[i], options_, promiscuous));
-  });
-
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (verdict[i] == kFilterStageCount) ++kept;
-  survivors.clear();
-  survivors.reserve(kept);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (verdict[i] == kFilterStageCount) {
-      survivors.push_back(input[i]);
-    } else {
-      ++report.dropped[static_cast<std::size_t>(kStageOrder[verdict[i]])];
-    }
-  }
-  report.output = survivors.size();
-
-  if (obs.enabled()) {
-    for (const FilterStage stage : kStageOrder)
-      obs.counter(std::string("dropped.") + std::string(to_slug(stage)))
-          .add(report.dropped_at(stage));
-    obs.counter("output").add(report.output);
-  }
-  if (obs::Logger::global().enabled(obs::LogLevel::kInfo)) {
-    obs::log_info("filter pipeline finished",
-                  {{"scope", obs.scope},
-                   {"input", report.input},
-                   {"dropped", report.total_dropped()},
-                   {"output", report.output}});
-  }
-  return report;
 }
 
 }  // namespace snmpv3fp::core

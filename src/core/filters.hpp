@@ -19,6 +19,8 @@
 
 namespace snmpv3fp::core {
 
+// Declared in the paper's published order: a stage's enum value is its
+// position in the funnel.
 enum class FilterStage : std::uint8_t {
   kMissingEngineId,       // no engine ID in the response
   kInconsistentEngineId,  // engine ID differs between the two scans
@@ -62,34 +64,18 @@ class FilterPipeline {
  public:
   explicit FilterPipeline(FilterOptions options = {}) : options_(options) {}
 
-  // Removes failing records in place (stable) and returns the accounting.
-  // Per-record verdicts are computed in parallel chunks; the compaction is
-  // stable, so output and drop counts are identical at any thread count.
-  // `obs` (execution-only) records a span per stage plus per-stage drop
-  // counters named `<scope>.dropped.<stage_slug>`.
-  FilterReport apply(std::vector<JoinedRecord>& records,
-                     const util::ParallelOptions& parallel = {},
-                     const obs::ObsOptions& obs = {}) const;
-
-  // Streaming variant: reads `input` without mutating it and appends only
-  // the survivors to `survivors` (cleared first), so the memory-bounded
-  // pipeline skips the full pre-filter copy that `apply` needs. Report and
-  // survivors are bit-identical to `apply` on the same input: each stage
-  // is a per-record predicate, so attributing every record to the first
-  // stage it fails (in the published order) yields exactly the sequential
-  // funnel's drop counts, and the promiscuous-payload set is computed over
-  // the same population (records surviving the stages ordered before it).
-  FilterReport apply_stream(std::span<const JoinedRecord> input,
-                            std::vector<JoinedRecord>& survivors,
-                            const util::ParallelOptions& parallel = {},
-                            const obs::ObsOptions& obs = {}) const;
-
-  // Columnar variant (core/columnar.hpp): pivots the input into per-field
-  // column slices with dictionary-encoded engine IDs and runs the funnel
-  // as one branch-light verdict pass, evaluating engine-ID predicates once
-  // per distinct ID instead of once per record per stage. Report and
-  // survivors are bit-identical to `apply`/`apply_stream` on the same
-  // input (tests/test_columnar.cpp). Implemented in core/columnar.cpp.
+  // Reads `input` without mutating it and appends the survivors, in input
+  // order, to `survivors` (cleared first). Both engine IDs of every record
+  // are dictionary-encoded so each engine-ID predicate runs once per
+  // distinct ID, then one verdict pass attributes every record to the
+  // first stage it fails in the published order — the sequential funnel's
+  // drop counts exactly, since every stage but the promiscuous census is a
+  // per-record predicate and the census runs over the records alive at its
+  // position (tests/filter_oracle.hpp is the reference). Report and
+  // survivors are identical at any thread count. `obs` (execution-only)
+  // records a "filter" span plus `<scope>.input`, `<scope>.output` and
+  // per-stage `<scope>.dropped.<stage_slug>` counters. Implemented in
+  // core/columnar.cpp, on ColumnarFunnel.
   FilterReport apply_columnar(std::span<const JoinedRecord> input,
                               std::vector<JoinedRecord>& survivors,
                               const util::ParallelOptions& parallel = {},

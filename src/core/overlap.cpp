@@ -44,8 +44,8 @@ OverlapOutcome join_filter_overlapped(const scan::ScanResult& first,
   }();
 
   util::run_overlapped(
-      {// Consumer (calling thread): pivot each block, run the verdict
-       // pass, keep the raw rows — blocks arrive and are fed strictly in
+      {// Consumer (calling thread): run the verdict pass on each block,
+       // keep the raw rows — blocks arrive and are fed strictly in
        // production order, so the funnel state is thread-count-invariant.
        [&] {
          obs::Span span(obs.trace(), obs.scoped("overlap.consume"));
@@ -53,7 +53,7 @@ OverlapOutcome join_filter_overlapped(const scan::ScanResult& first,
            while (auto block = queue.pop()) {
              depth_gauge.set(
                  queue_telemetry.depth.load(std::memory_order_relaxed));
-             funnel.feed(ColumnarJoined::from_rows(*block), parallel);
+             funnel.feed_rows(*block, parallel);
              std::move(block->begin(), block->end(),
                        std::back_inserter(outcome.joined));
            }

@@ -1,15 +1,16 @@
 // Producer/consumer overlap of the store-backed join and the filter
-// funnel (execution-only; part of the `columnar` knob, core/pipeline.hpp).
+// funnel (execution-only: the pipeline's shape whenever both scans are
+// store-backed, core/pipeline.cpp).
 //
-// The stage-barriered pipeline finishes the whole merge join — including
-// its external-sort I/O — before the filter reads the first record. Here
-// the join produces blocks of matched rows into a bounded queue on a
-// dedicated thread while the consumer pivots each block and feeds the
-// columnar funnel's verdict pass, so filter CPU hides behind join I/O.
-// The queue is bounded (backpressure) and strictly FIFO, and the single
-// consumer feeds blocks in production order, so every derived artifact is
-// bit-identical to the barriered path at any thread count
-// (tests/test_columnar.cpp).
+// A stage-barriered run finishes the whole merge join — including its
+// external-sort I/O — before the filter reads the first record. Here the
+// join produces blocks of matched rows into a bounded queue on a
+// dedicated thread while the consumer feeds each block to the columnar
+// funnel's verdict pass, so filter CPU hides behind join I/O. The queue is
+// bounded (backpressure) and strictly FIFO, and the single consumer feeds
+// blocks in production order, so every derived artifact is bit-identical
+// to join_scans + apply_columnar at any thread count (tests/test_store.cpp,
+// tests/test_golden.cpp).
 #pragma once
 
 #include "core/filters.hpp"
@@ -20,7 +21,7 @@ namespace snmpv3fp::core {
 struct OverlapOutcome {
   // False when a store block read failed mid-join: the partial products
   // below are meaningless and the caller must fall back to the
-  // materializing join + row filter.
+  // materializing join + apply_columnar.
   bool ok = false;
   std::vector<JoinedRecord> joined;  // full raw join, address order
   JoinStats stats;

@@ -174,20 +174,17 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
                               result.v4_campaign.scan1.start_time);
   }
 
-  // Join + filter. Three execution shapes, one bit-identical output:
-  // columnar+store overlaps the streaming join with the filter's verdict
-  // pass (core/overlap.hpp); columnar in-RAM pivots the joined vector and
-  // filters it columnar-ly; the legacy shapes stay as fallbacks and as the
-  // reference for the identity tests.
+  // Join + filter. Two execution shapes, one bit-identical output: when
+  // both scans are store-backed the streaming join overlaps the funnel's
+  // verdict pass (core/overlap.hpp); otherwise — and as the fallback on
+  // store damage — join_scans materializes the join and apply_columnar
+  // filters it.
   const FilterPipeline pipeline(options.filter);
-  const bool store_backed = !options.store.dir.empty();
   const auto join_filter_family =
       [&](const scan::CampaignPair& campaign, JoinStats& stats,
           std::vector<JoinedRecord>& joined, std::vector<JoinedRecord>& records,
           FilterReport& report, const obs::ObsOptions& family_obs) {
-        const bool can_overlap = options.columnar && campaign.scan1.store_backed() &&
-                                 campaign.scan2.store_backed();
-        if (can_overlap) {
+        if (campaign.scan1.store_backed() && campaign.scan2.store_backed()) {
           obs::Span span(obs.trace(), family_obs.scoped("join_filter"));
           auto outcome = join_filter_overlapped(campaign.scan1, campaign.scan2,
                                                 pipeline, options.parallel,
@@ -202,26 +199,18 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
             return;
           }
           // Store damage mid-stream: fall through to the materializing
-          // join + row filter (both fail soft on damaged blocks).
+          // join, which fails soft on damaged blocks.
           obs::log_warn("overlapped join+filter failed, falling back",
                         {{"first", campaign.scan1.label},
                          {"second", campaign.scan2.label}});
         }
         {
-          obs::Span span(obs.trace(), obs.scoped("join"));
+          obs::Span span(obs.trace(), family_obs.scoped("join"));
           joined = join_scans(campaign.scan1, campaign.scan2, &stats,
                               options.parallel);
         }
-        if (options.columnar) {
-          report = pipeline.apply_columnar(joined, records, options.parallel,
-                                           family_obs);
-        } else if (store_backed) {
-          report = pipeline.apply_stream(joined, records, options.parallel,
+        report = pipeline.apply_columnar(joined, records, options.parallel,
                                          family_obs);
-        } else {
-          records = joined;
-          report = pipeline.apply(records, options.parallel, family_obs);
-        }
       };
   join_filter_family(result.v4_campaign, result.v4_join_stats,
                      result.v4_joined, result.v4_records, result.v4_report,

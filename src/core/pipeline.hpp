@@ -68,8 +68,9 @@ struct PipelineOptions {
   // set, each campaign spills its scan records to <store.dir>/v4 and /v6
   // stores whose resident RAM is bounded by `store.max_resident_bytes`;
   // joining external-sorts and merge-joins the stores through streaming
-  // cursors, and filtering streams the join without the pre-filter copy.
-  // PipelineResult is bit-identical either way (tests/test_store.cpp).
+  // cursors while the filter funnel consumes the joined blocks
+  // (core/overlap.hpp). PipelineResult is bit-identical either way
+  // (tests/test_store.cpp).
   store::StoreOptions store;
   // Delivery fabric shared by both campaigns and (seed aside) the hitlist
   // prescan. The default is the loss-free fixed-default fabric the
@@ -97,16 +98,6 @@ struct PipelineOptions {
   // Reflector RTT when `net_engine` is set; must equal the fabric's fixed
   // rtt for equality runs.
   util::VTime net_rtt = 20 * util::kMillisecond;
-  // Columnar analysis + stage overlap (core/columnar.hpp, core/overlap.hpp,
-  // docs/ARCHITECTURE.md §6). Execution-only knob: on, the filter funnel
-  // runs as a branch-light verdict pass over per-field column slices with
-  // dictionary-encoded engine IDs, and (store-backed runs) the merge join
-  // streams blocks into the funnel through a bounded queue instead of
-  // barriering between the stages. PipelineResult is bit-identical on or
-  // off at any thread count (tests/test_columnar.cpp), and — like
-  // wire_fast_path — the knob is excluded from the checkpoint config
-  // digest, so checkpoints written either way resume interchangeably.
-  bool columnar = true;
 };
 
 struct PipelineResult {

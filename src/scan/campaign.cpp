@@ -241,7 +241,7 @@ std::uint64_t digest_config(const CampaignOptions& options,
       digest, static_cast<std::uint64_t>(options.response_timeout));
   // Never resume a fabric checkpoint into a net-engine campaign (or the
   // reverse): the transports carry incompatible state. Execution-only
-  // knobs (wire_fast_path, columnar, ring_receive) stay out of the
+  // knobs (wire_fast_path, ring_receive) stay out of the
   // digest — a checkpoint taken with the ring receive path resumes
   // bit-identically without it, and vice versa.
   if (options.net_engine.has_value()) {

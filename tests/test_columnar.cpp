@@ -6,11 +6,10 @@
 // columnar store cursor agrees with the row cursor including patch
 // overlays; (2) the radix-hash alias grouping reproduces the canonical
 // map-based grouping bit for bit at any thread count; (3) the columnar
-// filter funnel and the overlapped join+filter are bit-identical to the
-// legacy row paths — full-pipeline results match with the `columnar` knob
-// on or off, store on or off, at 1/2/8 threads, and checkpoints written
-// with either knob value resume interchangeably (the knob is excluded from
-// the config digest).
+// filter funnel agrees with the sequential reference funnel
+// (filter_oracle.hpp) at 1/2/8 threads, fed whole or in uneven slices; and
+// (4) a store-backed pipeline killed at a checkpoint resumes through the
+// overlapped join+filter to the uninterrupted in-RAM result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +25,7 @@
 
 #include "core/columnar.hpp"
 #include "core/pipeline.hpp"
+#include "filter_oracle.hpp"
 #include "scan/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "store/codec.hpp"
@@ -298,9 +298,9 @@ TEST(ColumnarCursorTest, FailsClosedOnDamagedSegment) {
 
 // ---- columnar filter funnel -----------------------------------------------
 
-// One synthetic record per filter stage (plus clean survivors): asserts the
-// columnar verdict pass and the row paths agree on report AND survivors for
-// an input where every stage fires, at several thread counts.
+// One synthetic record per filter stage (plus clean survivors): the
+// columnar verdict pass and the reference oracle must agree on report AND
+// survivors for an input where every stage fires, at several thread counts.
 std::vector<core::JoinedRecord> stage_zoo() {
   // All times sit well after the epoch guard (virtual 0 = April 2021).
   const util::VTime rx = 1000 * util::kSecond;
@@ -344,6 +344,19 @@ std::vector<core::JoinedRecord> stage_zoo() {
         snmp::EngineId::make_octets(99, util::Bytes{0xaa, 0xbb});
     zoo.push_back(a);
     zoo.push_back(b);
+  }
+  {  // census population: a payload shared under another enterprise only by
+     // a record that already failed an earlier stage is NOT promiscuous —
+     // the census counts the records alive at its position
+    auto dead = base(13);
+    dead.first.engine_id =
+        snmp::EngineId::make_octets(77, util::Bytes{0xaa, 0xcc});
+    dead.second.engine_id = snmp::EngineId();
+    auto alive = base(14);
+    alive.first.engine_id = alive.second.engine_id =
+        snmp::EngineId::make_octets(9, util::Bytes{0xaa, 0xcc});
+    zoo.push_back(dead);
+    zoo.push_back(alive);
   }
   {  // IPv4-format engine ID with a non-routable (private) address
     auto r = base(6);
@@ -394,37 +407,40 @@ std::vector<core::JoinedRecord> stage_zoo() {
   return zoo;
 }
 
-TEST(ColumnarFilterTest, MatchesApplyAndStreamOnStageZoo) {
-  const auto zoo = stage_zoo();
+// Runs apply_columnar at 1/2/8 threads and checks it against the reference
+// oracle: same drop accounting, same survivors in the same order.
+void expect_matches_oracle(const std::vector<core::JoinedRecord>& input) {
   const core::FilterPipeline pipeline{core::FilterOptions{}};
+  auto expected = input;
+  const auto expected_report = oracle::filter(expected);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ParallelOptions parallel;
     parallel.threads = threads;
-    auto in_place = zoo;
-    const auto report = pipeline.apply(in_place, parallel);
-    std::vector<core::JoinedRecord> streamed, columnar;
-    const auto stream_report = pipeline.apply_stream(zoo, streamed, parallel);
-    const auto columnar_report =
-        pipeline.apply_columnar(zoo, columnar, parallel);
-
-    // Every stage actually fired (the zoo is wired to hit all ten).
-    for (std::size_t stage = 0; stage < core::kFilterStageCount; ++stage)
-      EXPECT_GT(report.dropped[stage], 0u)
-          << core::to_string(static_cast<core::FilterStage>(stage));
-
-    EXPECT_EQ(columnar_report.input, report.input);
-    EXPECT_EQ(columnar_report.output, report.output);
-    EXPECT_EQ(columnar_report.dropped, report.dropped);
-    EXPECT_EQ(stream_report.dropped, report.dropped);
-    ASSERT_EQ(columnar.size(), in_place.size());
-    ASSERT_EQ(streamed.size(), in_place.size());
-    for (std::size_t i = 0; i < columnar.size(); ++i) {
-      EXPECT_EQ(columnar[i].address, in_place[i].address) << "record " << i;
-      EXPECT_EQ(columnar[i].first.engine_id, in_place[i].first.engine_id);
-      EXPECT_EQ(columnar[i].second.receive_time,
-                in_place[i].second.receive_time);
+    std::vector<core::JoinedRecord> survivors;
+    const auto report = pipeline.apply_columnar(input, survivors, parallel);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(report.input, expected_report.input);
+    EXPECT_EQ(report.output, expected_report.output);
+    EXPECT_EQ(report.dropped, expected_report.dropped);
+    ASSERT_EQ(survivors.size(), expected.size());
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      EXPECT_EQ(survivors[i].address, expected[i].address) << "record " << i;
+      EXPECT_EQ(survivors[i].first.engine_id, expected[i].first.engine_id);
+      EXPECT_EQ(survivors[i].second.receive_time,
+                expected[i].second.receive_time);
     }
   }
+}
+
+TEST(ColumnarFilterTest, MatchesApplyAndStreamOnStageZoo) {
+  const auto zoo = stage_zoo();
+  // Every stage actually fires (the zoo is wired to hit all ten).
+  auto survivors = zoo;
+  const auto report = oracle::filter(survivors);
+  for (std::size_t stage = 0; stage < core::kFilterStageCount; ++stage)
+    EXPECT_GT(report.dropped[stage], 0u)
+        << core::to_string(static_cast<core::FilterStage>(stage));
+  expect_matches_oracle(zoo);
 }
 
 TEST(ColumnarFilterTest, MatchesApplyOnCampaignData) {
@@ -433,29 +449,28 @@ TEST(ColumnarFilterTest, MatchesApplyOnCampaignData) {
   options.seed = 31;
   options.shards = 2;
   const auto pair = scan::run_two_scan_campaign(world, options);
-  const auto joined = core::join_scans(pair.scan1, pair.scan2);
-  ASSERT_GT(joined.size(), 0u);
+  auto joined = core::join_scans(pair.scan1, pair.scan2);
+  ASSERT_GT(joined.size(), 4u);
+  expect_matches_oracle(joined);
 
-  const core::FilterPipeline pipeline{core::FilterOptions{}};
-  auto in_place = joined;
-  const auto report = pipeline.apply(in_place);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    util::ParallelOptions parallel;
-    parallel.threads = threads;
-    std::vector<core::JoinedRecord> survivors;
-    const auto columnar_report =
-        pipeline.apply_columnar(joined, survivors, parallel);
-    EXPECT_EQ(columnar_report.input, report.input);
-    EXPECT_EQ(columnar_report.output, report.output);
-    EXPECT_EQ(columnar_report.dropped, report.dropped);
-    ASSERT_EQ(survivors.size(), in_place.size());
-    for (std::size_t i = 0; i < survivors.size(); ++i)
-      EXPECT_EQ(survivors[i].address, in_place[i].address) << "record " << i;
-  }
+  // Force a promiscuous payload: reuse one record's engine payload under a
+  // different enterprise so the global stage has something to drop.
+  auto raw = joined[0].first.engine_id.raw();
+  ASSERT_GT(raw.size(), 4u);
+  raw[1] = 0x00;
+  raw[2] = 0x00;
+  raw[3] = 0x63;
+  joined[4].first.engine_id = snmp::EngineId(raw);
+  joined[4].second.engine_id = joined[4].first.engine_id;
+  auto survivors = joined;
+  EXPECT_GT(oracle::filter(survivors).dropped_at(
+                core::FilterStage::kPromiscuousEngineId),
+            0u);
+  expect_matches_oracle(joined);
 }
 
-// Incremental feeding must be equivalent to one-shot pivoting: the funnel
-// fed in uneven slices returns the same report as apply_columnar whole.
+// Incremental feeding must be equivalent to one pass: the funnel fed in
+// uneven slices returns the same report as apply_columnar whole.
 TEST(ColumnarFilterTest, IncrementalFeedMatchesOneShot) {
   const auto zoo = stage_zoo();
   const core::FilterPipeline pipeline{core::FilterOptions{}};
@@ -466,8 +481,8 @@ TEST(ColumnarFilterTest, IncrementalFeedMatchesOneShot) {
   const std::size_t cuts[] = {1, 3, 4, 9, zoo.size()};
   std::size_t begin = 0;
   for (const std::size_t end : cuts) {
-    funnel.feed(core::ColumnarJoined::from_rows(
-        std::span<const core::JoinedRecord>(zoo).subspan(begin, end - begin)));
+    funnel.feed_rows(
+        std::span<const core::JoinedRecord>(zoo).subspan(begin, end - begin));
     begin = end;
   }
   EXPECT_EQ(funnel.rows_fed(), zoo.size());
@@ -678,45 +693,18 @@ void expect_same_pipeline_result(const core::PipelineResult& a,
   EXPECT_EQ(a.router_device_count(), b.router_device_count());
 }
 
-TEST(ColumnarPipelineTest, BitIdenticalColumnarOnOffStoreOnOffAnyThreads) {
-  // Reference: the legacy row path (columnar off, in-RAM, one thread).
-  auto reference_options = tiny_pipeline_options();
-  reference_options.columnar = false;
-  reference_options.parallel.threads = 1;
-  const auto reference = core::run_full_pipeline(reference_options);
+// A store-backed run killed at a checkpoint resumes to a result
+// bit-identical to an uninterrupted in-RAM run, at several thread counts:
+// the resumed campaigns reach the overlapped join+filter with the same
+// records the uninterrupted run joined.
+TEST(ColumnarPipelineTest, StoreBackedKillResumeBitIdenticalAnyThreads) {
+  const auto reference = core::run_full_pipeline(tiny_pipeline_options());
+  ASSERT_FALSE(reference.interrupted);
   ASSERT_GT(reference.v4_records.size(), 0u);
   ASSERT_GT(reference.devices.size(), 0u);
 
-  for (const bool store_backed : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      auto options = tiny_pipeline_options();
-      options.columnar = true;
-      options.parallel.threads = threads;
-      if (store_backed) {
-        options.store.dir = temp_dir(
-            "columnar_pipe_s" + std::to_string(threads));
-        options.store.records_per_block = 8;
-        options.store.max_resident_bytes = 4096;
-      }
-      const auto result = core::run_full_pipeline(options);
-      SCOPED_TRACE("store=" + std::to_string(store_backed) +
-                   " threads=" + std::to_string(threads));
-      expect_same_pipeline_result(result, reference);
-    }
-  }
-}
-
-// The columnar knob is execution-only all the way into fault tolerance: a
-// checkpoint written with one knob value resumes under the other (the knob
-// is excluded from the campaign config digest) and the resumed result is
-// bit-identical to an uninterrupted run, at several thread counts.
-TEST(ColumnarPipelineTest, KillResumeInterchangeableAcrossColumnarKnob) {
-  const auto reference = core::run_full_pipeline(tiny_pipeline_options());
-  ASSERT_FALSE(reference.interrupted);
-
   for (const std::size_t threads : {1u, 2u, 8u}) {
     auto killed_options = tiny_pipeline_options();
-    killed_options.columnar = true;
     killed_options.parallel.threads = threads;
     killed_options.checkpoint_dir =
         temp_dir("columnar_ckpt_t" + std::to_string(threads));
@@ -729,9 +717,7 @@ TEST(ColumnarPipelineTest, KillResumeInterchangeableAcrossColumnarKnob) {
     const auto killed = core::run_full_pipeline(killed_options);
     ASSERT_TRUE(killed.interrupted) << threads << " threads";
 
-    // Resume with the opposite knob value.
     auto resume_options = killed_options;
-    resume_options.columnar = false;
     resume_options.abort_after_checkpoints = 0;
     const auto resumed = core::run_full_pipeline(resume_options);
     ASSERT_FALSE(resumed.interrupted) << threads << " threads";

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/filters.hpp"
+#include "filter_oracle.hpp"
 #include "net/registry.hpp"
 
 namespace snmpv3fp::core {
@@ -24,12 +27,23 @@ JoinedRecord good_record(std::uint32_t host = 1) {
   return record;
 }
 
+// Runs the funnel and checks it against the reference oracle: same drop
+// accounting, same survivors in the same order.
 FilterReport run(std::vector<JoinedRecord> records,
                  std::vector<JoinedRecord>* survivors = nullptr,
                  FilterOptions options = {}) {
   FilterPipeline pipeline(options);
-  const auto report = pipeline.apply(records);
-  if (survivors != nullptr) *survivors = std::move(records);
+  std::vector<JoinedRecord> kept;
+  const auto report = pipeline.apply_columnar(records, kept);
+  auto expected = records;
+  const auto expected_report = oracle::filter(expected, options);
+  EXPECT_EQ(report.input, expected_report.input);
+  EXPECT_EQ(report.dropped, expected_report.dropped);
+  EXPECT_EQ(report.output, expected_report.output);
+  EXPECT_EQ(kept.size(), expected.size());
+  for (std::size_t i = 0; i < std::min(kept.size(), expected.size()); ++i)
+    EXPECT_EQ(kept[i].address, expected[i].address) << "survivor " << i;
+  if (survivors != nullptr) *survivors = std::move(kept);
   return report;
 }
 
@@ -198,9 +212,9 @@ TEST(Filters, Idempotent) {
   std::vector<JoinedRecord> records;
   for (std::uint32_t i = 0; i < 30; ++i) records.push_back(good_record(i));
   records[5].second.engine_boots += 1;
-  FilterPipeline pipeline;
-  pipeline.apply(records);
-  const auto second_pass = pipeline.apply(records);
+  std::vector<JoinedRecord> survivors;
+  run(records, &survivors);
+  const auto second_pass = run(survivors);
   EXPECT_EQ(second_pass.total_dropped(), 0u);  // nothing more to remove
 }
 

@@ -41,6 +41,10 @@ struct RoutabilityCase {
   bool routable;
 };
 
+// Names each case after its address: gtest's default would print the
+// struct's raw bytes, a pointer that changes from one process to the next.
+void PrintTo(const RoutabilityCase& c, std::ostream* os) { *os << c.address; }
+
 class Ipv4Routability : public ::testing::TestWithParam<RoutabilityCase> {};
 
 TEST_P(Ipv4Routability, Classification) {
@@ -85,6 +89,8 @@ struct V6Case {
   const char* input;
   const char* canonical;
 };
+
+void PrintTo(const V6Case& c, std::ostream* os) { *os << c.input; }
 
 class Ipv6Canonical : public ::testing::TestWithParam<V6Case> {};
 

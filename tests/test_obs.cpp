@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -377,6 +379,15 @@ TEST(ObsContract, RunReportJsonMatchesPipelineAccounting) {
   for (const auto& span : spans->items())
     max_wall = std::max(max_wall, span.find("wall_ms")->as_number());
   EXPECT_GT(max_wall, 0.0);
+
+  // An in-RAM run joins each family under its own scope, so the report
+  // splits join time between v4 and v6.
+  std::set<std::string> span_names;
+  for (const auto& span : spans->items())
+    span_names.insert(span.find("name")->as_string());
+  EXPECT_TRUE(span_names.contains("pipeline.v4.join"));
+  EXPECT_TRUE(span_names.contains("pipeline.v6.join"));
+  EXPECT_FALSE(span_names.contains("pipeline.join"));
 
   // Campaign virtual time: the scans advanced the simulated clock.
   bool campaign_has_virtual = false;

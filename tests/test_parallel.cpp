@@ -206,10 +206,10 @@ TEST(ParallelDeterminism, AnalysisStagesMatchSequential) {
     ASSERT_EQ(joined_seq[i].address, joined_par[i].address);
 
   const core::FilterPipeline pipeline;
-  auto records_seq = joined_seq;
-  auto records_par = joined_par;
-  expect_same_report(pipeline.apply(records_seq, {.threads = 1}),
-                     pipeline.apply(records_par, eight));
+  std::vector<core::JoinedRecord> records_seq, records_par;
+  expect_same_report(
+      pipeline.apply_columnar(joined_seq, records_seq, {.threads = 1}),
+      pipeline.apply_columnar(joined_par, records_par, eight));
   ASSERT_EQ(records_seq.size(), records_par.size());
 
   const auto aliases_seq =

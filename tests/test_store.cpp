@@ -549,47 +549,6 @@ TEST_F(StoreCampaignTest, DamagedStoreFilesStillResumeBitIdentically) {
   expect_same_scan(resumed.scan2, reference.scan2);
 }
 
-// ---- filters: streaming equivalence --------------------------------------
-
-TEST(StoreFilterStream, ApplyStreamMatchesApplyOnCampaignData) {
-  auto world = topo::generate_world(topo::WorldConfig::tiny());
-  scan::CampaignOptions options;
-  options.seed = 31;
-  options.shards = 2;
-  const auto pair = scan::run_two_scan_campaign(world, options);
-  auto joined = core::join_scans(pair.scan1, pair.scan2);
-  ASSERT_GT(joined.size(), 0u);
-  // Force a promiscuous payload: reuse one record's engine payload under a
-  // different enterprise so the global stage has something to drop.
-  if (joined.size() > 4) {
-    auto raw = joined[0].first.engine_id.raw();
-    if (raw.size() > 4) {
-      raw[1] = 0x00;
-      raw[2] = 0x00;
-      raw[3] = 0x63;
-      joined[4].first.engine_id = snmp::EngineId(raw);
-      joined[4].second.engine_id = joined[4].first.engine_id;
-    }
-  }
-
-  const core::FilterPipeline pipeline{core::FilterOptions{}};
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    util::ParallelOptions parallel;
-    parallel.threads = threads;
-    auto in_place = joined;
-    const auto report = pipeline.apply(in_place, parallel);
-    std::vector<core::JoinedRecord> streamed;
-    const auto stream_report = pipeline.apply_stream(joined, streamed, parallel);
-
-    EXPECT_EQ(stream_report.input, report.input);
-    EXPECT_EQ(stream_report.output, report.output);
-    EXPECT_EQ(stream_report.dropped, report.dropped);
-    ASSERT_EQ(streamed.size(), in_place.size());
-    for (std::size_t i = 0; i < streamed.size(); ++i)
-      EXPECT_EQ(streamed[i].address, in_place[i].address) << "record " << i;
-  }
-}
-
 // ---- full pipeline --------------------------------------------------------
 
 class StorePipelineTest : public ::testing::Test {

@@ -10,9 +10,12 @@
 #   3. Focused memory/UB check: ASan+UBSan build in build-asan/ running the
 #      hostile-input corpus plus the decode-path suites (test_hostile,
 #      test_asn1, test_snmp_message, test_checkpoint, test_store,
-#      test_wire) plus the filter funnel's oracle suite (test_columnar's
-#      ColumnarFilterTest) — >=10k corrupted payloads must decode-reject
-#      with zero memory errors or UB; the store suites re-run the codec
+#      test_wire), the filter funnel's oracle suite (test_columnar's
+#      ColumnarFilterTest) and the whole pacer suite (test_pacer's unit
+#      tests on a caller clock, burst 1 and wall-clock bursts, plus
+#      test_checkpoint's campaign-level Pacer test) — >=10k corrupted
+#      payloads must decode-reject with zero memory errors or UB; the
+#      store suites re-run the codec
 #      mutation corpus and the spill/restore paths under the sanitizers,
 #      the funnel suite its dictionary/census code over campaign data; the
 #      wire suites re-run the fast-parser differential fuzz (fast-accept
@@ -99,7 +102,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake -B build-asan -S . -DSNMPFP_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
-               test_store test_wire test_columnar
+               test_pacer test_store test_wire test_columnar
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
       -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|ScanResultAccessors|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
 fi

@@ -48,13 +48,8 @@ void StatusHandle::update(const ShardStatusRow& row) {
 void StatusBoard::update_slot(std::size_t slot, const ShardStatusRow& row) {
   std::lock_guard<std::mutex> lock(mutex_);
   ShardStatusRow& target = rows_[slot];
-  target.targets_sent = row.targets_sent;
-  target.responses = row.responses;
-  target.undecodable = row.undecodable;
-  target.backoffs = row.backoffs;
+  target.point = row.point;
   target.ring_frames = row.ring_frames;
-  target.pacer_rate_pps = row.pacer_rate_pps;
-  target.store_resident_bytes = row.store_resident_bytes;
   target.virtual_now = row.virtual_now;
   target.complete = row.complete;
   maybe_write_locked();
@@ -66,7 +61,8 @@ void StatusBoard::mark_stage_complete(std::string_view stage) {
     for (auto& row : rows_) {
       if (row.stage == stage) {
         row.complete = true;
-        row.targets_sent = std::max(row.targets_sent, row.targets_total);
+        row.point.targets_sent =
+            std::max(row.point.targets_sent, row.targets_total);
       }
     }
   }
@@ -85,14 +81,14 @@ void row_to_json(JsonWriter& json, const ShardStatusRow& row) {
   json.kv("stage", row.stage);
   json.kv("shard", static_cast<std::uint64_t>(row.shard));
   json.kv("targets_total", row.targets_total);
-  json.kv("targets_sent", row.targets_sent);
-  json.kv("responses", row.responses);
-  json.kv("undecodable", row.undecodable);
-  json.kv("backoffs", row.backoffs);
+  json.kv("targets_sent", row.point.targets_sent);
+  json.kv("responses", row.point.responses);
+  json.kv("undecodable", row.point.undecodable);
+  json.kv("backoffs", row.point.backoffs);
   json.kv("ring_frames", row.ring_frames);
   json.kv("response_rate", row.response_rate());
-  json.kv("pacer_rate_pps", row.pacer_rate_pps);
-  json.kv("resident_bytes", row.store_resident_bytes);
+  json.kv("pacer_rate_pps", row.point.pacer_rate_pps);
+  json.kv("resident_bytes", row.point.store_resident_bytes);
   json.kv("virtual_s", util::to_seconds(row.virtual_now));
   json.kv("eta_s", row.eta_seconds());
   json.kv("complete", row.complete);
@@ -108,14 +104,14 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
   bool complete = !rows.empty();
   for (const auto& row : rows) {
     targets += row.targets_total;
-    sent += row.targets_sent;
-    responses += row.responses;
-    undecodable += row.undecodable;
-    backoffs += row.backoffs;
+    sent += row.point.targets_sent;
+    responses += row.point.responses;
+    undecodable += row.point.undecodable;
+    backoffs += row.point.backoffs;
     ring_frames += row.ring_frames;
-    if (row.store_resident_bytes >= 0) {
+    if (row.point.store_resident_bytes >= 0) {
       if (resident < 0) resident = 0;
-      resident += row.store_resident_bytes;
+      resident += row.point.store_resident_bytes;
     }
     // Shards run concurrently, so the campaign finishes with the slowest.
     eta = std::max(eta, row.eta_seconds());

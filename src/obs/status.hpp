@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/timeline.hpp"
 #include "util/vclock.hpp"
 
 namespace snmpv3fp::obs {
@@ -42,29 +43,27 @@ struct ShardStatusRow {
   std::string stage;
   std::uint32_t shard = 0;
   std::uint64_t targets_total = 0;
-  std::uint64_t targets_sent = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t undecodable = 0;
-  std::uint64_t backoffs = 0;
+  // The shard's progress, the same sample a timeline tick records (its
+  // `t` stays unused here).
+  TimelinePoint point;
   // Frames this shard's engine pulled off its AF_PACKET ring view
   // (net/packet_ring.hpp); stays 0 for fabric or recvmmsg transports.
   std::uint64_t ring_frames = 0;
-  double pacer_rate_pps = 0.0;
-  std::int64_t store_resident_bytes = -1;  // -1: not store-backed
   util::VTime virtual_now = 0;
   bool complete = false;
 
   double response_rate() const {
-    return targets_sent == 0
+    return point.targets_sent == 0
                ? 0.0
-               : static_cast<double>(responses) /
-                     static_cast<double>(targets_sent);
+               : static_cast<double>(point.responses) /
+                     static_cast<double>(point.targets_sent);
   }
   double eta_seconds() const {
-    if (complete || pacer_rate_pps <= 0.0) return 0.0;
-    const std::uint64_t remaining =
-        targets_total > targets_sent ? targets_total - targets_sent : 0;
-    return static_cast<double>(remaining) / pacer_rate_pps;
+    if (complete || point.pacer_rate_pps <= 0.0) return 0.0;
+    const std::uint64_t remaining = targets_total > point.targets_sent
+                                        ? targets_total - point.targets_sent
+                                        : 0;
+    return static_cast<double>(remaining) / point.pacer_rate_pps;
   }
 };
 

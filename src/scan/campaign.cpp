@@ -230,6 +230,21 @@ std::uint64_t digest_config(const CampaignOptions& options,
   digest = util::hash_combine(digest, options.fabric.seed);
   digest = util::hash_combine(
       digest, static_cast<std::uint64_t>(options.pacer.adaptive));
+  if (options.pacer.adaptive) {
+    // Only an adaptive pacer's shape moves send times; fixed-rate digests
+    // stay independent of these fields.
+    const PacerConfig& pacer = options.pacer;
+    for (const double value :
+         {pacer.min_rate_pps, pacer.backoff_factor, pacer.recover_factor,
+          pacer.collapse_threshold})
+      digest = util::hash_combine(digest, std::bit_cast<std::uint64_t>(value));
+    for (const std::uint64_t value :
+         {static_cast<std::uint64_t>(pacer.window_probes),
+          static_cast<std::uint64_t>(pacer.max_backoff_jitter),
+          static_cast<std::uint64_t>(pacer.use_rate_limit_signals),
+          static_cast<std::uint64_t>(pacer.rate_limit_signal_threshold)})
+      digest = util::hash_combine(digest, value);
+  }
   digest = util::hash_combine(
       digest,
       static_cast<std::uint64_t>(options.checkpoint_every_n_targets));
@@ -583,7 +598,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         probe.rate_pps =
             options.rate_pps / static_cast<double>(shard_count);
         probe.send_offset = 0;
-        probe.wall_pacing = true;
       }
       // Generated sweeps cover orders of magnitude more dead space than
       // they have responders; forgetting send times past the worst-case
@@ -592,6 +606,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       if (spec_mode)
         probe.sent_horizon = options.fabric.max_rtt + util::kSecond;
       probe.pacer = options.pacer;
+      // A burst only batches sends on a real clock; virtual schedules
+      // keep the fixed gap.
+      if (!wall_mode) probe.pacer.burst_probes = 1;
       probe.resume = resume_state;
       probe.sink = shard_store.get();
       probe.wire_fast_path = options.wire_fast_path;

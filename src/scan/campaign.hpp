@@ -91,9 +91,10 @@ struct CampaignOptions {
   // pointed at a sim::LoopbackReflector via EngineConfig::sim_peer. With
   // EngineClock::kVirtual the campaign schedule (and output) matches the
   // fabric's; with kWall the shards pace in real time: rate_pps splits
-  // across shards, send offsets collapse to zero and the prober switches
-  // to TokenBucketPacer. Fabric-side knobs (loss, jitter, policing) do
-  // not apply — the far side of the wire decides those.
+  // across shards, send offsets collapse to zero and the pacer releases
+  // `pacer.burst_probes` back-to-back (virtual campaigns pace at burst 1).
+  // Fabric-side knobs (loss, jitter, policing) do not apply — the far
+  // side of the wire decides those.
   std::optional<net::EngineConfig> net_engine;
   // AF_PACKET ring receive (net/packet_ring.hpp): with `net_engine` set
   // and this true, the campaign opens one TPACKET_V3 ring per shard in a

@@ -4,40 +4,45 @@
 
 namespace snmpv3fp::scan {
 
-AdaptivePacer::AdaptivePacer(double target_rate_pps, const PacerConfig& config,
-                             util::Rng& rng)
+Pacer::Pacer(double target_rate_pps, const PacerConfig& config, util::Rng& rng)
     : target_rate_pps_(std::max(target_rate_pps, 1.0)),
       config_(config),
       rng_(rng) {
   state_.rate_pps = target_rate_pps_;
+  config_.burst_probes = std::max<std::size_t>(config_.burst_probes, 1);
 }
 
-util::VTime AdaptivePacer::gap() const {
+util::VTime Pacer::gap() const {
   // Same arithmetic as the historical fixed-gap prober, so the default
   // (never-backed-off) schedule is bit-identical to the pre-pacer code.
   return static_cast<util::VTime>(static_cast<double>(util::kSecond) /
                                   std::max(state_.rate_pps, 1.0));
 }
 
-util::VTime AdaptivePacer::schedule_after(util::VTime previous) {
+util::VTime Pacer::on_probe_sent(util::VTime now) {
+  ++state_.window_sent;
   util::VTime jitter = 0;
   if (config_.adaptive && state_.window_sent >= config_.window_probes)
     jitter = evaluate_window();
-  return previous + gap() + jitter;
+  // A sender behind schedule restarts from `now` (no credit hoarded past
+  // the burst); on a virtual clock `now` is the previous theoretical send
+  // time, so this is `previous + gap + jitter`.
+  const util::VTime step = gap();
+  tat_ = std::max(tat_, now) + step + jitter;
+  const auto credit = static_cast<util::VTime>(config_.burst_probes - 1);
+  return std::max(now, tat_ - credit * step);
 }
 
-void AdaptivePacer::on_probe_sent() { ++state_.window_sent; }
-
-void AdaptivePacer::on_responses(std::size_t count) {
+void Pacer::on_responses(std::size_t count) {
   state_.window_responses += count;
 }
 
-void AdaptivePacer::on_rate_limit_signals(std::size_t count) {
+void Pacer::on_rate_limit_signals(std::size_t count) {
   state_.window_rate_limit_signals += count;
   state_.rate_limit_signals += count;
 }
 
-util::VTime AdaptivePacer::evaluate_window() {
+util::VTime Pacer::evaluate_window() {
   const double window_rate =
       static_cast<double>(state_.window_responses) /
       static_cast<double>(std::max<std::size_t>(state_.window_sent, 1));
@@ -84,100 +89,9 @@ util::VTime AdaptivePacer::evaluate_window() {
   return jitter;
 }
 
-void AdaptivePacer::restore(const PacerState& state) { state_ = state; }
-
-TokenBucketPacer::TokenBucketPacer(double target_rate_pps,
-                                   const PacerConfig& config)
-    : target_rate_pps_(std::max(target_rate_pps, 1.0)), config_(config) {
-  state_.rate_pps = target_rate_pps_;
-  if (config_.burst_probes == 0) config_.burst_probes = 1;
-}
-
-void TokenBucketPacer::refill(util::VTime now) {
-  if (!primed_) {
-    // First observation: start with a full bucket so the opening burst
-    // fills a kernel batch immediately.
-    primed_ = true;
-    last_refill_ = now;
-    tokens_ = static_cast<double>(config_.burst_probes);
-    return;
-  }
-  if (now <= last_refill_) return;
-  const double earned = static_cast<double>(now - last_refill_) *
-                        std::max(state_.rate_pps, 1.0) /
-                        static_cast<double>(util::kSecond);
-  tokens_ = std::min(tokens_ + earned,
-                     static_cast<double>(config_.burst_probes));
-  last_refill_ = now;
-}
-
-util::VTime TokenBucketPacer::next_send_time(util::VTime now) {
-  refill(now);
-  if (tokens_ >= 1.0) return now;
-  const double deficit_s = (1.0 - tokens_) / std::max(state_.rate_pps, 1.0);
-  return now + static_cast<util::VTime>(
-                   deficit_s * static_cast<double>(util::kSecond)) +
-         1;  // +1us: never round below the earning instant
-}
-
-void TokenBucketPacer::on_probe_sent(util::VTime now) {
-  refill(now);
-  tokens_ -= 1.0;
-  if (tokens_ < -1.0) tokens_ = -1.0;  // a caller ahead of schedule only
-                                       // borrows one probe, never a burst
-  ++state_.window_sent;
-  if (config_.adaptive && state_.window_sent >= config_.window_probes)
-    evaluate_window();
-}
-
-void TokenBucketPacer::on_responses(std::size_t count) {
-  state_.window_responses += count;
-}
-
-void TokenBucketPacer::on_rate_limit_signals(std::size_t count) {
-  state_.window_rate_limit_signals += count;
-  state_.rate_limit_signals += count;
-}
-
-void TokenBucketPacer::evaluate_window() {
-  // Same decisions as AdaptivePacer::evaluate_window, minus the jitter
-  // draw (real clocks provide their own) — rate changes take effect on
-  // the next refill.
-  const double window_rate =
-      static_cast<double>(state_.window_responses) /
-      static_cast<double>(std::max<std::size_t>(state_.window_sent, 1));
-  state_.window_sent = 0;
-  state_.window_responses = 0;
-  const bool signaled =
-      config_.use_rate_limit_signals &&
-      state_.window_rate_limit_signals >= config_.rate_limit_signal_threshold;
-  state_.window_rate_limit_signals = 0;
-
-  if (state_.baseline_response_rate < 0.0) {
-    state_.baseline_response_rate = window_rate;
-    if (!signaled) return;
-  }
-
-  const bool collapsed =
-      signaled ||
-      (state_.baseline_response_rate > 0.0 &&
-       window_rate <
-           config_.collapse_threshold * state_.baseline_response_rate);
-  if (collapsed) {
-    state_.rate_pps = std::max(state_.rate_pps * config_.backoff_factor,
-                               config_.min_rate_pps);
-    ++state_.backoffs;
-  } else if (state_.rate_pps < target_rate_pps_) {
-    state_.rate_pps =
-        std::min(state_.rate_pps * config_.recover_factor, target_rate_pps_);
-  }
-  state_.baseline_response_rate =
-      0.9 * state_.baseline_response_rate + 0.1 * window_rate;
-}
-
-void TokenBucketPacer::restore(const PacerState& state) {
+void Pacer::restore(const PacerState& state) {
   state_ = state;
-  primed_ = false;  // the bucket re-primes from the first post-resume call
+  tat_ = kUnprimed;  // the burst credit re-primes from the next send
 }
 
 }  // namespace snmpv3fp::scan

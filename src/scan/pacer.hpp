@@ -1,23 +1,38 @@
-// Adaptive probe pacing (MIDAR-style staged rate control).
+// Probe pacing: one scheduler for virtual and wall clocks, with optional
+// MIDAR-style adaptive rate control.
 //
-// The prober's fixed 1/rate gap assumes a fabric that never pushes back.
-// Real control planes police SNMP traffic: when a scan overruns a device's
+// Schedule. The pacer keeps a theoretical next-send time (GCRA): every
+// send advances it by the current gap (1/rate) plus any backoff jitter,
+// and the next probe may leave at max(now, tat - (burst - 1) * gap). At
+// `burst_probes` = 1 this is exactly the historical fixed-gap schedule
+// `previous + gap + jitter`, because a virtual transport's run_until lands
+// `now` on the scheduled time. Wall-clock campaigns raise the burst so
+// probes leave back-to-back while credit lasts and the batched kernel
+// transport fills whole sendmmsg batches; the long-run rate is unchanged.
+// The clock is whatever the caller passes as `now` — transport time in the
+// prober, a fake clock in tests.
+//
+// Rate control. A fixed gap assumes a fabric that never pushes back. Real
+// control planes police SNMP traffic: when a scan overruns a device's
 // budget, responses collapse and the naive scanner burns its probe budget
-// on silence. The pacer watches the per-window response rate and backs the
-// shard's rate off (multiplicative, with deterministic jitter so shards
+// on silence. With `adaptive` on, the pacer watches the per-window
+// response rate and explicit rate-limit signals, backs the shard's rate
+// off (multiplicative, with jitter drawn from the shard Rng so shards
 // desynchronize) when the rate collapses relative to the learned baseline,
 // then recovers multiplicatively toward the configured target once
 // responses return.
 //
 // Determinism contract: with `adaptive` off (the default) the pacer is a
-// pure fixed-gap scheduler — it consumes NO rng draws and reproduces the
+// pure fixed-rate scheduler — it consumes NO rng draws and reproduces the
 // historical schedule bit-for-bit. With `adaptive` on, every decision is a
-// function of virtual-time observations and the shard's own Rng, so a
-// backed-off campaign is exactly as reproducible as a fixed-rate one.
-// PacerState round-trips through the campaign checkpoint.
+// function of the caller's clock, the window observations and the shard's
+// own Rng, so a backed-off virtual campaign is exactly as reproducible as
+// a fixed-rate one. PacerState round-trips through the campaign
+// checkpoint; the burst credit does not, and re-primes full on restore.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "util/rng.hpp"
 #include "util/vclock.hpp"
@@ -33,7 +48,7 @@ struct PacerConfig {
   // A window whose response rate falls below this fraction of the learned
   // baseline triggers a backoff.
   double collapse_threshold = 0.5;
-  // Extra virtual-time delay added per backoff, jittered uniformly in
+  // Extra delay added per backoff, jittered uniformly in
   // [0, max_backoff_jitter] by the shard Rng.
   util::VTime max_backoff_jitter = 50 * util::kMillisecond;
   // Explicit rate-limit signals (net::Transport::rate_limit_signals
@@ -44,12 +59,11 @@ struct PacerConfig {
   // set; with no signals the schedule is unchanged.
   bool use_rate_limit_signals = true;
   std::size_t rate_limit_signal_threshold = 1;
-  // TokenBucketPacer only: probes released back-to-back before the bucket
-  // empties and the sender must wait. Burst-granularity pacing is what
-  // lets the batched kernel transport fill whole sendmmsg batches instead
-  // of flushing one datagram per sub-millisecond sleep; the long-run rate
-  // is unchanged.
-  std::size_t burst_probes = 64;
+  // Probes released back-to-back before the sender must wait. 1 is the
+  // fixed-gap schedule; campaigns force it on virtual clocks and pass this
+  // value through on wall clocks, where the engine's batch size is the
+  // natural choice.
+  std::size_t burst_probes = 1;
 };
 
 // Serializable pacer state (doubles travel as IEEE bit patterns in the
@@ -65,18 +79,17 @@ struct PacerState {
   std::size_t rate_limit_signals = 0;    // total signals observed
 };
 
-class AdaptivePacer {
+class Pacer {
  public:
   // `rng` must outlive the pacer; it is only drawn from when `adaptive`
   // is set and a backoff fires.
-  AdaptivePacer(double target_rate_pps, const PacerConfig& config,
-                util::Rng& rng);
+  Pacer(double target_rate_pps, const PacerConfig& config, util::Rng& rng);
 
-  // Returns the send time of the probe after one sent at `previous`.
-  util::VTime schedule_after(util::VTime previous);
+  // Records a probe sent at `now` and returns the earliest time the next
+  // probe may leave (never before `now`).
+  util::VTime on_probe_sent(util::VTime now);
 
-  // Window accounting, fed by the prober per probe / per drained response.
-  void on_probe_sent();
+  // Window accounting, fed by the prober per drain.
   void on_responses(std::size_t count);
   // Explicit rate-limit signals observed since the last drain (the
   // transport counter delta). Pure accounting in fixed mode.
@@ -91,56 +104,14 @@ class AdaptivePacer {
   // backoff fired).
   util::VTime evaluate_window();
 
+  static constexpr util::VTime kUnprimed =
+      std::numeric_limits<util::VTime>::min();
+
   double target_rate_pps_;
   PacerConfig config_;
   util::Rng& rng_;
   PacerState state_;
-};
-
-// Wall-clock pacing for the real-socket transport. A fixed 1/rate gap
-// forces one sub-millisecond sleep per probe, which flushes the kernel
-// batch at size one and defeats sendmmsg entirely; the token bucket
-// instead releases probes back-to-back while tokens last (at most
-// `PacerConfig::burst_probes`), then waits once per burst, preserving the
-// long-run rate at batch-friendly granularity.
-//
-// Rate control mirrors AdaptivePacer's window state machine — baseline
-// learning, collapse detection, explicit rate-limit signals
-// (net::BatchedUdpEngine reports kernel backpressure and ICMP refusals
-// through Transport::rate_limit_signals), multiplicative backoff/recovery
-// — but adds no rng jitter: wall schedules are not reproducible anyway,
-// and shards desynchronize naturally. State round-trips through the same
-// PacerState as AdaptivePacer, so campaign checkpoints carry either.
-//
-// The clock is whatever the caller passes as `now` — the prober feeds
-// transport time, tests feed a fake clock — so every decision is unit-
-// testable without sleeping (tests/test_net_engine.cpp).
-class TokenBucketPacer {
- public:
-  TokenBucketPacer(double target_rate_pps, const PacerConfig& config);
-
-  // Earliest time the next probe may leave: `now` while the bucket holds
-  // a token, else when the refill earns one. Monotonic in `now`.
-  util::VTime next_send_time(util::VTime now);
-
-  // Window accounting, fed exactly like AdaptivePacer's.
-  void on_probe_sent(util::VTime now);
-  void on_responses(std::size_t count);
-  void on_rate_limit_signals(std::size_t count);
-
-  const PacerState& state() const { return state_; }
-  void restore(const PacerState& state);
-
- private:
-  void refill(util::VTime now);
-  void evaluate_window();
-
-  double target_rate_pps_;
-  PacerConfig config_;
-  PacerState state_;
-  double tokens_ = 0.0;
-  util::VTime last_refill_ = 0;
-  bool primed_ = false;
+  util::VTime tat_ = kUnprimed;  // theoretical send time of the next probe
 };
 
 }  // namespace snmpv3fp::scan

@@ -19,6 +19,22 @@ namespace {
 std::int32_t two_byte_id(util::Rng& rng) {
   return static_cast<std::int32_t>(128 + rng.next_below(32767 - 128));
 }
+
+// The shard's progress after `targets_sent` probes: the values a timeline
+// tick and a status row both report.
+obs::TimelinePoint progress(std::size_t targets_sent, const ScanResult& result,
+                            const store::RecordStore* sink,
+                            const PacerState& pacer) {
+  obs::TimelinePoint point;
+  point.targets_sent = targets_sent;
+  point.responses = sink != nullptr ? sink->size() : result.records.size();
+  point.undecodable = result.undecodable_responses;
+  point.backoffs = pacer.backoffs;
+  point.pacer_rate_pps = pacer.rate_pps;
+  point.store_resident_bytes =
+      sink != nullptr ? static_cast<std::int64_t>(sink->resident_bytes()) : -1;
+  return point;
+}
 }  // namespace
 
 std::size_t Prober::drain(
@@ -145,15 +161,7 @@ ScanResult Prober::run(const TargetSequence& targets,
 ScanResult Prober::run_impl(const TargetSequence& order,
                             const ProbeConfig& config, util::VTime start_time,
                             util::Rng& rng) {
-  AdaptivePacer pacer(config.rate_pps, config.pacer, rng);
-  // Wall-clock campaigns swap the virtual fixed-gap scheduler for the
-  // token bucket; every pacer touchpoint below routes through `bucket`
-  // when it is engaged, so the two schedulers share the loop verbatim.
-  std::optional<TokenBucketPacer> bucket;
-  if (config.wall_pacing) bucket.emplace(config.rate_pps, config.pacer);
-  const auto pacer_state = [&]() -> const PacerState& {
-    return bucket.has_value() ? bucket->state() : pacer.state();
-  };
+  Pacer pacer(config.rate_pps, config.pacer, rng);
   // Wire fast path: one template per run (three full encodes to build),
   // stamped into one reusable buffer for every probe thereafter.
   const wire::ProbeTemplate probe_template;
@@ -192,10 +200,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     start_index = config.resume->cursor;
     next_send = config.resume->next_send;
     rng.restore_state(config.resume->rng);
-    if (bucket.has_value())
-      bucket->restore(config.resume->pacer);
-    else
-      pacer.restore(config.resume->pacer);
+    pacer.restore(config.resume->pacer);
     if (sink != nullptr) {
       std::size_t index = 0;
       auto cursor = sink->cursor();
@@ -229,6 +234,15 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     sent_at.reserve(reserve_n);
   }
   if (sink == nullptr) result.records.reserve(reserve_n);
+  const auto update_status = [&](std::size_t targets_sent, bool complete) {
+    obs::ShardStatusRow row;
+    row.point = progress(targets_sent, result, sink, pacer.state());
+    if (const auto* net = transport_.net_stats())
+      row.ring_frames = net->ring_frames;
+    row.virtual_now = transport_.now();
+    row.complete = complete;
+    telemetry.status.update(row);
+  };
 
   for (std::size_t i = start_index; i < order.size(); ++i) {
     const net::IpAddress target = order.at(i);
@@ -280,74 +294,41 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       transport_.send(std::move(probe));
       full_encodes.add();
     }
-    if (bucket.has_value()) {
-      bucket->on_probe_sent(send_time);
-      next_send = bucket->next_send_time(transport_.now());
-    } else {
-      pacer.on_probe_sent();
-      next_send = pacer.schedule_after(next_send);
-    }
+    next_send = pacer.on_probe_sent(send_time);
     const std::size_t drained =
         drain(result, sink, by_source, sent_at, wire, telemetry);
     const auto rate_limit_now = transport_.rate_limit_signals();
     const auto rate_limit_delta =
         static_cast<std::size_t>(rate_limit_now - rate_limit_seen);
     rate_limit_seen = rate_limit_now;
-    if (bucket.has_value()) {
-      bucket->on_responses(drained);
-      bucket->on_rate_limit_signals(rate_limit_delta);
-    } else {
-      pacer.on_responses(drained);
-      pacer.on_rate_limit_signals(rate_limit_delta);
-    }
+    pacer.on_responses(drained);
+    pacer.on_rate_limit_signals(rate_limit_delta);
 
     if (telemetry.flight.enabled() &&
-        pacer_state().backoffs != backoffs_reported) {
-      backoffs_reported = pacer_state().backoffs;
+        pacer.state().backoffs != backoffs_reported) {
+      backoffs_reported = pacer.state().backoffs;
       telemetry.flight.record(
           obs::FlightEventKind::kPacerBackoff, transport_.now(),
-          static_cast<std::int64_t>(pacer_state().rate_pps));
+          static_cast<std::int64_t>(pacer.state().rate_pps));
     }
-    if (telemetry.timeline.enabled()) {
-      obs::TimelinePoint point;
-      point.targets_sent = i + 1;
-      point.responses = sink != nullptr ? sink->size() : result.records.size();
-      point.undecodable = result.undecodable_responses;
-      point.backoffs = pacer_state().backoffs;
-      point.pacer_rate_pps = pacer_state().rate_pps;
-      point.store_resident_bytes =
-          sink != nullptr ? static_cast<std::int64_t>(sink->resident_bytes())
-                          : -1;
-      telemetry.timeline.tick(transport_.now(), point);
-    }
+    if (telemetry.timeline.enabled())
+      telemetry.timeline.tick(transport_.now(),
+                              progress(i + 1, result, sink, pacer.state()));
     if (telemetry.status.enabled() &&
-        (i + 1) % telemetry.status.every_n_targets() == 0) {
-      obs::ShardStatusRow row;
-      row.targets_sent = i + 1;
-      row.responses = sink != nullptr ? sink->size() : result.records.size();
-      row.undecodable = result.undecodable_responses;
-      row.backoffs = pacer_state().backoffs;
-      row.pacer_rate_pps = pacer_state().rate_pps;
-      row.store_resident_bytes =
-          sink != nullptr ? static_cast<std::int64_t>(sink->resident_bytes())
-                          : -1;
-      if (const auto* net = transport_.net_stats())
-        row.ring_frames = net->ring_frames;
-      row.virtual_now = transport_.now();
-      telemetry.status.update(row);
-    }
+        (i + 1) % telemetry.status.every_n_targets() == 0)
+      update_status(i + 1, false);
 
     // Checkpoint boundaries sit at absolute multiples of the interval, so
     // a resumed run hits the same remaining boundaries as an uninterrupted
     // one would.
     if (config.checkpoint_every_n_targets != 0 && config.on_checkpoint &&
         (i + 1) % config.checkpoint_every_n_targets == 0) {
-      result.pacer_backoffs = pacer_state().backoffs;
+      result.pacer_backoffs = pacer.state().backoffs;
       ShardScanState state;
       state.cursor = i + 1;
       state.next_send = next_send;
       state.rng = rng.save_state();
-      state.pacer = pacer_state();
+      state.pacer = pacer.state();
       state.partial = result;  // sink mode: scalars only, records ride below
       if (sink != nullptr) state.store_manifest = sink->manifest();
       state.sent_at.assign(sent_at.begin(), sent_at.end());
@@ -361,33 +342,12 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   }
   transport_.run_until(next_send + config.response_timeout);
   drain(result, sink, by_source, sent_at, wire, telemetry);
-  {
-    const auto tail = static_cast<std::size_t>(
-        transport_.rate_limit_signals() - rate_limit_seen);
-    if (bucket.has_value())
-      bucket->on_rate_limit_signals(tail);
-    else
-      pacer.on_rate_limit_signals(tail);
-  }
+  pacer.on_rate_limit_signals(static_cast<std::size_t>(
+      transport_.rate_limit_signals() - rate_limit_seen));
   if (sink != nullptr) sink->seal();
   result.end_time = transport_.now();
-  result.pacer_backoffs = pacer_state().backoffs;
-  if (telemetry.status.enabled()) {
-    obs::ShardStatusRow row;
-    row.targets_sent = order.size();
-    row.responses = sink != nullptr ? sink->size() : result.records.size();
-    row.undecodable = result.undecodable_responses;
-    row.backoffs = pacer_state().backoffs;
-    row.pacer_rate_pps = pacer_state().rate_pps;
-    row.store_resident_bytes =
-        sink != nullptr ? static_cast<std::int64_t>(sink->resident_bytes())
-                        : -1;
-    if (const auto* net = transport_.net_stats())
-      row.ring_frames = net->ring_frames;
-    row.virtual_now = transport_.now();
-    row.complete = true;
-    telemetry.status.update(row);
-  }
+  result.pacer_backoffs = pacer.state().backoffs;
+  if (telemetry.status.enabled()) update_status(order.size(), true);
   if (obs::Logger::global().enabled(obs::LogLevel::kDebug)) {
     obs::log_debug("probe run finished",
                    {{"label", config.label},

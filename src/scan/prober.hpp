@@ -34,14 +34,11 @@ struct ProbeConfig {
   // the inter-probe gap, so the union of shard schedules reproduces one
   // sequential scan's global pacing exactly.
   util::VTime send_offset = 0;
-  // Adaptive rate control (off by default: fixed-gap pacing, bit-identical
-  // to the historical schedule).
+  // Send schedule and adaptive rate control (scan/pacer.hpp). The default
+  // is fixed-gap pacing at burst 1, bit-identical to the historical
+  // schedule; a burst above 1 only makes sense when the transport's now()
+  // is a real clock.
   PacerConfig pacer;
-  // Wall-clock mode: schedule with TokenBucketPacer (burst-granularity
-  // releases sized for the batched kernel transport) instead of the
-  // fixed-gap virtual schedule. Only meaningful on transports whose now()
-  // is a real clock; virtual campaigns leave it off.
-  bool wall_pacing = false;
   // Checkpoint hook: after every `checkpoint_every_n_targets` probes the
   // prober snapshots its state (cursor, RNG, pacer, partial records,
   // outstanding send times — the transport/fabric part is the caller's to

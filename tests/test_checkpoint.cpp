@@ -1,4 +1,5 @@
-// Checkpoint/resume and adaptive-pacer tests.
+// Checkpoint/resume tests, plus the adaptive pacer at campaign level (its
+// unit tests live in test_pacer.cpp).
 //
 // The load-bearing guarantee: a campaign killed at any checkpoint boundary
 // and resumed in a fresh process produces the SAME ScanResults, bit for
@@ -10,7 +11,6 @@
 #include "core/pipeline.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
-#include "scan/pacer.hpp"
 #include "topo/generator.hpp"
 
 namespace snmpv3fp::scan {
@@ -63,125 +63,6 @@ TEST(RngState, SaveRestoreReproducesStreamIncludingNormalSpare) {
 
 // ---- pacer ----------------------------------------------------------------
 
-TEST(Pacer, FixedModeMatchesHistoricalGapAndDrawsNoRng) {
-  util::Rng rng(7);
-  const auto fresh_state = rng.save_state();
-  AdaptivePacer pacer(5000.0, {}, rng);  // adaptive defaults to off
-
-  const auto gap = static_cast<util::VTime>(
-      static_cast<double>(util::kSecond) / 5000.0);
-  util::VTime t = 1000;
-  for (int i = 0; i < 1000; ++i) {
-    pacer.on_probe_sent();
-    const auto next = pacer.schedule_after(t);
-    EXPECT_EQ(next, t + gap);
-    t = next;
-    pacer.on_responses(1);
-  }
-  EXPECT_EQ(pacer.state().backoffs, 0u);
-  // Fixed-gap mode never touches the shard RNG stream.
-  EXPECT_TRUE(rng.save_state() == fresh_state);
-}
-
-TEST(Pacer, BacksOffOnCollapseAndRecovers) {
-  util::Rng rng(7);
-  PacerConfig config;
-  config.adaptive = true;
-  config.window_probes = 4;
-  config.min_rate_pps = 100.0;
-  config.max_backoff_jitter = 0;  // keep the schedule arithmetic exact
-  AdaptivePacer pacer(1000.0, config, rng);
-
-  // Drives exactly one full window with `responses` total responses; the
-  // closing schedule_after evaluates it.
-  util::VTime t = 0;
-  const auto run_window = [&](std::size_t responses) {
-    for (std::size_t i = 0; i < config.window_probes; ++i)
-      pacer.on_probe_sent();
-    pacer.on_responses(responses);
-    t = pacer.schedule_after(t);
-  };
-
-  // Window 1: full responses — learns baseline 1.0, no rate change.
-  run_window(4);
-  EXPECT_EQ(pacer.state().rate_pps, 1000.0);
-  EXPECT_EQ(pacer.state().backoffs, 0u);
-  EXPECT_EQ(pacer.state().baseline_response_rate, 1.0);
-
-  // Window of silence: response rate 0 < 0.5 * baseline — backoff.
-  run_window(0);
-  EXPECT_EQ(pacer.state().backoffs, 1u);
-  EXPECT_EQ(pacer.state().rate_pps, 500.0);
-
-  // Healthy windows: multiplicative recovery, capped at the target.
-  for (int i = 0; i < 10; ++i) run_window(4);
-  EXPECT_EQ(pacer.state().rate_pps, 1000.0);
-  EXPECT_EQ(pacer.state().backoffs, 1u);
-}
-
-TEST(Pacer, BackoffNeverDropsBelowFloor) {
-  util::Rng rng(7);
-  PacerConfig config;
-  config.adaptive = true;
-  config.window_probes = 2;
-  config.min_rate_pps = 200.0;
-  config.max_backoff_jitter = 0;
-  AdaptivePacer pacer(1000.0, config, rng);
-
-  util::VTime t = 0;
-  const auto run_window = [&](std::size_t responses) {
-    for (std::size_t i = 0; i < config.window_probes; ++i)
-      pacer.on_probe_sent();
-    pacer.on_responses(responses);
-    t = pacer.schedule_after(t);
-  };
-  run_window(2);                               // learn baseline
-  for (int i = 0; i < 20; ++i) run_window(0);  // sustained silence
-  EXPECT_GE(pacer.state().rate_pps, 200.0);
-  EXPECT_GT(pacer.state().backoffs, 1u);
-}
-
-TEST(Pacer, RateLimitSignalForcesBackoffBeforeBaseline) {
-  util::Rng rng(7);
-  PacerConfig config;
-  config.adaptive = true;
-  config.window_probes = 4;
-  config.max_backoff_jitter = 0;
-  AdaptivePacer pacer(1000.0, config, rng);
-
-  // First window: responses look perfectly healthy, but the transport saw
-  // an explicit rate-limit signal (the ICMP admin-prohibited analogue) —
-  // backoff fires immediately, before any response-rate baseline exists.
-  // Rate inference alone could never back off here.
-  for (int i = 0; i < 4; ++i) pacer.on_probe_sent();
-  pacer.on_responses(4);
-  pacer.on_rate_limit_signals(1);
-  (void)pacer.schedule_after(0);
-  EXPECT_EQ(pacer.state().backoffs, 1u);
-  EXPECT_EQ(pacer.state().rate_pps, 500.0);
-  EXPECT_EQ(pacer.state().rate_limit_signals, 1u);
-  EXPECT_EQ(pacer.state().window_rate_limit_signals, 0u);  // window closed
-}
-
-TEST(Pacer, RateLimitSignalsDisabledKeepRateInferenceOnly) {
-  util::Rng rng(7);
-  PacerConfig config;
-  config.adaptive = true;
-  config.window_probes = 4;
-  config.max_backoff_jitter = 0;
-  config.use_rate_limit_signals = false;
-  AdaptivePacer pacer(1000.0, config, rng);
-
-  for (int i = 0; i < 4; ++i) pacer.on_probe_sent();
-  pacer.on_responses(4);
-  pacer.on_rate_limit_signals(3);
-  (void)pacer.schedule_after(0);
-  // Signals are still accounted but never force a decision.
-  EXPECT_EQ(pacer.state().backoffs, 0u);
-  EXPECT_EQ(pacer.state().rate_pps, 1000.0);
-  EXPECT_EQ(pacer.state().rate_limit_signals, 3u);
-}
-
 TEST(Pacer, SignalFedCampaignIsDeterministicAndBacksOff) {
   // A rate-limiting world with the adaptive pacer: the fabric's explicit
   // signals feed the pacer through the prober, so backoffs must fire, and
@@ -205,35 +86,6 @@ TEST(Pacer, SignalFedCampaignIsDeterministicAndBacksOff) {
   expect_same_scan(a.scan1, b.scan1);
   expect_same_scan(a.scan2, b.scan2);
   EXPECT_TRUE(a.fabric_stats == b.fabric_stats);
-}
-
-TEST(Pacer, StateRoundTripContinuesIdentically) {
-  util::Rng rng_a(3), rng_b(3);
-  PacerConfig config;
-  config.adaptive = true;
-  config.window_probes = 3;
-  AdaptivePacer a(800.0, config, rng_a);
-  AdaptivePacer b(800.0, config, rng_b);
-
-  util::VTime ta = 0;
-  for (int i = 0; i < 10; ++i) {
-    a.on_probe_sent();
-    ta = a.schedule_after(ta);
-    a.on_responses(i % 3 == 0 ? 1 : 0);
-  }
-  b.restore(a.state());
-  rng_b.restore_state(rng_a.save_state());
-
-  util::VTime tb = ta;
-  for (int i = 0; i < 10; ++i) {
-    a.on_probe_sent();
-    b.on_probe_sent();
-    ta = a.schedule_after(ta);
-    tb = b.schedule_after(tb);
-    EXPECT_EQ(ta, tb);
-    a.on_responses(1);
-    b.on_responses(1);
-  }
 }
 
 // ---- checkpoint codec -----------------------------------------------------
@@ -522,6 +374,49 @@ TEST_F(CheckpointCampaignTest, MismatchedConfigCheckpointIsIgnored) {
   other_options.checkpoint_path = path;
   topo::World world = fresh_world();
   const auto result = run_two_scan_campaign(world, other_options);
+  EXPECT_FALSE(result.interrupted);
+  expect_same_scan(reference.scan1, result.scan1);
+  expect_same_scan(reference.scan2, result.scan2);
+  EXPECT_FALSE(load_checkpoint(path).has_value());
+}
+
+TEST_F(CheckpointCampaignTest, AdaptiveShapeChangeStartsFresh) {
+  // A rate-limiting fabric makes the adaptive pacer back off, so its
+  // window length moves send times.
+  const auto adaptive_options = [](std::size_t window_probes) {
+    CampaignOptions options = base_options();
+    options.rate_pps = 20000.0;
+    options.fabric.device_rate_limit_pps = 1;
+    options.pacer.adaptive = true;
+    options.pacer.window_probes = window_probes;
+    return options;
+  };
+  const auto path = temp_path("ckpt_pacer_shape.json");
+  remove_checkpoint(path);
+
+  CampaignOptions killed_options = adaptive_options(32);
+  killed_options.checkpoint_path = path;
+  killed_options.checkpoint_every_n_targets = 256;
+  killed_options.abort_after_checkpoints = 1;
+  topo::World killed_world = fresh_world();
+  ASSERT_TRUE(run_two_scan_campaign(killed_world, killed_options).interrupted);
+  ASSERT_TRUE(load_checkpoint(path).has_value());
+
+  topo::World old_world = fresh_world();
+  const auto old_shape = run_two_scan_campaign(old_world, adaptive_options(32));
+  topo::World reference_world = fresh_world();
+  const auto reference =
+      run_two_scan_campaign(reference_world, adaptive_options(8));
+  ASSERT_GT(reference.scan1.pacer_backoffs, 0u);
+  ASSERT_NE(reference.scan1.end_time, old_shape.scan1.end_time)
+      << "the window change must move the schedule for this test to bite";
+
+  // Resuming under the new window must not adopt the old-shape snapshot.
+  CampaignOptions resume_options = adaptive_options(8);
+  resume_options.checkpoint_path = path;
+  resume_options.checkpoint_every_n_targets = 256;
+  topo::World world = fresh_world();
+  const auto result = run_two_scan_campaign(world, resume_options);
   EXPECT_FALSE(result.interrupted);
   expect_same_scan(reference.scan1, result.scan1);
   expect_same_scan(reference.scan2, result.scan2);

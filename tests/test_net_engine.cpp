@@ -1,13 +1,12 @@
 // Real-socket campaign engine tests (net/batched_udp.hpp).
 //
-// Four layers, lowest first:
-//  1. TokenBucketPacer under a fake clock: burst release, refill rate,
-//     adaptive backoff/recovery and the min-rate floor — no sleeps.
-//  2. Wire plumbing: the SimFrame encapsulation codec and the UdpSocket
+// Three layers, lowest first (the wall-clock pacer schedule is unit-tested
+// on a fake clock in test_pacer.cpp):
+//  1. Wire plumbing: the SimFrame encapsulation codec and the UdpSocket
 //     send-errno taxonomy (EAGAIN/ECONNREFUSED as distinct outcomes).
-//  3. BatchedUdpEngine over loopback sockets: batched vs per-datagram
+//  2. BatchedUdpEngine over loopback sockets: batched vs per-datagram
 //     delivery, truncation accounting, ICMP refusal surfacing.
-//  4. The tentpole contract: a full pipeline probing through real kernel
+//  3. The pipeline contract: a full pipeline probing through real kernel
 //     sockets against a sim::LoopbackReflector produces a PipelineResult
 //     bit-identical to the sim-fabric run, at 1/2/8 threads.
 //
@@ -24,139 +23,12 @@
 #include "net/batched_udp.hpp"
 #include "net/udp_socket.hpp"
 #include "scan/campaign.hpp"
-#include "scan/pacer.hpp"
 #include "sim/reflector.hpp"
 #include "topo/generator.hpp"
 #include "topo/world_model.hpp"
 
 namespace snmpv3fp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TokenBucketPacer (satellite: wall-clock pacer tests, fake clock only)
-// ---------------------------------------------------------------------------
-
-scan::PacerConfig bucket_config(std::size_t burst) {
-  scan::PacerConfig config;
-  config.burst_probes = burst;
-  return config;
-}
-
-TEST(TokenBucketPacer, OpensWithAFullBurstThenEarnsAtTheTargetRate) {
-  scan::TokenBucketPacer pacer(1000.0, bucket_config(8));
-  // First observation primes a full bucket: eight probes leave at t=0.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(pacer.next_send_time(0), 0) << "probe " << i;
-    pacer.on_probe_sent(0);
-  }
-  // Bucket empty: the next slot is one token away (1 ms at 1 kpps).
-  const util::VTime next = pacer.next_send_time(0);
-  EXPECT_GT(next, 0);
-  EXPECT_LE(next, util::kMillisecond + 10);
-  // At that time the token has been earned.
-  EXPECT_EQ(pacer.next_send_time(next), next);
-}
-
-TEST(TokenBucketPacer, RefillCapsAtTheBurstSize) {
-  scan::TokenBucketPacer pacer(1000.0, bucket_config(4));
-  pacer.next_send_time(0);  // prime
-  for (int i = 0; i < 4; ++i) pacer.on_probe_sent(0);
-  // Ten idle seconds earn 10000 tokens but the bucket holds four: the
-  // fifth back-to-back probe must wait.
-  const util::VTime later = 10 * util::kSecond;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pacer.next_send_time(later), later);
-    pacer.on_probe_sent(later);
-  }
-  EXPECT_GT(pacer.next_send_time(later), later);
-}
-
-TEST(TokenBucketPacer, LongRunRateMatchesTheTarget) {
-  scan::TokenBucketPacer pacer(2000.0, bucket_config(64));
-  util::VTime now = 0;
-  std::size_t sent = 0;
-  while (now < util::kSecond) {
-    now = pacer.next_send_time(now);
-    if (now >= util::kSecond) break;
-    pacer.on_probe_sent(now);
-    ++sent;
-  }
-  // One virtual second at 2 kpps: the burst structure must not change the
-  // long-run rate (the initial full burst allows a small overshoot).
-  EXPECT_GE(sent, 1990u);
-  EXPECT_LE(sent, 2000u + 64u);
-}
-
-TEST(TokenBucketPacer, SilentWindowsBackOffAndHealthyWindowsRecover) {
-  scan::PacerConfig config = bucket_config(4);
-  config.adaptive = true;
-  config.window_probes = 4;
-  config.min_rate_pps = 100.0;
-  scan::TokenBucketPacer pacer(1000.0, config);
-  const auto run_window = [&](std::size_t responses) {
-    pacer.on_responses(responses);
-    for (int i = 0; i < 4; ++i) pacer.on_probe_sent(0);
-  };
-  run_window(4);  // window 1 learns the baseline (rate 1.0)
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 1000.0);
-  run_window(0);  // collapse: rate halves
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 500.0);
-  EXPECT_EQ(pacer.state().backoffs, 1u);
-  run_window(0);  // collapse again
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 250.0);
-  run_window(4);  // healthy: multiplicative recovery toward the target
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 312.5);
-  EXPECT_EQ(pacer.state().backoffs, 2u);
-}
-
-TEST(TokenBucketPacer, BackoffFloorsAtTheMinimumRate) {
-  scan::PacerConfig config = bucket_config(4);
-  config.adaptive = true;
-  config.window_probes = 2;
-  config.min_rate_pps = 100.0;
-  scan::TokenBucketPacer pacer(1000.0, config);
-  pacer.on_responses(2);
-  for (int i = 0; i < 2; ++i) pacer.on_probe_sent(0);  // baseline window
-  for (int window = 0; window < 10; ++window)
-    for (int i = 0; i < 2; ++i) pacer.on_probe_sent(0);  // all silent
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 100.0);
-  // The backed-off rate slows the schedule: one token now takes 10 ms.
-  pacer.next_send_time(0);
-  while (pacer.next_send_time(0) <= 0) pacer.on_probe_sent(0);
-  const util::VTime gap = pacer.next_send_time(0);
-  EXPECT_GE(gap, 9 * util::kMillisecond);
-}
-
-TEST(TokenBucketPacer, ExplicitRateLimitSignalsBackOffImmediately) {
-  scan::PacerConfig config = bucket_config(4);
-  config.adaptive = true;
-  config.window_probes = 2;
-  scan::TokenBucketPacer pacer(1000.0, config);
-  pacer.on_rate_limit_signals(1);
-  pacer.on_responses(2);
-  for (int i = 0; i < 2; ++i) pacer.on_probe_sent(0);
-  // Even the baseline-learning window backs off when the device said so.
-  EXPECT_EQ(pacer.state().backoffs, 1u);
-  EXPECT_DOUBLE_EQ(pacer.state().rate_pps, 500.0);
-  EXPECT_EQ(pacer.state().rate_limit_signals, 1u);
-}
-
-TEST(TokenBucketPacer, StateRoundTripsThroughRestore) {
-  scan::PacerConfig config = bucket_config(4);
-  config.adaptive = true;
-  config.window_probes = 2;
-  scan::TokenBucketPacer pacer(1000.0, config);
-  pacer.on_responses(2);
-  for (int i = 0; i < 4; ++i) pacer.on_probe_sent(0);
-  const scan::PacerState saved = pacer.state();
-
-  scan::TokenBucketPacer resumed(1000.0, config);
-  resumed.restore(saved);
-  EXPECT_DOUBLE_EQ(resumed.state().rate_pps, saved.rate_pps);
-  EXPECT_EQ(resumed.state().backoffs, saved.backoffs);
-  // The bucket re-primes full on the first post-restore observation.
-  EXPECT_EQ(resumed.next_send_time(5 * util::kSecond), 5 * util::kSecond);
-}
 
 // ---------------------------------------------------------------------------
 // SimFrame codec
@@ -473,6 +345,7 @@ TEST(NetEngineCampaign, WallClockCampaignCompletesAgainstTheReflector) {
   engine.batch_size = 32;
   engine.sim_peer = reflector.value()->endpoint();
   options.net_engine = engine;
+  options.pacer.burst_probes = engine.batch_size;
 
   const scan::CampaignPair pair = scan::run_two_scan_campaign(model, options);
   ASSERT_TRUE(pair.net_error.empty()) << pair.net_error;
@@ -481,9 +354,19 @@ TEST(NetEngineCampaign, WallClockCampaignCompletesAgainstTheReflector) {
   EXPECT_EQ(pair.scan1.targets_probed, pair.scan2.targets_probed);
   EXPECT_GT(pair.net_io.datagrams_sent, 0u);
   EXPECT_GT(pair.net_io.datagrams_received, 0u);
-  // Wall campaigns pace with the token bucket over real timestamps, so
-  // end_time really trails start_time.
-  EXPECT_GT(pair.scan1.end_time, pair.scan1.start_time);
+  // Wall campaigns pace over real timestamps, so the prober must really
+  // wait: past its opening burst each shard sends at rate/shards, then
+  // drains for the response timeout. A lower bound only — an upper one
+  // would flap on a loaded machine.
+  const double shards = static_cast<double>(options.shards);
+  const double per_shard =
+      static_cast<double>(pair.scan1.targets_probed / options.shards);
+  const double min_seconds =
+      util::to_seconds(options.response_timeout) +
+      (per_shard - static_cast<double>(options.pacer.burst_probes)) /
+          (options.rate_pps / shards);
+  EXPECT_GE(util::to_seconds(pair.scan1.end_time - pair.scan1.start_time),
+            min_seconds);
   const sim::ReflectorStats reflector_stats = reflector.value()->stats();
   EXPECT_GT(reflector_stats.delivered, 0u);
   EXPECT_EQ(reflector_stats.bad_frames, 0u);

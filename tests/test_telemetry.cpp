@@ -267,12 +267,12 @@ TEST(Status, JsonSchemaAndDashboardRoundTrip) {
   auto shard0 = board.add_shard("v4.scan1", 0, 100);
   auto shard1 = board.add_shard("v4.scan1", 1, 100);
   obs::ShardStatusRow row;
-  row.targets_sent = 40;
-  row.responses = 10;
-  row.pacer_rate_pps = 2000.0;
+  row.point.targets_sent = 40;
+  row.point.responses = 10;
+  row.point.pacer_rate_pps = 2000.0;
   row.virtual_now = 3 * util::kSecond;
   shard0.update(row);
-  row.targets_sent = 100;
+  row.point.targets_sent = 100;
   row.complete = true;
   shard1.update(row);
   ASSERT_TRUE(board.write_now());

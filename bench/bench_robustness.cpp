@@ -108,8 +108,8 @@ int main() {
   const double resume_ms = timer.elapsed_ms();
 
   const bool identical =
-      resumed.scan1.records.size() == plain.scan1.records.size() &&
-      resumed.scan2.records.size() == plain.scan2.records.size() &&
+      resumed.scan1.responsive() == plain.scan1.responsive() &&
+      resumed.scan2.responsive() == plain.scan2.responsive() &&
       resumed.scan1.end_time == plain.scan1.end_time &&
       resumed.scan2.end_time == plain.scan2.end_time;
 

@@ -14,12 +14,12 @@ int main() {
   const auto census = [](const scan::ScanResult& scan) {
     std::size_t multi = 0, over_10 = 0, over_100 = 0;
     std::size_t max_count = 0;
-    for (const auto& record : scan.records) {
+    (void)scan.for_each_record([&](const scan::ScanRecord& record) {
       if (record.response_count > 1) ++multi;
       if (record.response_count > 10) ++over_10;
       if (record.response_count > 100) ++over_100;
       max_count = std::max(max_count, record.response_count);
-    }
+    });
     std::printf("  responsive IPs: %zu; multi-response: %zu (%.2f%%); "
                 ">10 responses: %zu; >100: %zu; max: %zu\n",
                 scan.responsive(), multi,
@@ -37,12 +37,13 @@ int main() {
   // the worst offender.
   std::size_t worst = 0;
   net::IpAddress worst_addr;
-  for (const auto& record : r.v4_campaign.scan1.records) {
-    if (record.response_count > worst) {
-      worst = record.response_count;
-      worst_addr = record.target;
-    }
-  }
+  (void)r.v4_campaign.scan1.for_each_record(
+      [&](const scan::ScanRecord& record) {
+        if (record.response_count > worst) {
+          worst = record.response_count;
+          worst_addr = record.target;
+        }
+      });
   std::cout << "\nShape checks:\n";
   benchx::print_paper_row(
       "IPs answering more than once (scan 1)", "~0.6%",

@@ -1,22 +1,22 @@
-// bench_store: the memory-bounded record store vs the historical in-RAM
-// vectors (ROADMAP "Streaming record store").
+// bench_store: the record store's memory bound and checkpoint cost
+// (ROADMAP "Streaming record store").
 //
 // Two experiments, machine-readable in BENCH_store.json:
 //   resident_sweep  peak RSS while writing + streaming N synthetic records
 //                   through a RecordStore under a resident-budget sweep,
-//                   against the legacy std::vector baseline. Under a cap
-//                   the RSS delta stays flat as N grows; the vector (and
-//                   the unbounded store) grow with N.
+//                   against a plain decoded std::vector reference. Under a
+//                   cap the RSS delta stays flat as N grows; the vector
+//                   (and the unbounded store) grow with N.
 //   checkpoint      bytes of one CampaignCheckpoint at a mid-scan boundary
-//                   holding N records: legacy mode embeds every record in
-//                   the JSON (O(N)); store mode persists only the manifest
-//                   — open tail + patches — so the cost is O(records since
-//                   the last sealed block), never O(N).
+//                   holding N records. The checkpoint persists only the
+//                   store manifest — open tail + patches — so its size is
+//                   O(records since the last sealed block), never O(N):
+//                   every row must stay under one fixed bound, whatever N.
 //
 // Usage: bench_store [--quick]
-// Exits non-zero when the emitted JSON fails its own schema check;
-// scripts/check.sh runs `bench_store --quick` and treats a failure as
-// bench-artifact schema drift.
+// Exits non-zero when a checkpoint row exceeds its fixed bound or the
+// emitted JSON fails its own schema check; scripts/check.sh runs
+// `bench_store --quick` and treats a failure as a regression.
 //
 // Peak RSS comes from /proc/self/status VmHWM, reset per phase by writing
 // "5" to /proc/self/clear_refs (Linux-only; elsewhere the reset fails and
@@ -116,7 +116,7 @@ struct PhaseResult {
 };
 
 // Writes N records then streams them back. cap_bytes < 0 selects the
-// legacy std::vector baseline; >= 0 is a store resident budget (0 =
+// decoded std::vector reference; >= 0 is a store resident budget (0 =
 // unbounded, spill files still written).
 PhaseResult run_phase(std::int64_t cap_bytes, std::size_t records,
                       const std::filesystem::path& dir) {
@@ -126,9 +126,9 @@ PhaseResult run_phase(std::int64_t cap_bytes, std::size_t records,
   benchx::WallTimer timer;
   std::uint64_t checksum = 1469598103934665603ull;
   if (cap_bytes < 0) {
-    std::vector<scan::ScanRecord> legacy;
-    for (std::size_t i = 0; i < records; ++i) legacy.push_back(make_record(i));
-    for (const auto& r : legacy) checksum = fold(checksum, r);
+    std::vector<scan::ScanRecord> decoded;
+    for (std::size_t i = 0; i < records; ++i) decoded.push_back(make_record(i));
+    for (const auto& r : decoded) checksum = fold(checksum, r);
   } else {
     store::StoreOptions options;
     options.dir = dir.string();
@@ -151,34 +151,29 @@ PhaseResult run_phase(std::int64_t cap_bytes, std::size_t records,
   return out;
 }
 
-// One CampaignCheckpoint holding a single shard mid-scan with N records,
-// serialized the legacy way (records embedded) and the store way
-// (manifest only). Returns to_json() sizes.
-std::pair<std::size_t, std::size_t> checkpoint_bytes(
-    std::size_t records, const std::filesystem::path& dir,
-    std::uint64_t& tail_records) {
-  scan::CampaignCheckpoint legacy;
-  legacy.shard_states.emplace_back();
-  auto& legacy_shard = legacy.shard_states.back();
-  legacy_shard.cursor = records;
-  for (std::size_t i = 0; i < records; ++i)
-    legacy_shard.partial.records.push_back(make_record(i));
-  const std::size_t legacy_bytes = legacy.to_json().size();
+// Bound on one checkpoint's bytes at any N: the manifest's open tail holds
+// fewer than records_per_block (512) records, a few dozen hex bytes each.
+constexpr std::size_t kCheckpointBoundBytes = 64 << 10;
 
+// One CampaignCheckpoint holding a single shard mid-scan with N records in
+// its store; returns to_json()'s size.
+std::size_t checkpoint_bytes(std::size_t records,
+                             const std::filesystem::path& dir,
+                             std::uint64_t& tail_records) {
   store::StoreOptions options;
   options.dir = dir.string();
   store::RecordStore store(options, "ckpt");
   for (std::size_t i = 0; i < records; ++i) store.append(make_record(i));
   const auto manifest = store.manifest();  // mid-scan: open tail, no seal
   tail_records = records - manifest.committed_records;
-  scan::CampaignCheckpoint compact;
-  compact.shard_states.emplace_back();
-  auto& store_shard = compact.shard_states.back();
-  store_shard.cursor = records;
-  store_shard.store_manifest = manifest;
-  const std::size_t store_bytes = compact.to_json().size();
+  scan::CampaignCheckpoint checkpoint;
+  checkpoint.shard_states.emplace_back();
+  auto& shard = checkpoint.shard_states.back();
+  shard.cursor = records;
+  shard.store_manifest = manifest;
+  const std::size_t bytes = checkpoint.to_json().size();
   store.remove_files();
-  return {legacy_bytes, store_bytes};
+  return bytes;
 }
 
 // Fails closed on drift: scripts/check.sh relies on this exit code.
@@ -194,8 +189,8 @@ bool schema_ok(const std::string& json) {
   static constexpr const char* kSweepKeys[] = {
       "mode",          "records",       "cap_bytes", "peak_rss_kb",
       "rss_delta_kb",  "resident_bytes", "spilled_bytes", "wall_ms"};
-  static constexpr const char* kCkptKeys[] = {"records", "legacy_bytes",
-                                              "store_bytes", "tail_records"};
+  static constexpr const char* kCkptKeys[] = {"records", "store_bytes",
+                                              "bound_bytes", "tail_records"};
   std::size_t sweeps = 0, ckpts = 0;
   for (const auto& row : rows->items()) {
     if (!row.is_object()) return false;
@@ -224,7 +219,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
 
   benchx::print_header(
-      "store", "Memory-bounded record store: peak RSS and checkpoint bytes");
+      "store", "Record store: peak RSS and checkpoint bytes");
 
   const auto dir =
       std::filesystem::temp_directory_path() / "snmpv3fp_bench_store";
@@ -243,7 +238,7 @@ int main(int argc, char** argv) {
   // --- resident sweep ---------------------------------------------------
   struct Mode {
     const char* name;
-    std::int64_t cap_bytes;  // -1 = legacy vector baseline
+    std::int64_t cap_bytes;  // -1 = decoded vector reference
   };
   // Smallest working set first (see the peak-RSS note up top).
   const Mode modes[] = {{"store_cap64k", 64 << 10},
@@ -290,34 +285,42 @@ int main(int argc, char** argv) {
   if (!checksum_ok) {
     std::fprintf(stderr,
                  "FAIL: store read-back checksum differs from the vector "
-                 "baseline\n");
+                 "reference\n");
     return 1;
   }
 
   // --- checkpoint bytes per boundary ------------------------------------
+  // Counts off multiples of the block size, so every row has an open tail.
   const std::vector<std::size_t> ckpt_counts =
       quick ? std::vector<std::size_t>{1000, 4000}
-            : std::vector<std::size_t>{1000, 4000, 16000};
-  util::TablePrinter ckpt(
-      {"Records", "Legacy ckpt", "Store ckpt", "Tail records"});
+            : std::vector<std::size_t>{1000, 4000, 16000, 60000};
+  util::TablePrinter ckpt({"Records", "Checkpoint", "Bound", "Tail records"});
+  bool ckpt_bounded = true;
   for (const std::size_t n : ckpt_counts) {
     std::uint64_t tail_records = 0;
-    const auto [legacy_bytes, store_bytes] =
-        checkpoint_bytes(n, dir, tail_records);
-    ckpt.add_row({util::fmt_count(n), util::fmt_count(legacy_bytes) + " B",
-                  util::fmt_count(store_bytes) + " B",
+    const std::size_t store_bytes = checkpoint_bytes(n, dir, tail_records);
+    ckpt_bounded = ckpt_bounded && store_bytes <= kCheckpointBoundBytes;
+    ckpt.add_row({util::fmt_count(n), util::fmt_count(store_bytes) + " B",
+                  util::fmt_count(kCheckpointBoundBytes) + " B",
                   util::fmt_count(tail_records)});
     rows.begin_row()
         .field("kind", "checkpoint")
         .field("records", static_cast<std::int64_t>(n))
-        .field("legacy_bytes", static_cast<std::int64_t>(legacy_bytes))
         .field("store_bytes", static_cast<std::int64_t>(store_bytes))
+        .field("bound_bytes", static_cast<std::int64_t>(kCheckpointBoundBytes))
         .field("tail_records", static_cast<std::int64_t>(tail_records));
   }
   std::printf("%s\n", ckpt.render().c_str());
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+  if (!ckpt_bounded) {
+    std::fprintf(stderr,
+                 "FAIL: a checkpoint exceeded %zu bytes; the manifest must "
+                 "stay O(open tail)\n",
+                 kCheckpointBoundBytes);
+    return 1;
+  }
 
   const std::string json = rows.render();
   if (!schema_ok(json)) {

@@ -40,8 +40,9 @@ int run_simulated() {
 
   // 4. Every response already carries the identifier triple.
   std::size_t shown = 0;
-  for (const auto& record : result.records) {
-    if (record.engine_id.format() != snmp::EngineIdFormat::kMac) continue;
+  (void)result.for_each_record([&shown](const scan::ScanRecord& record) {
+    if (shown == 10 || record.engine_id.format() != snmp::EngineIdFormat::kMac)
+      return;
     const auto fp = core::fingerprint_engine_id(record.engine_id);
     std::printf(
         "  %-15s engineID=%-26s boots=%-3u uptime=%us vendor=%s (%s)\n",
@@ -49,8 +50,8 @@ int run_simulated() {
         record.engine_id.to_hex().c_str(), record.engine_boots,
         record.engine_time, fp.vendor.c_str(),
         std::string(core::to_string(fp.source)).c_str());
-    if (++shown == 10) break;
-  }
+    ++shown;
+  });
   return 0;
 }
 

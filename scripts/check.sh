@@ -5,8 +5,10 @@
 #      exercise the parallel execution and observability layers
 #      (test_parallel, test_obs, test_telemetry) plus test_worlds — the
 #      procedural-vs-materialized equivalence suite drives sharded
-#      spec-mode campaigns over the lazy per-fabric device cache, the
-#      newest cross-thread surface.
+#      spec-mode campaigns over the lazy per-fabric device cache — and
+#      test_store's campaign and pipeline suites, since every campaign
+#      sorts its shard record stores on the worker threads and merges
+#      them after the barrier.
 #   3. Focused memory/UB check: ASan+UBSan build in build-asan/ running the
 #      hostile-input corpus plus the decode-path suites (test_hostile,
 #      test_asn1, test_snmp_message, test_checkpoint, test_store,
@@ -22,7 +24,9 @@
 #      must imply full-accept with equal fields, throw-free).
 #   4. Bench-artifact schema checks: bench_store --quick and
 #      bench_wire --quick must emit BENCH_*.json files that pass their own
-#      schema validation (the binaries exit non-zero on drift). bench_wire
+#      schema validation (the binaries exit non-zero on drift). bench_store
+#      additionally fails when a mid-scan checkpoint outgrows its fixed
+#      bound at any record count (the manifest must stay O(open tail)). bench_wire
 #      additionally fails when any fast-path op allocates or when the fast
 #      parser rejects a payload of the clean REPORT corpus (a fallback on
 #      clean census traffic means its accept set regressed). bench_obs
@@ -83,16 +87,18 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "==> TSan: focused parallel/observability/columnar race check"
   cmake -B build-tsan -S . -DSNMPFP_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
-      --target test_parallel test_obs test_telemetry test_columnar test_worlds
+      --target test_parallel test_obs test_telemetry test_columnar test_worlds \
+               test_store
   # Only the focused binaries are built; select their gtest suites by
   # name (unbuilt targets register _NOT_BUILT placeholders ctest must skip).
   # The columnar suites drive the overlapped join+filter stages and the
   # radix alias grouping at 8 threads — the paths with real cross-thread
   # queue handoffs. The worlds suites run the procedural-vs-materialized
   # pipeline equivalence and the spec-mode kill/resume at 8 threads over
-  # the per-fabric lazy device caches.
+  # the per-fabric lazy device caches. The store suites sort and merge
+  # shard record stores across worker threads, resident and spilled.
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers)\.")
+      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest)\.")
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
@@ -104,10 +110,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
                test_pacer test_store test_wire test_columnar
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|ScanResultAccessors|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
 fi
 
-echo "==> bench-artifact schema check (bench_store --quick)"
+echo "==> record-store check (bench_store --quick: checkpoint bound, schema)"
 (cd build/bench && ./bench_store --quick >/dev/null)
 
 echo "==> wire fast-path check (bench_wire --quick: schema, zero-alloc, no clean-corpus fallback)"

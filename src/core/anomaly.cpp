@@ -111,21 +111,15 @@ AnomalyReport classify_anomalies(const scan::ScanResult& scan1,
                                  const AnomalyOptions& options) {
   AnomalyReport report;
   std::size_t budget_left = options.retry_budget;
-  // Store-backed results are materialized once up front: the classifier
-  // reprobes a handful of anomalous addresses, so it only runs at scales
-  // where the copy is cheap.
-  std::vector<scan::ScanRecord> m1, m2;
-  if (scan1.store_backed()) m1 = scan1.materialize_records();
-  if (scan2.store_backed()) m2 = scan2.materialize_records();
-  const auto& records1 = scan1.store_backed() ? m1 : scan1.records;
-  const auto& records2 = scan2.store_backed() ? m2 : scan2.records;
-  std::unordered_map<net::IpAddress, std::size_t> index2_local;
-  if (scan2.store_backed()) {
-    index2_local.reserve(records2.size());
-    for (std::size_t i = 0; i < records2.size(); ++i)
-      index2_local.emplace(records2[i].target, i);
-  }
-  const auto& index2 = scan2.store_backed() ? index2_local : scan2.by_target();
+  // Both scans are materialized once up front: the classifier reprobes a
+  // handful of anomalous addresses, so it only runs at scales where the
+  // copy is cheap.
+  const std::vector<scan::ScanRecord> records1 = scan1.materialize_records();
+  const std::vector<scan::ScanRecord> records2 = scan2.materialize_records();
+  std::unordered_map<net::IpAddress, std::size_t> index2;
+  index2.reserve(records2.size());
+  for (std::size_t i = 0; i < records2.size(); ++i)
+    index2.emplace(records2[i].target, i);
 
   // Engine -> addresses index of scan 2, for the churn relocation check.
   std::map<util::Bytes, std::vector<net::IpAddress>> engine_locations2;

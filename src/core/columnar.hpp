@@ -15,7 +15,7 @@
 // position, and the final verdict re-inserts the promiscuous stage — the
 // sequential funnel's counts exactly (tests/filter_oracle.hpp).
 //
-// ColumnarFunnel is incremental so the store-backed pipeline can overlap
+// ColumnarFunnel is incremental so the spilled-store pipeline can overlap
 // stages: feed_rows() consumes blocks as the merge join produces them
 // (core/overlap.hpp), finish() runs the census and materializes survivors
 // once the last block has arrived.

@@ -1,7 +1,6 @@
 #include "core/join.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -13,7 +12,7 @@ namespace snmpv3fp::core {
 
 namespace {
 
-// Hash-join of two in-RAM record vectors. Chunks probe the shared
+// Hash-join of two record vectors. Chunks probe the shared
 // (read-only) index and concatenate in chunk order — identical to the
 // sequential left-to-right join — then the final sort fixes one
 // deterministic order regardless of hash-map iteration.
@@ -75,7 +74,7 @@ struct BlockStream {
 
 }  // namespace
 
-// Store-backed path: external-sort both stores by address (bounded RAM),
+// Spilled path: external-sort both stores by address (bounded RAM),
 // then a two-cursor columnar merge join. Addresses are unique within a
 // scan, so the address-ordered match sequence is exactly the hash join's
 // output after its final sort.
@@ -139,45 +138,49 @@ bool join_stores_blocked(
 
 namespace {
 
-std::optional<std::vector<JoinedRecord>> join_stores(
-    const scan::ScanResult& first, const scan::ScanResult& second) {
-  std::vector<JoinedRecord> joined;
-  const bool ok = join_stores_blocked(
-      first, second, 4096, [&joined](std::vector<JoinedRecord>&& block) {
-        std::move(block.begin(), block.end(), std::back_inserter(joined));
-      });
-  if (!ok) return std::nullopt;
-  return joined;
+// Resident path: materialize both scans, index the second and hash-join
+// the vectors. Materialize fails closed per block, so on a damaged store
+// anything that reads back clean still joins.
+std::vector<JoinedRecord> join_materialized(
+    const scan::ScanResult& first, const scan::ScanResult& second,
+    const util::ParallelOptions& parallel) {
+  const auto records1 = first.materialize_records();
+  const auto records2 = second.materialize_records();
+  std::unordered_map<net::IpAddress, std::size_t> index2;
+  index2.reserve(records2.size());
+  for (std::size_t i = 0; i < records2.size(); ++i)
+    index2.emplace(records2[i].target, i);
+  return join_vectors(records1, records2, index2, parallel);
 }
 
 }  // namespace
+
+bool stores_spill(const scan::ScanResult& first,
+                  const scan::ScanResult& second) {
+  return first.store != nullptr && first.store->spills() &&
+         second.store != nullptr && second.store->spills();
+}
 
 std::vector<JoinedRecord> join_scans(const scan::ScanResult& first,
                                      const scan::ScanResult& second,
                                      JoinStats* stats,
                                      const util::ParallelOptions& parallel) {
   std::vector<JoinedRecord> joined;
-  if (first.store_backed() && second.store_backed()) {
-    auto streamed = join_stores(first, second);
-    if (streamed.has_value()) {
-      joined = std::move(*streamed);
-    } else {
-      // Damaged store: best-effort fallback through materialized vectors
-      // (materialize itself fails closed per block, so anything that reads
-      // back clean still joins).
+  const bool spilled = stores_spill(first, second);
+  const bool streamed =
+      spilled &&
+      join_stores_blocked(first, second, 4096,
+                          [&joined](std::vector<JoinedRecord>&& block) {
+                            std::move(block.begin(), block.end(),
+                                      std::back_inserter(joined));
+                          });
+  if (!streamed) {
+    // Resident stores, or a damaged spilled one: best-effort fallback
+    // through materialized vectors.
+    if (spilled)
       obs::log_warn("store merge join failed, materializing",
                     {{"first", first.label}, {"second", second.label}});
-      const auto records1 = first.materialize_records();
-      const auto records2 = second.materialize_records();
-      std::unordered_map<net::IpAddress, std::size_t> index2;
-      index2.reserve(records2.size());
-      for (std::size_t i = 0; i < records2.size(); ++i)
-        index2.emplace(records2[i].target, i);
-      joined = join_vectors(records1, records2, index2, parallel);
-    }
-  } else {
-    joined = join_vectors(first.records, second.records, second.by_target(),
-                          parallel);
+    joined = join_materialized(first, second, parallel);
   }
   if (stats != nullptr) {
     stats->overlap = joined.size();

@@ -38,26 +38,31 @@ struct JoinStats {
   std::size_t overlap = 0;
 };
 
+// True when both results' stores spill to disk (store::RecordStore::
+// spills): the shape where the join streams instead of materializing.
+bool stores_spill(const scan::ScanResult& first,
+                  const scan::ScanResult& second);
+
 // Inner-joins the scans by target address; records responsive in only one
-// scan are dropped (counted in stats). The probe runs in contiguous chunks
-// merged in chunk order, so output and stats are identical at any thread
-// count. Store-backed results (memory-bounded campaigns) never come into
-// RAM whole: both stores are external-sorted by address and merge-joined
-// through streaming cursors, producing bit-identical output.
+// scan are dropped (counted in stats). Output and stats are identical at
+// any thread count and in either shape. Resident stores are materialized
+// and hash-joined in contiguous chunks merged in chunk order. Spilled
+// stores (stores_spill) never come into RAM whole: both are
+// external-sorted by address and merge-joined through streaming cursors,
+// falling back to the materializing join on a damaged block.
 std::vector<JoinedRecord> join_scans(
     const scan::ScanResult& first, const scan::ScanResult& second,
     JoinStats* stats = nullptr,
     const util::ParallelOptions& parallel = {});
 
-// Store-backed streaming join (both results must be store-backed):
-// external-sorts both stores by address — the two sorts run concurrently
-// on dedicated threads — then merge-joins them through columnar block
-// cursors (store/columnar.hpp), so each sealed block is decoded once,
-// straight into columns, and only *matched* rows ever materialize as
-// ScanRecords. Matched pairs are emitted in address order as blocks of at
-// most `block_rows` JoinedRecords; `emit` is called on the joining thread,
-// in order. Returns false when a store block read fails (the caller falls
-// back to the materializing join).
+// Streaming join: external-sorts both stores by address — the two sorts
+// run concurrently on dedicated threads — then merge-joins them through
+// columnar block cursors (store/columnar.hpp), so each sealed block is
+// decoded once, straight into columns, and only *matched* rows ever
+// materialize as ScanRecords. Matched pairs are emitted in address order
+// as blocks of at most `block_rows` JoinedRecords; `emit` is called on the
+// joining thread, in order. Returns false when a store block read fails
+// (the caller falls back to the materializing join).
 bool join_stores_blocked(
     const scan::ScanResult& first, const scan::ScanResult& second,
     std::size_t block_rows,

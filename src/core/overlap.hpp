@@ -1,6 +1,6 @@
-// Producer/consumer overlap of the store-backed join and the filter
-// funnel (execution-only: the pipeline's shape whenever both scans are
-// store-backed, core/pipeline.cpp).
+// Producer/consumer overlap of the streaming join and the filter funnel
+// (execution-only: the pipeline's shape whenever both scans' stores spill
+// to disk, core/pipeline.cpp).
 //
 // A stage-barriered run finishes the whole merge join — including its
 // external-sort I/O — before the filter reads the first record. Here the
@@ -29,7 +29,7 @@ struct OverlapOutcome {
   std::vector<JoinedRecord> survivors;
 };
 
-// Runs the streaming join of two store-backed scan results overlapped
+// Runs the streaming join of two scan results overlapped
 // with the columnar filter funnel. `obs` scopes the filter counters (the
 // caller owns the surrounding join/filter spans).
 OverlapOutcome join_filter_overlapped(const scan::ScanResult& first,

@@ -174,17 +174,17 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
                               result.v4_campaign.scan1.start_time);
   }
 
-  // Join + filter. Two execution shapes, one bit-identical output: when
-  // both scans are store-backed the streaming join overlaps the funnel's
-  // verdict pass (core/overlap.hpp); otherwise — and as the fallback on
-  // store damage — join_scans materializes the join and apply_columnar
-  // filters it.
+  // Join + filter. Two execution shapes, one bit-identical output, picked
+  // from where the records live: when both scans' stores spill to disk the
+  // streaming join overlaps the funnel's verdict pass (core/overlap.hpp);
+  // resident stores — and the fallback on store damage — go through
+  // join_scans' hash join and apply_columnar.
   const FilterPipeline pipeline(options.filter);
   const auto join_filter_family =
       [&](const scan::CampaignPair& campaign, JoinStats& stats,
           std::vector<JoinedRecord>& joined, std::vector<JoinedRecord>& records,
           FilterReport& report, const obs::ObsOptions& family_obs) {
-        if (campaign.scan1.store_backed() && campaign.scan2.store_backed()) {
+        if (stores_spill(campaign.scan1, campaign.scan2)) {
           obs::Span span(obs.trace(), family_obs.scoped("join_filter"));
           auto outcome = join_filter_overlapped(campaign.scan1, campaign.scan2,
                                                 pipeline, options.parallel,

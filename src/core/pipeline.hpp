@@ -64,8 +64,9 @@ struct PipelineOptions {
   // PipelineResult is bit-identical on or off at any thread count
   // (tests/test_wire.cpp).
   bool wire_fast_path = true;
-  // Memory-bounded record store (store/record_store.hpp). With `store.dir`
-  // set, each campaign spills its scan records to <store.dir>/v4 and /v6
+  // Record stores (store/record_store.hpp). Without `store.dir` every
+  // scan's store is RAM-only. With it, each campaign spills its scan
+  // records to <store.dir>/v4 and /v6
   // stores whose resident RAM is bounded by `store.max_resident_bytes`;
   // joining external-sorts and merge-joins the stores through streaming
   // cursors while the filter funnel consumes the joined blocks

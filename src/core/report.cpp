@@ -25,8 +25,8 @@ RunReport::CampaignReport summarize_campaign(const std::string& family,
   out.response_rate1 = ratio(out.responsive1, pair.scan1.targets_probed);
   out.response_rate2 = ratio(out.responsive2, pair.scan2.targets_probed);
   // Overlap of scan-1 responders that answered scan 2 (by address). The
-  // accessors stream store-backed results, so the accounting is identical
-  // either way; addresses (16 bytes each) are cheap enough to collect.
+  // accessors stream the stores; addresses (16 bytes each) are cheap
+  // enough to collect.
   std::vector<net::IpAddress> first, second;
   first.reserve(pair.scan1.responsive());
   (void)pair.scan1.for_each_record(

@@ -1,11 +1,23 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace snmpv3fp::obs {
+
+std::string u64_hex(std::uint64_t value) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
+  return buf;
+}
+
+std::uint64_t parse_u64_hex(const JsonValue* value) {
+  if (value == nullptr || value->kind() != JsonValue::Kind::kString) return 0;
+  return std::strtoull(value->as_string().c_str(), nullptr, 16);
+}
 
 std::string json_escape(std::string_view text) {
   std::string out;

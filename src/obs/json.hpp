@@ -95,4 +95,10 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+// 64-bit words (RNG state, IEEE bit patterns, store counters) travel as
+// 16-digit hex strings: JSON numbers round-trip only 53 bits through the
+// parser's double. The reader yields 0 for an absent or non-string value.
+std::string u64_hex(std::uint64_t value);
+std::uint64_t parse_u64_hex(const JsonValue* value);
+
 }  // namespace snmpv3fp::obs

@@ -99,7 +99,7 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
                         double wall_ms) {
   std::uint64_t targets = 0, sent = 0, responses = 0, undecodable = 0,
                 backoffs = 0, ring_frames = 0;
-  std::int64_t resident = -1;
+  std::int64_t resident = 0;
   double eta = 0.0;
   bool complete = !rows.empty();
   for (const auto& row : rows) {
@@ -109,10 +109,7 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
     undecodable += row.point.undecodable;
     backoffs += row.point.backoffs;
     ring_frames += row.ring_frames;
-    if (row.point.store_resident_bytes >= 0) {
-      if (resident < 0) resident = 0;
-      resident += row.point.store_resident_bytes;
-    }
+    resident += std::max<std::int64_t>(row.point.store_resident_bytes, 0);
     // Shards run concurrently, so the campaign finishes with the slowest.
     eta = std::max(eta, row.eta_seconds());
     complete = complete && row.complete;
@@ -228,8 +225,7 @@ std::string render_status_dashboard(const JsonValue& status) {
     out += "  eta ";
     out += fmt_eta(num(totals->find("eta_s")));
     const double resident = num(totals->find("resident_bytes"));
-    if (resident >= 0.0 && totals->find("resident_bytes") != nullptr &&
-        resident >= 1.0) {
+    if (resident >= 1.0) {
       out += "  store ";
       out += util::fmt_compact(resident);
       out += "B";

@@ -63,7 +63,7 @@ struct TimelinePoint {
   std::uint64_t undecodable = 0;
   std::uint64_t backoffs = 0;
   double pacer_rate_pps = 0.0;
-  std::int64_t store_resident_bytes = -1;  // -1: shard not store-backed
+  std::int64_t store_resident_bytes = -1;  // -1: no shard store reported
 
   bool operator==(const TimelinePoint&) const = default;
 };

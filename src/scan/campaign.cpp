@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -14,30 +16,41 @@ namespace snmpv3fp::scan {
 
 namespace {
 
-// Orders records by the global pacing schedule. send_time plus target is
-// a total order over scan records (one probe per target), so any sorted
-// sequence of the same records is unique — per-shard sorts followed by a
-// k-way merge reproduce the historical concatenate-and-sort output bit
-// for bit.
-bool record_schedule_less(const ScanRecord& a, const ScanRecord& b) {
-  if (a.send_time != b.send_time) return a.send_time < b.send_time;
-  return a.target < b.target;
+// A RAM-only copy of whatever `sources` still read back, in (send_time,
+// target) order: the fail-soft path when a damaged spilled store stops a
+// sort or merge (materialize stops at the first damaged block, logged).
+std::shared_ptr<store::RecordStore> resident_schedule_copy(
+    const std::vector<const store::RecordStore*>& sources,
+    const std::string& name) {
+  std::vector<ScanRecord> records;
+  for (const auto* source : sources) {
+    auto readable = source->materialize();
+    std::move(readable.begin(), readable.end(), std::back_inserter(records));
+  }
+  std::sort(records.begin(), records.end(),
+            [](const ScanRecord& a, const ScanRecord& b) {
+              return store::record_less(store::SortKey::kSendTimeTarget, a, b);
+            });
+  auto copy = std::make_shared<store::RecordStore>(store::StoreOptions{}, name);
+  for (auto& record : records) copy->append(std::move(record));
+  copy->seal();
+  return copy;
 }
 
 // Merges per-shard scan results back into one ScanResult ordered by probe
 // time (the global pacing schedule), so the merged record order never
-// depends on shard boundaries or scheduling. Store-backed shards merge via
-// an external merge sort into one store (bounded RAM) and their per-shard
-// files are removed; in-RAM shards arrive already sorted from the workers
-// (sorting rides inside the parallel region) and k-way merge here — the
-// serial tail is a single linear merge pass instead of a full sort.
-ScanResult merge_shard_results(std::vector<ScanResult>& shards,
+// depends on shard boundaries or scheduling. Each shard store arrives
+// sorted from its worker, so the serial tail is one k-way merge pass. The
+// shard stores stay intact; the caller removes their files once no
+// checkpoint names them.
+ScanResult merge_shard_results(const std::vector<ScanResult>& shards,
                                const store::StoreOptions& store_options,
                                const std::string& label) {
   ScanResult merged;
   bool first = true;
-  bool store_backed = !shards.empty();
-  for (auto& shard : shards) {
+  std::vector<const store::RecordStore*> sources;
+  sources.reserve(shards.size());
+  for (const auto& shard : shards) {
     if (first) {
       merged.label = shard.label;
       merged.start_time = shard.start_time;
@@ -51,58 +64,13 @@ ScanResult merge_shard_results(std::vector<ScanResult>& shards,
     merged.probe_bytes = std::max(merged.probe_bytes, shard.probe_bytes);
     merged.undecodable_responses += shard.undecodable_responses;
     merged.pacer_backoffs += shard.pacer_backoffs;
-    store_backed = store_backed && shard.store_backed();
+    sources.push_back(shard.store.get());
   }
-
-  if (store_backed) {
-    std::vector<const store::RecordStore*> sources;
-    sources.reserve(shards.size());
-    for (const auto& shard : shards) sources.push_back(shard.store.get());
-    auto sorted = store::sort_stores(
-        sources, store::SortKey::kSendTimeTarget, store_options,
-        label + "_merged", store::sort_chunk_records(store_options));
-    if (sorted != nullptr) {
-      merged.store = std::shared_ptr<store::RecordStore>(std::move(sorted));
-      for (auto& shard : shards) {
-        shard.store->remove_files();
-        shard.store.reset();
-      }
-      return merged;
-    }
-    // A damaged shard store: fall through to the in-RAM merge with
-    // whatever each store can still read (fail-soft, logged by the sort).
-    obs::log_warn("store merge failed, falling back to in-RAM merge",
-                  {{"scan", label}});
-    for (auto& shard : shards) {
-      shard.records = shard.store->materialize();
-      // Materialized records come back in store (receive) order, not the
-      // schedule order the worker-side sort guarantees for in-RAM shards.
-      std::sort(shard.records.begin(), shard.records.end(),
-                record_schedule_less);
-      shard.store.reset();
-    }
-  }
-
-  // K-way merge of the per-shard sorted runs. Shard schedules interleave
-  // (shard k's j-th probe is global probe b_k + j), so this is a genuine
-  // merge, but shard counts are small enough that a linear min-select
-  // beats a heap.
-  std::size_t total_records = 0;
-  for (const auto& shard : shards) total_records += shard.records.size();
-  merged.records.reserve(total_records);
-  std::vector<std::size_t> heads(shards.size(), 0);
-  while (merged.records.size() < total_records) {
-    std::size_t best = shards.size();
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      if (heads[k] >= shards[k].records.size()) continue;
-      if (best == shards.size() ||
-          record_schedule_less(shards[k].records[heads[k]],
-                               shards[best].records[heads[best]]))
-        best = k;
-    }
-    merged.records.push_back(std::move(shards[best].records[heads[best]]));
-    ++heads[best];
-  }
+  const std::string name = label + "_merged";
+  merged.store = store::merge_sorted_stores(
+      sources, store::SortKey::kSendTimeTarget, store_options, name);
+  if (merged.store == nullptr)  // damaged spilled shard store, logged
+    merged.store = resident_schedule_copy(sources, name);
   return merged;
 }
 
@@ -152,9 +120,10 @@ class CheckpointStore {
     return keep_running;
   }
 
+  // A shard finished its slice and sorted its store: persist the sorted
+  // store's manifest, after which the unsorted store's files may go.
   void mark_complete(std::size_t shard, const ScanResult& result,
-                     sim::FabricState fabric,
-                     std::optional<store::StoreManifest> manifest) {
+                     sim::FabricState fabric) {
     std::lock_guard<std::mutex> lock(mutex_);
     ShardScanState state;
     state.shard = shard;
@@ -162,19 +131,19 @@ class CheckpointStore {
     state.complete = true;
     state.partial = result;
     state.fabric = std::move(fabric);
-    state.store_manifest = std::move(manifest);
+    state.store_manifest = result.store->manifest();
     slots_[shard] = std::move(state);
+    persist_locked();
   }
 
-  // Scan 1 finished: persist its merged result plus every shard's fabric
-  // at the scan boundary (shards without a mid-scan-2 snapshot resume
-  // their fabric from here). Store-backed campaigns persist the merged
-  // store's manifest instead of embedding records.
-  void finish_scan1(ScanResult merged,
+  // Scan 1 finished: persist its merged result and store manifest plus
+  // every shard's fabric at the scan boundary (shards without a
+  // mid-scan-2 snapshot resume their fabric from here).
+  void finish_scan1(const ScanResult& merged,
                     std::vector<sim::FabricState> boundary_fabrics) {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (merged.store_backed()) data_.scan1_manifest = merged.store->manifest();
-    data_.scan1 = std::move(merged);
+    data_.scan1_manifest = merged.store->manifest();
+    data_.scan1 = merged;
     data_.scan_index = 2;
     data_.scan_boundary_fabrics = std::move(boundary_fabrics);
     std::fill(slots_.begin(), slots_.end(), std::nullopt);
@@ -248,10 +217,6 @@ std::uint64_t digest_config(const CampaignOptions& options,
   digest = util::hash_combine(
       digest,
       static_cast<std::uint64_t>(options.checkpoint_every_n_targets));
-  // Store-backed and in-RAM checkpoints carry records differently (file
-  // manifests vs embedded JSON); never resume across the two modes.
-  digest = util::hash_combine(
-      digest, static_cast<std::uint64_t>(options.store.dir.empty() ? 0 : 1));
   digest = util::hash_combine(
       digest, static_cast<std::uint64_t>(options.response_timeout));
   // Never resume a fabric checkpoint into a net-engine campaign (or the
@@ -281,8 +246,9 @@ std::uint64_t digest_config(const CampaignOptions& options,
     return digest;
   }
   digest = util::hash_combine(digest, targets.size());
+  const std::hash<net::IpAddress> address_hash;  // raw address bytes
   for (const auto& address : targets)
-    digest = util::hash_combine(digest, util::fnv1a64(address.to_string()));
+    digest = util::hash_combine(digest, address_hash(address));
   return digest;
 }
 
@@ -374,11 +340,25 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     }
   }
 
-  const std::uint64_t digest = digest_config(options, targets, shard_count);
+  // Every shard's records go to a store. A checkpointed campaign needs its
+  // stores on disk (the checkpoint holds only their manifests): without a
+  // spill directory of its own it spills, unbounded and so never evicting,
+  // under one derived from the checkpoint path, and hands back RAM-only
+  // copies once it completes.
+  store::StoreOptions store_options = options.store;
+  const bool derived_store_dir =
+      !options.checkpoint_path.empty() && store_options.dir.empty();
+  if (derived_store_dir) {
+    store_options.dir = options.checkpoint_path + ".store";
+    store_options.max_resident_bytes = 0;
+  }
+
+  const std::uint64_t digest =
+      options.checkpoint_path.empty()
+          ? 0
+          : digest_config(options, targets, shard_count);
   CheckpointStore store(options.checkpoint_path, digest, shard_count,
                         options.abort_after_checkpoints);
-
-  const bool store_mode = !options.store.dir.empty();
 
   // Resume: a checkpoint from the same configuration continues where the
   // previous process stopped; anything else is ignored with a warning. The
@@ -386,9 +366,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
   bool resuming = false;
   std::size_t resume_scan_index = 1;
   std::optional<CampaignCheckpoint> resumed;
-  // Store mode, resuming past scan 1: scan 1's records live in its merged
-  // store's files; re-adopt them before committing to the resume (a
-  // checkpoint whose store files are gone is as useless as no checkpoint).
+  // Resuming past scan 1: scan 1's records live in its merged store's
+  // files; re-adopt them before committing to the resume (a checkpoint
+  // whose store files are gone is as useless as no checkpoint).
   std::shared_ptr<store::RecordStore> scan1_store;
   if (store.enabled()) {
     if (auto loaded = load_checkpoint(options.checkpoint_path)) {
@@ -396,10 +376,10 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       if (!adoptable) {
         obs::log_warn("checkpoint config mismatch, starting fresh",
                       {{"path", options.checkpoint_path}});
-      } else if (store_mode && loaded->scan_index == 2) {
-        if (loaded->scan1_manifest.has_value())
-          scan1_store = store::RecordStore::restore(options.store,
-                                                    *loaded->scan1_manifest);
+      } else if (loaded->scan_index == 2) {
+        if (loaded->scan1.has_value())
+          scan1_store = store::RecordStore::restore(store_options,
+                                                    loaded->scan1_manifest);
         if (scan1_store == nullptr) {
           adoptable = false;
           obs::log_warn("checkpoint scan1 store unrecoverable, starting fresh",
@@ -418,6 +398,15 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       }
     }
   }
+
+  // Shard stores a merged scan no longer reads. Their files go only once
+  // the checkpoint on disk stops naming them, so a crash in between still
+  // leaves a resumable checkpoint.
+  std::vector<std::shared_ptr<store::RecordStore>> retired_stores;
+  const auto remove_retired_stores = [&retired_stores] {
+    for (auto& retired : retired_stores) retired->remove_files();
+    retired_stores.clear();
+  };
 
   const auto gap =
       static_cast<util::VTime>(static_cast<double>(util::kSecond) /
@@ -482,20 +471,18 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         {1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
     std::vector<obs::ShardTelemetry> shard_telemetry(shard_count);
     std::vector<obs::SpanRecord> shard_spans(shard_count);
-    store::StoreOptions shard_store_options = options.store;
+    store::StoreOptions shard_store_options = store_options;
     obs::FlightHandle scan_flight;  // scan-level boundary events
     if (options.obs.enabled()) {
       obs::Timeline* timeline = options.obs.timeline();
       obs::FlightRecorder* flight = options.obs.flight();
       obs::StatusBoard* board = options.obs.status_board();
-      if (store_mode) {
-        auto& st = shard_store_options.telemetry;
-        st.resident_bytes = options.obs.gauge("store.resident_bytes");
-        st.sealed_blocks = options.obs.counter("store.sealed_blocks");
-        st.spilled_blocks = options.obs.counter("store.spilled_blocks");
-        st.evicted_blocks = options.obs.counter("store.evicted_blocks");
-        st.patched_records = options.obs.counter("store.patched_records");
-      }
+      auto& st = shard_store_options.telemetry;
+      st.resident_bytes = options.obs.gauge("store.resident_bytes");
+      st.sealed_blocks = options.obs.counter("store.sealed_blocks");
+      st.spilled_blocks = options.obs.counter("store.spilled_blocks");
+      st.evicted_blocks = options.obs.counter("store.evicted_blocks");
+      st.patched_records = options.obs.counter("store.patched_records");
       if (flight->enabled()) {
         scan_flight = flight->handle(stage, shard_count);
         scan_flight.record(obs::FlightEventKind::kScanBoundary, start,
@@ -527,14 +514,13 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       my_store_options.telemetry.flight = shard_telemetry[shard].flight;
       const ShardScanState* resume_state = resume_slots[shard];
       std::shared_ptr<store::RecordStore> shard_store;
-      if (store_mode && resume_state != nullptr) {
+      if (resume_state != nullptr) {
         // Re-adopt the shard's record store before anything else: a shard
         // whose store files are unrecoverable simply re-runs fresh, which
         // reproduces the uninterrupted output (just without the head
         // start), so damage degrades resume speed, never correctness.
-        if (resume_state->store_manifest.has_value())
-          shard_store = store::RecordStore::restore(
-              my_store_options, *resume_state->store_manifest);
+        shard_store = store::RecordStore::restore(
+            my_store_options, resume_state->store_manifest);
         if (shard_store == nullptr) {
           obs::log_warn("shard store unrecoverable, re-running shard",
                         {{"shard", shard}});
@@ -548,12 +534,11 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         // so their snapshots hold an empty FabricState.
         if (!net_mode) fabrics[shard]->restore(resume_state->fabric);
         if (resume_state->complete) {
+          // Its store was sorted before it was marked complete.
           shard_results[shard] = resume_state->partial;
           shard_results[shard].store = shard_store;
-          if (store.enabled())
-            store.mark_complete(shard, shard_results[shard],
-                                resume_state->fabric,
-                                resume_state->store_manifest);
+          store.mark_complete(shard, shard_results[shard],
+                              resume_state->fabric);
           shard_spans[shard] = shard_span.finish_record();
           return;
         }
@@ -564,7 +549,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         if (const auto* boundary = store.boundary_fabric(shard))
           fabrics[shard]->restore(*boundary);
       }
-      if (store_mode && shard_store == nullptr)
+      if (shard_store == nullptr)
         shard_store = std::make_shared<store::RecordStore>(
             my_store_options, label + "_shard" + std::to_string(shard));
 
@@ -610,7 +595,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       // keep the fixed gap.
       if (!wall_mode) probe.pacer.burst_probes = 1;
       probe.resume = resume_state;
-      probe.sink = shard_store.get();
+      probe.sink = shard_store;
       probe.wire_fast_path = options.wire_fast_path;
       probe.wire_fast_parses = wire_fast_parses;
       probe.wire_parse_fallbacks = wire_parse_fallbacks;
@@ -634,28 +619,30 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       }
       Prober prober(*transports[shard], prober_source);
       ScanResult result = prober.run(*slice, probe, start);
-      result.store = shard_store;
       // A shard that ran to the end is complete even if a sibling already
       // aborted — the final persisted file must not re-probe it on resume.
       // end_time is only set after the final drain, never on an abort.
+      if (result.end_time != 0) {
+        // Each shard sorts its own store here, inside the parallel region,
+        // so the post-barrier merge is one k-way pass. The sorted store is
+        // what a resume re-adopts for a completed shard; mid-scan
+        // snapshots name the unsorted one, whose files go once the sorted
+        // manifest is persisted.
+        const std::string name =
+            label + "_shard" + std::to_string(shard) + "_sorted";
+        result.store = store::sort_stores(
+            {shard_store.get()}, store::SortKey::kSendTimeTarget,
+            my_store_options, name,
+            store::sort_chunk_records(my_store_options));
+        if (result.store == nullptr)  // damaged spilled store, logged
+          result.store = resident_schedule_copy({shard_store.get()}, name);
+        if (store.enabled())
+          store.mark_complete(shard, result,
+                              net_mode ? sim::FabricState{}
+                                       : fabrics[shard]->snapshot());
+        shard_store->remove_files();
+      }
       const bool ran_to_end = result.end_time != 0;
-      // In-RAM shards sort their own records here, inside the parallel
-      // region, so the post-barrier merge is a linear k-way pass. The sort
-      // must precede mark_complete: a completed shard's checkpointed
-      // records re-enter the merge as-is on resume. Mid-scan snapshots are
-      // untouched (the prober checkpoints receive-order records; a resumed
-      // shard appends to them and sorts here at its own end).
-      if (ran_to_end)
-        std::sort(result.records.begin(), result.records.end(),
-                  record_schedule_less);
-      if (store.enabled() && ran_to_end)
-        store.mark_complete(shard, result,
-                            net_mode ? sim::FabricState{}
-                                     : fabrics[shard]->snapshot(),
-                            shard_store != nullptr
-                                ? std::optional<store::StoreManifest>(
-                                      shard_store->manifest())
-                                : std::nullopt);
       shard_results[shard] = std::move(result);
       if (ran_to_end)
         shard_span.set_virtual_duration(shard_results[shard].end_time -
@@ -696,7 +683,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
              shard_results[shard].responsive(), shard_wall_ms[shard]});
     }
 
-    ScanResult merged = merge_shard_results(shard_results, options.store, label);
+    ScanResult merged = merge_shard_results(shard_results, store_options, label);
+    for (auto& shard : shard_results)
+      retired_stores.push_back(std::move(shard.store));
     scan_span.set_virtual_duration(merged.end_time - merged.start_time);
     if (options.obs.enabled()) {
       options.obs.counter(label + ".targets").add(merged.targets_probed);
@@ -756,8 +745,8 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     if (ring_group != nullptr) out.net_io += ring_group->stats();
   };
   if (resuming && resume_scan_index == 2) {
-    // Scan 1 finished in a previous process: take its merged result (in
-    // store mode the records come back through the re-adopted store).
+    // Scan 1 finished in a previous process: take its merged result (the
+    // records come back through the re-adopted store).
     out.scan1 = resumed->scan1.value_or(ScanResult{});
     out.scan1.store = scan1_store;
   } else {
@@ -780,6 +769,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       for (const auto& fabric : fabrics) boundary.push_back(fabric->snapshot());
       store.finish_scan1(out.scan1, std::move(boundary));
     }
+    remove_retired_stores();
   }
 
   model.apply_churn(churn_seed);
@@ -804,6 +794,24 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
   for (const auto& fabric : fabrics) out.fabric_stats += fabric->stats();
   collect_cache_stats();
   if (store.enabled()) remove_checkpoint(options.checkpoint_path);
+  remove_retired_stores();
+  if (derived_store_dir) {
+    // The spill directory existed only for the checkpoint, which is gone:
+    // hand back RAM-only copies and leave no files behind. The stores are
+    // already in schedule order, so a one-source merge copies them.
+    for (ScanResult* scan : {&out.scan1, &out.scan2}) {
+      const std::vector<const store::RecordStore*> source{scan->store.get()};
+      std::shared_ptr<store::RecordStore> resident = store::merge_sorted_stores(
+          source, store::SortKey::kSendTimeTarget, store::StoreOptions{},
+          scan->store->name());
+      if (resident == nullptr)  // damaged spilled store, logged
+        resident = resident_schedule_copy(source, scan->store->name());
+      scan->store->remove_files();
+      scan->store = std::move(resident);
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(store_options.dir, ec);
+  }
   flush_telemetry(false);
   return out;
 }

@@ -68,17 +68,17 @@ struct CampaignOptions {
   // world, resumes from the file instead of restarting. Resume output is
   // bit-identical to an uninterrupted run at any thread count. The file is
   // removed when the campaign completes. A file whose config digest does
-  // not match is ignored with a warning.
+  // not match, or of an older format, is ignored with a warning. Records
+  // reach the file only as store manifests, so the stores must spill:
+  // without `store.dir` they spill under `<checkpoint_path>.store/`, which
+  // is removed again on completion (the results come back RAM-only).
   std::string checkpoint_path;
   std::size_t checkpoint_every_n_targets = 0;
-  // Memory-bounded record store (store/record_store.hpp). With `store.dir`
-  // set, per-shard records append to spill-to-disk stores (resident RAM
-  // bounded by `store.max_resident_bytes`), the merged ScanResults come
-  // back store-backed (records vector empty, use the accessors), and
-  // checkpoints persist only per-shard deltas since the last boundary
-  // instead of embedding every record. Results are bit-identical to the
-  // in-RAM path. Default (empty dir) keeps the historical all-in-RAM
-  // behavior.
+  // Record stores (store/record_store.hpp): every shard's records append
+  // to a RecordStore and the merged ScanResults hold one each. Empty
+  // `store.dir` keeps them RAM-only (resident encoded blocks); with a dir
+  // they spill to disk with resident RAM bounded by
+  // `store.max_resident_bytes`. Results are bit-identical either way.
   store::StoreOptions store;
   // Wire fast path (src/wire): template-stamped probes and the single-pass
   // REPORT scanner, with full-codec fallback. Execution-only knob — the

@@ -1,9 +1,7 @@
 #include "scan/checkpoint.hpp"
 
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -14,19 +12,8 @@ namespace {
 
 using obs::JsonValue;
 using obs::JsonWriter;
-
-// 64-bit words (RNG state, IEEE bit patterns) travel as hex strings: JSON
-// numbers round-trip only 53 bits through the parser's double.
-std::string u64_hex(std::uint64_t value) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
-std::uint64_t parse_u64_hex(const JsonValue* value) {
-  if (value == nullptr || value->kind() != JsonValue::Kind::kString) return 0;
-  return std::strtoull(value->as_string().c_str(), nullptr, 16);
-}
+using obs::parse_u64_hex;
+using obs::u64_hex;
 
 std::uint64_t get_u64(const JsonValue& parent, std::string_view name) {
   const auto* value = parent.find(name);
@@ -104,6 +91,7 @@ PacerState read_pacer(const JsonValue& value) {
 
 // ---- ScanResult ----
 
+// Scalars only: the records ride in the store manifests beside it.
 void write_scan_result(JsonWriter& json, const ScanResult& result) {
   json.begin_object();
   json.kv("label", result.label);
@@ -115,35 +103,7 @@ void write_scan_result(JsonWriter& json, const ScanResult& result) {
           static_cast<std::uint64_t>(result.undecodable_responses));
   json.kv("pacer_backoffs",
           static_cast<std::uint64_t>(result.pacer_backoffs));
-  json.key("records").begin_array();
-  for (const auto& record : result.records) {
-    json.begin_object();
-    json.kv("target", record.target.to_string());
-    json.kv("engine_id", record.engine_id.to_hex());
-    json.kv("boots", std::uint64_t{record.engine_boots});
-    json.kv("engine_time", std::uint64_t{record.engine_time});
-    json.kv("send_time", static_cast<std::int64_t>(record.send_time));
-    json.kv("receive_time", static_cast<std::int64_t>(record.receive_time));
-    json.kv("response_count",
-            static_cast<std::uint64_t>(record.response_count));
-    json.kv("response_bytes",
-            static_cast<std::uint64_t>(record.response_bytes));
-    if (!record.extra_engines.empty()) {
-      json.key("extra_engines").begin_array();
-      for (const auto& engine : record.extra_engines)
-        json.value(engine.to_hex());
-      json.end_array();
-    }
-    json.end_object();
-  }
-  json.end_array();
   json.end_object();
-}
-
-snmp::EngineId engine_from_hex(const std::string& hex) {
-  auto bytes = util::from_hex(hex);
-  if (!bytes) return {};
-  return snmp::EngineId(std::move(bytes.value()));
 }
 
 ScanResult read_scan_result(const JsonValue& value) {
@@ -155,29 +115,13 @@ ScanResult read_scan_result(const JsonValue& value) {
   result.probe_bytes = get_u64(value, "probe_bytes");
   result.undecodable_responses = get_u64(value, "undecodable_responses");
   result.pacer_backoffs = get_u64(value, "pacer_backoffs");
-  if (const auto* records = value.find("records");
-      records != nullptr && records->is_array()) {
-    result.records.reserve(records->items().size());
-    for (const auto& item : records->items()) {
-      ScanRecord record;
-      if (const auto address = net::IpAddress::parse(get_string(item, "target")))
-        record.target = address.value();
-      record.engine_id = engine_from_hex(get_string(item, "engine_id"));
-      record.engine_boots = static_cast<std::uint32_t>(get_u64(item, "boots"));
-      record.engine_time =
-          static_cast<std::uint32_t>(get_u64(item, "engine_time"));
-      record.send_time = get_i64(item, "send_time");
-      record.receive_time = get_i64(item, "receive_time");
-      record.response_count = get_u64(item, "response_count");
-      record.response_bytes = get_u64(item, "response_bytes");
-      if (const auto* extras = item.find("extra_engines");
-          extras != nullptr && extras->is_array())
-        for (const auto& extra : extras->items())
-          record.extra_engines.push_back(engine_from_hex(extra.as_string()));
-      result.records.push_back(std::move(record));
-    }
-  }
   return result;
+}
+
+void write_manifest(JsonWriter& json, const store::StoreManifest& manifest) {
+  std::string rendered;
+  store::write_manifest_json(rendered, manifest);
+  json.raw(rendered);
 }
 
 // ---- FabricState ----
@@ -324,11 +268,8 @@ void write_shard_state(JsonWriter& json, const ShardScanState& state) {
   json.end_array();
   json.key("fabric");
   write_fabric_state(json, state.fabric);
-  if (state.store_manifest.has_value()) {
-    std::string manifest;
-    store::write_manifest_json(manifest, *state.store_manifest);
-    json.key("store").raw(manifest);
-  }
+  json.key("store");
+  write_manifest(json, state.store_manifest);
   json.end_object();
 }
 
@@ -369,11 +310,8 @@ std::string CampaignCheckpoint::to_json() const {
   if (scan1.has_value()) {
     json.key("scan1");
     write_scan_result(json, *scan1);
-  }
-  if (scan1_manifest.has_value()) {
-    std::string manifest;
-    store::write_manifest_json(manifest, *scan1_manifest);
-    json.key("scan1_store").raw(manifest);
+    json.key("scan1_store");
+    write_manifest(json, scan1_manifest);
   }
   json.key("shard_states").begin_array();
   for (const auto& state : shard_states) write_shard_state(json, state);

@@ -3,12 +3,21 @@
 // An Internet-wide two-scan campaign runs for days; a killed process must
 // not restart from zero. The campaign serializes per-shard progress — the
 // cursor into the (globally shuffled) probe order, the prober's RNG
-// stream, the partial ScanRecord store, the pacer state and the complete
-// per-shard fabric state (virtual clock, in-flight datagrams, stats) — to
-// a JSON file via obs::json. Resuming from any checkpoint reproduces the
-// uninterrupted campaign bit-for-bit at any thread count, because every
-// shard's state is self-contained and thread scheduling never touches it
-// (tests/test_checkpoint.cpp enforces this at 1/2/8 threads).
+// stream, the shard record store's manifest, the pacer state and the
+// complete per-shard fabric state (virtual clock, in-flight datagrams,
+// stats) — to a JSON file via obs::json. Resuming from any checkpoint
+// reproduces the uninterrupted campaign bit-for-bit at any thread count,
+// because every shard's state is self-contained and thread scheduling
+// never touches it (tests/test_checkpoint.cpp enforces this at 1/2/8
+// threads).
+//
+// Records never travel in the JSON: they live in the stores' own
+// append-only segment files (store/record_store.hpp), and the file holds
+// one StoreManifest per store — committed counters, the open tail and the
+// duplicate-patch overlay — so a boundary costs O(records since the last
+// boundary), not O(records collected). A checkpoint of any other schema
+// (including the retired embedded-records format) fails closed: it is
+// ignored and the campaign starts fresh.
 //
 // Exactness notes: every 64-bit RNG word and IEEE double travels as a hex
 // bit pattern (JSON numbers round-trip only 53 bits); addresses travel as
@@ -36,17 +45,13 @@ struct ShardScanState {
   util::VTime next_send = 0;   // absolute virtual send time of probe `cursor`
   util::RngState rng;          // prober msg-id stream
   PacerState pacer;
-  ScanResult partial;          // records so far (final result when complete)
+  ScanResult partial;          // scalars so far (final ones when complete)
   // Probes sent but not yet answered need their send times to stamp late
   // responses; sorted by address for a stable serialization.
   std::vector<std::pair<net::IpAddress, util::VTime>> sent_at;
   sim::FabricState fabric;
-  // Store-backed campaigns: `partial.records` stays empty and the records
-  // live in the shard's on-disk store; this manifest re-adopts them on
-  // resume. Persisting it costs O(records since the last boundary) — the
-  // open tail and patches — because the sealed blocks are already in the
-  // store's own append-only files.
-  std::optional<store::StoreManifest> store_manifest;
+  // The shard's records: re-adopts its on-disk store on resume.
+  store::StoreManifest store_manifest;
 };
 
 // Whole-campaign checkpoint: which scan is in progress, the completed
@@ -54,16 +59,17 @@ struct ShardScanState {
 // and the per-shard fabric states at the scan-1/scan-2 boundary (shards
 // that never wrote a mid-scan-2 state still need their fabric continuity).
 struct CampaignCheckpoint {
-  static constexpr std::uint64_t kSchema = 1;
+  // 2: records live only in store manifests (1 embedded them).
+  static constexpr std::uint64_t kSchema = 2;
 
   // Guards against resuming with a different experiment configuration
   // (seed, shard count, family, rate, target list).
   std::uint64_t config_digest = 0;
   std::size_t scan_index = 1;  // 1 or 2: the scan in progress
-  std::optional<ScanResult> scan1;  // merged result, present once complete
-  // Store-backed campaigns: manifest of scan 1's merged store (the
-  // ScanResult above then carries no records).
-  std::optional<store::StoreManifest> scan1_manifest;
+  // Scan 1's merged scalars and its merged store's manifest, present once
+  // scan 1 is complete.
+  std::optional<ScanResult> scan1;
+  store::StoreManifest scan1_manifest;
   std::vector<ShardScanState> shard_states;
   std::vector<sim::FabricState> scan_boundary_fabrics;
 
@@ -77,7 +83,8 @@ struct CampaignCheckpoint {
 bool save_checkpoint(const CampaignCheckpoint& checkpoint,
                      const std::string& path);
 
-// Loads and parses `path`; nullopt when absent or unparseable.
+// Loads and parses `path`; nullopt when absent, unparseable or of another
+// schema.
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path);
 
 // Removes a checkpoint file (used after a campaign completes).

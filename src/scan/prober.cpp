@@ -23,22 +23,21 @@ std::int32_t two_byte_id(util::Rng& rng) {
 // The shard's progress after `targets_sent` probes: the values a timeline
 // tick and a status row both report.
 obs::TimelinePoint progress(std::size_t targets_sent, const ScanResult& result,
-                            const store::RecordStore* sink,
+                            const store::RecordStore& sink,
                             const PacerState& pacer) {
   obs::TimelinePoint point;
   point.targets_sent = targets_sent;
-  point.responses = sink != nullptr ? sink->size() : result.records.size();
+  point.responses = sink.size();
   point.undecodable = result.undecodable_responses;
   point.backoffs = pacer.backoffs;
   point.pacer_rate_pps = pacer.rate_pps;
-  point.store_resident_bytes =
-      sink != nullptr ? static_cast<std::int64_t>(sink->resident_bytes()) : -1;
+  point.store_resident_bytes = static_cast<std::int64_t>(sink.resident_bytes());
   return point;
 }
 }  // namespace
 
 std::size_t Prober::drain(
-    ScanResult& result, store::RecordStore* sink,
+    ScanResult& result, store::RecordStore& sink,
     std::unordered_map<net::IpAddress, SourceEntry>& by_source,
     const std::unordered_map<net::IpAddress, util::VTime>& sent_at,
     WireState& wire, obs::ShardTelemetry& telemetry) {
@@ -104,36 +103,15 @@ std::size_t Prober::drain(
       record.receive_time = datagram->time;
       record.response_count = 1;
       record.response_bytes = datagram->payload.size();
-      if (sink != nullptr) {
-        const std::size_t index = sink->append(record);
-        by_source.emplace(source,
-                          SourceEntry{index, std::move(record.engine_id)});
-      } else {
-        by_source.emplace(source, SourceEntry{result.records.size(), {}});
-        result.records.push_back(std::move(record));
-      }
+      const std::size_t index = sink.append(record);
+      by_source.emplace(source, SourceEntry{index, std::move(record.engine_id)});
       ++new_records;
-    } else if (sink != nullptr) {
-      // Same accounting as the vector path below, routed through the
-      // store's patch overlay (the record may sit in a sealed block).
-      if (util::equal(engine_view, it->second.engine.raw())) {
-        sink->note_duplicate(it->second.index, nullptr);
-      } else {
-        const snmp::EngineId engine = materialize_engine();
-        sink->note_duplicate(it->second.index, &engine);
-      }
+    } else if (util::equal(engine_view, it->second.engine.raw())) {
+      // The store's patch overlay reaches records in sealed blocks too.
+      sink.note_duplicate(it->second.index, nullptr);
     } else {
-      auto& record = result.records[it->second.index];
-      ++record.response_count;
-      if (!util::equal(engine_view, record.engine_id.raw())) {
-        const snmp::EngineId engine = materialize_engine();
-        // extra_engines stays sorted so membership is a binary search
-        // instead of a linear scan (amplifiers answer thousands of times).
-        const auto pos = std::lower_bound(record.extra_engines.begin(),
-                                          record.extra_engines.end(), engine);
-        if (pos == record.extra_engines.end() || *pos != engine)
-          record.extra_engines.insert(pos, engine);
-      }
+      const snmp::EngineId engine = materialize_engine();
+      sink.note_duplicate(it->second.index, &engine);
     }
   }
   return new_records;
@@ -175,7 +153,12 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   obs::ShardTelemetry telemetry = config.telemetry;
   std::size_t backoffs_reported = 0;
   ScanResult result;
-  store::RecordStore* const sink = config.sink;
+  std::shared_ptr<store::RecordStore> sink_owner =
+      config.sink != nullptr
+          ? config.sink
+          : std::make_shared<store::RecordStore>(store::StoreOptions{},
+                                                 config.label);
+  store::RecordStore& sink = *sink_owner;
   std::unordered_map<net::IpAddress, SourceEntry> by_source;
   std::unordered_map<net::IpAddress, util::VTime> sent_at;
   // Outstanding sends in order, for sent_horizon pruning (empty when off).
@@ -194,26 +177,19 @@ ScanResult Prober::run_impl(const TargetSequence& order,
 
   if (config.resume != nullptr) {
     // Continue a checkpointed run: the caller already restored the
-    // transport (and, in sink mode, the record store); everything
-    // prober-side comes from the snapshot.
+    // transport and the record store; everything prober-side comes from
+    // the snapshot.
     result = config.resume->partial;
     start_index = config.resume->cursor;
     next_send = config.resume->next_send;
     rng.restore_state(config.resume->rng);
     pacer.restore(config.resume->pacer);
-    if (sink != nullptr) {
-      std::size_t index = 0;
-      auto cursor = sink->cursor();
-      ScanRecord record;
-      while (cursor.next(record))
-        by_source.emplace(record.target,
-                          SourceEntry{index++, std::move(record.engine_id)});
-    } else {
-      by_source.reserve(result.records.size());
-      for (std::size_t i = 0; i < result.records.size(); ++i)
-        by_source.emplace(result.records[i].target,
-                          SourceEntry{i, {}});
-    }
+    std::size_t index = 0;
+    auto cursor = sink.cursor();
+    ScanRecord record;
+    while (cursor.next(record))
+      by_source.emplace(record.target,
+                        SourceEntry{index++, std::move(record.engine_id)});
     sent_at.reserve(reserve_n);
     for (const auto& [address, time] : config.resume->sent_at)
       sent_at.emplace(address, time);
@@ -233,7 +209,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     by_source.reserve(reserve_n / 4);
     sent_at.reserve(reserve_n);
   }
-  if (sink == nullptr) result.records.reserve(reserve_n);
+  result.store = sink_owner;
   const auto update_status = [&](std::size_t targets_sent, bool complete) {
     obs::ShardStatusRow row;
     row.point = progress(targets_sent, result, sink, pacer.state());
@@ -329,8 +305,8 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       state.next_send = next_send;
       state.rng = rng.save_state();
       state.pacer = pacer.state();
-      state.partial = result;  // sink mode: scalars only, records ride below
-      if (sink != nullptr) state.store_manifest = sink->manifest();
+      state.partial = result;  // scalars; the records ride in the manifest
+      state.store_manifest = sink.manifest();
       state.sent_at.assign(sent_at.begin(), sent_at.end());
       std::sort(state.sent_at.begin(), state.sent_at.end());
       telemetry.flight.record(obs::FlightEventKind::kCheckpoint,
@@ -344,7 +320,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   drain(result, sink, by_source, sent_at, wire, telemetry);
   pacer.on_rate_limit_signals(static_cast<std::size_t>(
       transport_.rate_limit_signals() - rate_limit_seen));
-  if (sink != nullptr) sink->seal();
+  sink.seal();
   result.end_time = transport_.now();
   result.pacer_backoffs = pacer.state().backoffs;
   if (telemetry.status.enabled()) update_status(order.size(), true);
@@ -352,8 +328,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     obs::log_debug("probe run finished",
                    {{"label", config.label},
                     {"targets", result.targets_probed},
-                    {"responsive",
-                     sink != nullptr ? sink->size() : result.records.size()},
+                    {"responsive", sink.size()},
                     {"virtual_s", util::to_seconds(result.end_time -
                                                    result.start_time)}});
   }

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -40,7 +42,7 @@ struct ProbeConfig {
   // is a real clock.
   PacerConfig pacer;
   // Checkpoint hook: after every `checkpoint_every_n_targets` probes the
-  // prober snapshots its state (cursor, RNG, pacer, partial records,
+  // prober snapshots its state (cursor, RNG, pacer, store manifest,
   // outstanding send times — the transport/fabric part is the caller's to
   // add) and invokes `on_checkpoint`. Returning false aborts the run (a
   // simulated kill); the partial return value is then superseded by the
@@ -51,11 +53,12 @@ struct ProbeConfig {
   // transport (sim::Fabric::restore) to the snapshot's fabric state; the
   // prober restores everything else and continues bit-identically.
   const ShardScanState* resume = nullptr;
-  // Memory-bounded collection: when set, records append to this store
-  // instead of growing ScanResult::records (which stays empty; the caller
-  // attaches the store to the result). On resume the sink must already
-  // hold the snapshot's records (store::RecordStore::restore).
-  store::RecordStore* sink = nullptr;
+  // Record container. Every record appends to a store::RecordStore, which
+  // becomes the result's `store`: this one when set (a campaign shard's,
+  // possibly spilling to disk; on resume it must already hold the
+  // snapshot's records, see store::RecordStore::restore), otherwise a
+  // fresh RAM-only store the result owns.
+  std::shared_ptr<store::RecordStore> sink;
   // Wire fast path (src/wire): probes are stamped from a precomputed
   // template into a reusable buffer and responses go through the
   // single-pass REPORT scanner, falling back to the full codec on any
@@ -108,10 +111,9 @@ class Prober {
                  util::VTime start_time);
 
  private:
-  // A responsive source we already hold a record for: its position (in
-  // ScanResult::records or the sink store) and, for sink mode, a copy of
-  // its primary engine ID (sealed store records are not random-access, so
-  // the duplicate-engine comparison needs the copy).
+  // A responsive source we already hold a record for: its index in the
+  // store plus a copy of its primary engine ID (sealed store records are
+  // not random-access, so the duplicate-engine comparison needs the copy).
   struct SourceEntry {
     std::size_t index = 0;
     snmp::EngineId engine;
@@ -125,11 +127,11 @@ class Prober {
     obs::Counter fallbacks;
   };
 
-  // Drains matured responses into `result` (or `sink`); returns the number
-  // of NEW records (first responses), the signal the adaptive pacer
-  // watches.
+  // Drains matured responses into `result` and its store; returns the
+  // number of NEW records (first responses), the signal the adaptive
+  // pacer watches.
   std::size_t drain(
-      ScanResult& result, store::RecordStore* sink,
+      ScanResult& result, store::RecordStore& sink,
       std::unordered_map<net::IpAddress, SourceEntry>& by_source,
       const std::unordered_map<net::IpAddress, util::VTime>& sent_at,
       WireState& wire, obs::ShardTelemetry& telemetry);

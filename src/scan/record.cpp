@@ -7,59 +7,30 @@
 namespace snmpv3fp::scan {
 
 std::size_t ScanResult::responsive() const {
-  return store != nullptr ? store->size() : records.size();
+  return store != nullptr ? store->size() : 0;
 }
 
 util::Status ScanResult::for_each_record(
     const std::function<void(const ScanRecord&)>& fn) const {
-  if (store != nullptr)
-    return store->for_each(
-        [&fn](const ScanRecord& record, std::size_t) { fn(record); });
-  for (const auto& record : records) fn(record);
-  return {};
+  if (store == nullptr) return {};
+  return store->for_each(
+      [&fn](const ScanRecord& record, std::size_t) { fn(record); });
 }
 
 std::vector<ScanRecord> ScanResult::materialize_records() const {
-  if (store != nullptr) return store->materialize();
-  return records;
-}
-
-const std::unordered_map<net::IpAddress, std::size_t>&
-ScanResult::by_target() const {
-  if (by_target_cache_ == nullptr ||
-      by_target_cache_->records_size != records.size()) {
-    auto cache = std::make_shared<TargetIndex>();
-    cache->records_size = records.size();
-    cache->map.reserve(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i)
-      cache->map.emplace(records[i].target, i);
-    by_target_cache_ = std::move(cache);
-  }
-  return by_target_cache_->map;
+  if (store == nullptr) return {};
+  return store->materialize();
 }
 
 std::size_t ScanResult::unique_engine_ids() const {
-  if (store != nullptr) {
-    // Streaming variant: copies the (non-empty) IDs, not the records.
-    std::vector<snmp::EngineId> ids;
-    ids.reserve(store->size());
-    (void)store->for_each([&ids](const ScanRecord& r, std::size_t) {
-      if (!r.engine_id.empty()) ids.push_back(r.engine_id);
-    });
-    std::sort(ids.begin(), ids.end());
-    const auto end = std::unique(ids.begin(), ids.end());
-    return static_cast<std::size_t>(end - ids.begin());
-  }
-  std::vector<const snmp::EngineId*> ids;
-  ids.reserve(records.size());
-  for (const auto& r : records)
-    if (!r.engine_id.empty()) ids.push_back(&r.engine_id);
-  std::sort(ids.begin(), ids.end(),
-            [](const auto* a, const auto* b) { return a->raw() < b->raw(); });
-  const auto end = std::unique(ids.begin(), ids.end(),
-                               [](const auto* a, const auto* b) {
-                                 return a->raw() == b->raw();
-                               });
+  // Streams the store, copying only the (non-empty) IDs, not the records.
+  std::vector<snmp::EngineId> ids;
+  ids.reserve(responsive());
+  (void)for_each_record([&ids](const ScanRecord& r) {
+    if (!r.engine_id.empty()) ids.push_back(r.engine_id);
+  });
+  std::sort(ids.begin(), ids.end());
+  const auto end = std::unique(ids.begin(), ids.end());
   return static_cast<std::size_t>(end - ids.begin());
 }
 

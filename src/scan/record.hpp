@@ -3,14 +3,15 @@
 // A ScanRecord is one responsive target of one campaign: the raw SNMPv3
 // engine fields plus timing. The derived last-reboot time (receive time
 // minus engine time, paper §2.3) is computed here once and reused by the
-// filters and the alias resolver.
+// filters and the alias resolver. A ScanResult keeps its records in one
+// store::RecordStore — the only record container — and callers read them
+// through its accessors.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ip.hpp"
@@ -55,40 +56,26 @@ struct ScanResult {
   // events (scan/pacer.hpp). Both zero on a clean fixed-rate scan.
   std::size_t undecodable_responses = 0;
   std::size_t pacer_backoffs = 0;
-  // Responsive targets only. A store-backed result (store non-null, the
-  // memory-bounded campaign path) keeps the records in `store` and leaves
-  // this vector empty; the accessors below serve both representations.
-  std::vector<ScanRecord> records;
+  // Responsive targets only, in the store's order: receive order straight
+  // out of a prober, (send_time, target) order once a campaign has merged
+  // its shards. Never null once a scan has run (a default-constructed or
+  // aborted-before-start result has no store and reads as empty). The
+  // store is RAM-only unless the campaign was given (or derived) a spill
+  // directory; the accessors below read either kind.
   std::shared_ptr<store::RecordStore> store;
 
-  bool store_backed() const { return store != nullptr; }
   std::size_t responsive() const;
 
   // Applies `fn` to every record in order; fails closed when a store
-  // block is damaged (always ok for in-RAM results).
+  // block is damaged.
   util::Status for_each_record(
       const std::function<void(const ScanRecord&)>& fn) const;
 
-  // Copies all records into a vector (tests and small-scale callers; a
-  // store-backed census-scale result defeats the purpose here).
+  // Copies all records into a vector (joins of resident stores, tests and
+  // small-scale callers; a spilled census-scale result defeats the purpose).
   std::vector<ScanRecord> materialize_records() const;
 
-  // Index from target address to position in `records`, for joining two
-  // scans. Memoized: built once per scan pass and reused until the record
-  // count changes (the filter pipeline used to rebuild it on every call).
-  // Not thread-safe — build it on the owning thread before sharing, and
-  // never call it on a store-backed result (the streaming merge join
-  // replaces it there).
-  const std::unordered_map<net::IpAddress, std::size_t>& by_target() const;
-
   std::size_t unique_engine_ids() const;
-
- private:
-  struct TargetIndex {
-    std::size_t records_size = 0;
-    std::unordered_map<net::IpAddress, std::size_t> map;
-  };
-  mutable std::shared_ptr<const TargetIndex> by_target_cache_;
 };
 
 }  // namespace snmpv3fp::scan

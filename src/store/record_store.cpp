@@ -1,11 +1,8 @@
 #include "store/record_store.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -44,25 +41,14 @@ std::uint64_t get_u64le(const std::uint8_t* data) {
          (static_cast<std::uint64_t>(get_u32le(data + 4)) << 32);
 }
 
-// Same sorted-unique insertion the prober uses for live records
-// (scan/prober.cpp), so the patch overlay reproduces it exactly.
+// extra_engines stays sorted and unique, so membership is a binary search
+// (amplifiers answer thousands of times) and the patch overlay folds in
+// exactly like an in-place tail update.
 void insert_sorted_unique(std::vector<snmp::EngineId>& engines,
                           const snmp::EngineId& engine) {
   const auto pos =
       std::lower_bound(engines.begin(), engines.end(), engine);
   if (pos == engines.end() || *pos != engine) engines.insert(pos, engine);
-}
-
-std::string u64_hex(std::uint64_t value) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
-std::uint64_t parse_u64_hex(const obs::JsonValue* value) {
-  if (value == nullptr || value->kind() != obs::JsonValue::Kind::kString)
-    return 0;
-  return std::strtoull(value->as_string().c_str(), nullptr, 16);
 }
 
 }  // namespace
@@ -111,9 +97,9 @@ std::string RecordStore::idx_path() const {
   return options_.dir + "/" + name_ + ".idx";
 }
 
-std::size_t RecordStore::append(const scan::ScanRecord& record) {
+std::size_t RecordStore::append(scan::ScanRecord record) {
   const std::size_t index = committed_records_ + tail_.size();
-  tail_.push_back(record);
+  tail_.push_back(std::move(record));
   if (tail_.size() >= options_.records_per_block) seal_block();
   return index;
 }
@@ -308,7 +294,8 @@ bool RecordStore::Cursor::next(scan::ScanRecord& out) {
       return false;
     }
   }
-  out = buffer_[buffer_pos_++];
+  // Each buffered record is yielded once, so it can move out.
+  out = std::move(buffer_[buffer_pos_++]);
   ++next_index_;
   return true;
 }
@@ -516,19 +503,14 @@ void RecordStore::remove_files() {
 
 // ---- external merge sort ----
 
-namespace {
-
 bool record_less(SortKey key, const scan::ScanRecord& a,
                  const scan::ScanRecord& b) {
   if (key == SortKey::kSendTimeTarget) {
-    // Must match merge_shard_results (scan/campaign.cpp) exactly.
     if (a.send_time != b.send_time) return a.send_time < b.send_time;
     return a.target < b.target;
   }
   return a.target < b.target;
 }
-
-}  // namespace
 
 std::size_t sort_chunk_records(const StoreOptions& options) {
   if (options.dir.empty() || options.max_resident_bytes == 0)
@@ -537,6 +519,54 @@ std::size_t sort_chunk_records(const StoreOptions& options) {
   // hundred bytes each); budget/256 keeps the sort's working set near the
   // resident budget without degenerating into thousands of tiny runs.
   return std::max<std::size_t>(options.max_resident_bytes / 256, 1024);
+}
+
+std::unique_ptr<RecordStore> merge_sorted_stores(
+    const std::vector<const RecordStore*>& sources, SortKey key,
+    StoreOptions options, const std::string& name) {
+  auto out = std::make_unique<RecordStore>(std::move(options), name);
+  std::vector<RecordStore::Cursor> cursors;
+  std::vector<scan::ScanRecord> heads(sources.size());
+  cursors.reserve(sources.size());
+  // Min-heap of source indices keyed by each source's head record. Keys
+  // are unique within a scan; the index tie-break keeps the comparator a
+  // strict weak order regardless.
+  const auto after = [&heads, key](std::size_t a, std::size_t b) {
+    if (record_less(key, heads[b], heads[a])) return true;
+    if (record_less(key, heads[a], heads[b])) return false;
+    return a > b;
+  };
+  std::vector<std::size_t> heap;
+  heap.reserve(sources.size());
+  const auto fail = [&](std::size_t source) {
+    obs::log_warn("store merge: damaged source",
+                  {{"store", sources[source]->name()},
+                   {"error", cursors[source].error()}});
+    out->remove_files();
+    return nullptr;
+  };
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    cursors.push_back(sources[i]->cursor());
+    if (cursors[i].next(heads[i])) {
+      heap.push_back(i);
+    } else if (!cursors[i].error().empty()) {
+      return fail(i);
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const std::size_t source = heap.back();
+    out->append(std::move(heads[source]));
+    if (cursors[source].next(heads[source])) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      if (!cursors[source].error().empty()) return fail(source);
+      heap.pop_back();
+    }
+  }
+  out->seal();
+  return out;
 }
 
 std::unique_ptr<RecordStore> sort_stores(
@@ -553,15 +583,18 @@ std::unique_ptr<RecordStore> sort_stores(
   // `chunk_records` records. Keys are unique within a scan, so plain
   // std::sort is deterministic.
   std::vector<scan::ScanRecord> chunk;
-  const auto flush = [&] {
-    if (chunk.empty()) return;
+  const auto sort_chunk = [&chunk, key] {
     std::sort(chunk.begin(), chunk.end(),
               [key](const scan::ScanRecord& a, const scan::ScanRecord& b) {
                 return record_less(key, a, b);
               });
+  };
+  const auto flush = [&] {
+    if (chunk.empty()) return;
+    sort_chunk();
     auto run = std::make_unique<RecordStore>(
         options, name + ".run" + std::to_string(runs.size()));
-    for (const auto& record : chunk) run->append(record);
+    for (auto& record : chunk) run->append(std::move(record));
     run->seal();
     runs.push_back(std::move(run));
     chunk.clear();
@@ -570,8 +603,8 @@ std::unique_ptr<RecordStore> sort_stores(
     auto cur = source->cursor();
     scan::ScanRecord record;
     while (cur.next(record)) {
-      chunk.push_back(std::move(record));
       if (chunk.size() >= chunk_records) flush();
+      chunk.push_back(std::move(record));
     }
     if (!cur.error().empty()) {
       obs::log_warn("store sort: damaged source",
@@ -580,50 +613,30 @@ std::unique_ptr<RecordStore> sort_stores(
       return nullptr;
     }
   }
+
+  // Everything fit one run: sort it and append straight into the output.
+  if (runs.empty()) {
+    sort_chunk();
+    auto out = std::make_unique<RecordStore>(std::move(options), name);
+    for (auto& record : chunk) out->append(std::move(record));
+    out->seal();
+    return out;
+  }
   flush();
 
-  // Pass 2: k-way merge of the runs. Ties cannot happen (unique keys);
-  // the run index keeps the comparator a strict weak order regardless.
-  auto out = std::make_unique<RecordStore>(std::move(options), name);
-  std::vector<RecordStore::Cursor> cursors;
-  cursors.reserve(runs.size());
-  struct Head {
-    scan::ScanRecord record;
-    std::size_t run;
-  };
-  const auto head_after = [key](const Head& a, const Head& b) {
-    if (record_less(key, b.record, a.record)) return true;
-    if (record_less(key, a.record, b.record)) return false;
-    return a.run > b.run;
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_after)> heads(
-      head_after);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    cursors.push_back(runs[i]->cursor());
-    scan::ScanRecord record;
-    if (cursors.back().next(record))
-      heads.push(Head{std::move(record), i});
-  }
-  while (!heads.empty()) {
-    Head head = heads.top();
-    heads.pop();
-    out->append(head.record);
-    if (cursors[head.run].next(head.record)) {
-      heads.push(std::move(head));
-    } else if (!cursors[head.run].error().empty()) {
-      obs::log_warn("store sort: damaged run",
-                    {{"error", cursors[head.run].error()}});
-      out->remove_files();
-      cleanup();
-      return nullptr;
-    }
-  }
-  out->seal();
+  // Pass 2: k-way merge of the runs.
+  std::vector<const RecordStore*> run_sources;
+  run_sources.reserve(runs.size());
+  for (const auto& run : runs) run_sources.push_back(run.get());
+  auto out = merge_sorted_stores(run_sources, key, std::move(options), name);
   cleanup();
   return out;
 }
 
 // ---- manifest JSON codec ----
+
+using obs::parse_u64_hex;
+using obs::u64_hex;
 
 void write_manifest_json(std::string& out, const StoreManifest& manifest) {
   obs::JsonWriter json;

@@ -1,14 +1,13 @@
-// Append-only, spill-to-disk ScanRecord store with bounded resident RAM.
+// Append-only, spill-to-disk ScanRecord store with bounded resident RAM:
+// the one container every scan's records live in (scan::ScanResult).
 //
-// The campaign's per-shard record vectors are the binding constraint at
-// census scale: record volume, not CPU (ROADMAP "Streaming record store").
-// A RecordStore packs appended records into codec blocks (store/codec.hpp).
-// Sealed blocks are written to an append-only segment file plus a
-// fixed-size block index file, and stay resident (encoded) only up to
-// `StoreOptions::max_resident_bytes` — beyond that the oldest spilled
-// blocks are evicted and re-read on demand. With the default options
-// (no spill directory, unbounded resident budget) everything stays in RAM
-// and behaves exactly like the historical vectors.
+// A RecordStore packs appended records into codec blocks (store/codec.hpp)
+// that stay encoded, several times smaller than decoded ScanRecords. With
+// no spill directory a store is RAM-only: its sealed blocks stay resident
+// and are never evicted. With a directory, sealed blocks are also written
+// to an append-only segment file plus a fixed-size block index file, and
+// stay resident only up to `StoreOptions::max_resident_bytes` — beyond
+// that the oldest spilled blocks are evicted and re-read on demand.
 //
 // Layout on disk, per store `name`:
 //   <dir>/<name>.seg   concatenated codec blocks (append-only)
@@ -68,8 +67,7 @@ struct StoreTelemetry {
 
 struct StoreOptions {
   // Spill directory. Empty = RAM-only: blocks are never written to disk
-  // and never evicted (max_resident_bytes is ignored), which preserves
-  // today's all-in-RAM behaviour.
+  // and never evicted (max_resident_bytes is ignored).
   std::string dir;
   // Resident budget for encoded sealed blocks. 0 = unbounded. Only blocks
   // that are safely on disk are ever evicted.
@@ -130,10 +128,13 @@ class RecordStore {
   std::size_t patch_count() const { return patches_.size(); }
   const StoreOptions& options() const { return options_; }
   const std::string& name() const { return name_; }
+  // True when the store writes its blocks to a spill directory; the join
+  // picks its execution shape from this (core/join.hpp).
+  bool spills() const { return !options_.dir.empty(); }
 
   // Appends one record; returns its index. Seals a block automatically
   // every `records_per_block` appends.
-  std::size_t append(const scan::ScanRecord& record);
+  std::size_t append(scan::ScanRecord record);
 
   // Accounts a duplicate response for record `index` — mirrors the
   // historical in-place mutation: response_count increments, and `engine`
@@ -203,7 +204,8 @@ class RecordStore {
       const std::function<void(const scan::ScanRecord&, std::size_t)>& fn)
       const;
 
-  // Reads the whole store back into a vector (tests, compatibility paths).
+  // Reads the whole store back into a vector (the resident hash join,
+  // tests, small-scale callers).
   std::vector<scan::ScanRecord> materialize() const;
 
   // Checkpoint manifest: O(tail + patches), not O(records). The segment
@@ -258,17 +260,31 @@ enum class SortKey : std::uint8_t {
   kAddress,         // target address: the join's merge key
 };
 
-// External merge sort with bounded RAM: streams `sources` in order,
-// produces sorted runs of at most `chunk_records` records, and k-way
-// merges them into a fresh store `name` built with `options`. Patch
-// overlays are folded into the output records. Returns nullptr (after
-// logging) when a source block is damaged.
+// Strict order of `key`. (send_time, target) and target are both total
+// orders over one scan's records (one probe per target), so every sorted
+// sequence of the same records is the same sequence.
+bool record_less(SortKey key, const scan::ScanRecord& a,
+                 const scan::ScanRecord& b);
+
+// K-way merge of `sources`, each already sorted by `key`, into a fresh
+// store `name` built with `options`. Patch overlays are folded into the
+// output records. Returns nullptr (after logging) when a source block is
+// damaged: the merge fails closed.
+std::unique_ptr<RecordStore> merge_sorted_stores(
+    const std::vector<const RecordStore*>& sources, SortKey key,
+    StoreOptions options, const std::string& name);
+
+// External merge sort with bounded RAM: streams `sources` in order, cuts
+// sorted runs of at most `chunk_records` records and merges them with
+// merge_sorted_stores. When everything fits one run it is sorted and
+// appended straight into the output. Returns nullptr (after logging) when
+// a source block is damaged.
 std::unique_ptr<RecordStore> sort_stores(
     const std::vector<const RecordStore*>& sources, SortKey key,
     StoreOptions options, const std::string& name, std::size_t chunk_records);
 
 // Chunk size that keeps a sort's working set around `max_resident_bytes`
-// (unbounded budget = one in-RAM run, like the historical sort).
+// (RAM-only or unbounded budget = one in-RAM run).
 std::size_t sort_chunk_records(const StoreOptions& options);
 
 // Manifest JSON codec (used by scan/checkpoint.cpp). The writer appends

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
+#include "obs/json.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
 #include "topo/generator.hpp"
@@ -16,30 +19,10 @@
 namespace snmpv3fp::scan {
 namespace {
 
+using result_equal::expect_same_scan;
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
-}
-
-void expect_same_scan(const ScanResult& a, const ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
-  EXPECT_EQ(a.pacer_backoffs, b.pacer_backoffs);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target) << "record " << i;
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.response_bytes, rb.response_bytes);
-    EXPECT_EQ(ra.extra_engines, rb.extra_engines);
-  }
 }
 
 // ---- RNG state ------------------------------------------------------------
@@ -103,19 +86,11 @@ CampaignCheckpoint sample_checkpoint() {
   scan1.probe_bytes = 60;
   scan1.undecodable_responses = 2;
   scan1.pacer_backoffs = 1;
-  ScanRecord record;
-  record.target = net::IpAddress(net::Ipv4(203, 0, 113, 9));
-  record.engine_id = snmp::EngineId(util::Bytes{0x80, 0x00, 0x1f, 0x88, 0x04});
-  record.engine_boots = 7;
-  record.engine_time = 424242;
-  record.send_time = 11 * util::kSecond;
-  record.receive_time = 11 * util::kSecond + 31 * util::kMillisecond;
-  record.response_count = 3;
-  record.response_bytes = 107;
-  record.extra_engines.push_back(
-      snmp::EngineId(util::Bytes{0x80, 0x00, 0x1f, 0x88, 0x05}));
-  scan1.records.push_back(record);
   checkpoint.scan1 = scan1;
+  checkpoint.scan1_manifest.name = "scan1_merged";
+  checkpoint.scan1_manifest.committed_records = 1024;
+  checkpoint.scan1_manifest.committed_bytes = 40961;
+  checkpoint.scan1_manifest.block_count = 2;
 
   ShardScanState shard;
   shard.shard = 1;
@@ -134,6 +109,16 @@ CampaignCheckpoint sample_checkpoint() {
   shard.pacer.backoff_wait = 77 * util::kMillisecond;
   shard.partial = scan1;
   shard.partial.label = "scan2";
+  shard.store_manifest.name = "scan2_shard1";
+  shard.store_manifest.committed_records = 512;
+  shard.store_manifest.committed_bytes = 20480;
+  shard.store_manifest.block_count = 1;
+  shard.store_manifest.tail_hex = "c0ffee";
+  store::RecordPatch patch;
+  patch.extra_responses = 2;
+  patch.extra_engines.push_back(
+      snmp::EngineId(util::Bytes{0x80, 0x00, 0x1f, 0x88, 0x05}));
+  shard.store_manifest.patches.emplace_back(7, patch);
   shard.sent_at.emplace_back(net::IpAddress(net::Ipv4(203, 0, 113, 10)),
                              12 * util::kSecond);
 
@@ -153,6 +138,23 @@ CampaignCheckpoint sample_checkpoint() {
   checkpoint.shard_states.push_back(shard);
   checkpoint.scan_boundary_fabrics.push_back(shard.fabric);
   return checkpoint;
+}
+
+void expect_same_manifest(const store::StoreManifest& a,
+                          const store::StoreManifest& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.committed_records, b.committed_records);
+  EXPECT_EQ(a.committed_bytes, b.committed_bytes);
+  EXPECT_EQ(a.block_count, b.block_count);
+  EXPECT_EQ(a.tail_hex, b.tail_hex);
+  ASSERT_EQ(a.patches.size(), b.patches.size());
+  for (std::size_t i = 0; i < a.patches.size(); ++i) {
+    EXPECT_EQ(a.patches[i].first, b.patches[i].first);
+    EXPECT_EQ(a.patches[i].second.extra_responses,
+              b.patches[i].second.extra_responses);
+    EXPECT_EQ(a.patches[i].second.extra_engines,
+              b.patches[i].second.extra_engines);
+  }
 }
 
 void expect_same_fabric_state(const sim::FabricState& a,
@@ -187,6 +189,7 @@ TEST(CheckpointCodec, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed->scan_index, original.scan_index);
   ASSERT_TRUE(parsed->scan1.has_value());
   expect_same_scan(*parsed->scan1, *original.scan1);
+  expect_same_manifest(parsed->scan1_manifest, original.scan1_manifest);
 
   ASSERT_EQ(parsed->shard_states.size(), 1u);
   const auto& a = parsed->shard_states[0];
@@ -204,6 +207,7 @@ TEST(CheckpointCodec, JsonRoundTripIsExact) {
   EXPECT_EQ(a.pacer.backoffs, b.pacer.backoffs);
   EXPECT_EQ(a.pacer.backoff_wait, b.pacer.backoff_wait);
   expect_same_scan(a.partial, b.partial);
+  expect_same_manifest(a.store_manifest, b.store_manifest);
   EXPECT_EQ(a.sent_at, b.sent_at);
   expect_same_fabric_state(a.fabric, b.fabric);
   ASSERT_EQ(parsed->scan_boundary_fabrics.size(), 1u);
@@ -272,6 +276,9 @@ TEST_F(CheckpointCampaignTest, KillAtBoundaryThenResumeBitIdentical) {
     const auto killed = run_two_scan_campaign(killed_world, killed_options);
     EXPECT_TRUE(killed.interrupted) << threads << " threads";
     ASSERT_TRUE(load_checkpoint(path).has_value());
+    // No store.dir: the shard stores spilled under the derived directory.
+    ASSERT_TRUE(std::filesystem::exists(path + ".store"));
+    EXPECT_FALSE(std::filesystem::is_empty(path + ".store"));
 
     // Phase 2: a fresh process (fresh pre-churn world) resumes the file.
     CampaignOptions resume_options = killed_options;
@@ -282,8 +289,11 @@ TEST_F(CheckpointCampaignTest, KillAtBoundaryThenResumeBitIdentical) {
 
     expect_same_scan(reference.scan1, resumed.scan1);
     expect_same_scan(reference.scan2, resumed.scan2);
-    // Completion removes the file.
+    // Completion removes the file and the derived store directory; the
+    // results come back RAM-only.
     EXPECT_FALSE(load_checkpoint(path).has_value());
+    EXPECT_FALSE(std::filesystem::exists(path + ".store"));
+    EXPECT_FALSE(resumed.scan1.store->spills());
   }
 }
 
@@ -316,7 +326,15 @@ TEST_F(CheckpointCampaignTest, KillInsideScanTwoResumesBitIdentical) {
   ASSERT_TRUE(file.has_value());
   EXPECT_EQ(file->scan_index, 2u);  // the kill landed in scan 2
   ASSERT_TRUE(file->scan1.has_value());
-  expect_same_scan(reference.scan1, *file->scan1);
+  {
+    // Scan 1's records sit in its merged store under the derived dir.
+    ScanResult scan1 = *file->scan1;
+    store::StoreOptions derived;
+    derived.dir = path + ".store";
+    scan1.store = store::RecordStore::restore(derived, file->scan1_manifest);
+    ASSERT_NE(scan1.store, nullptr);
+    expect_same_scan(reference.scan1, scan1);
+  }
 
   CampaignOptions resume_options = killed_options;
   resume_options.abort_after_checkpoints = 0;
@@ -423,6 +441,51 @@ TEST_F(CheckpointCampaignTest, AdaptiveShapeChangeStartsFresh) {
   EXPECT_FALSE(load_checkpoint(path).has_value());
 }
 
+TEST_F(CheckpointCampaignTest, OldEmbeddedRecordsFormatStartsFresh) {
+  topo::World reference_world = fresh_world();
+  const auto reference =
+      run_two_scan_campaign(reference_world, base_options());
+
+  // A current-format kill yields this configuration's digest.
+  const auto path = temp_path("ckpt_old_format.json");
+  remove_checkpoint(path);
+  CampaignOptions options = base_options();
+  options.checkpoint_path = path;
+  options.checkpoint_every_n_targets = 16;
+  options.abort_after_checkpoints = 1;
+  topo::World killed_world = fresh_world();
+  ASSERT_TRUE(run_two_scan_campaign(killed_world, options).interrupted);
+  const auto current = load_checkpoint(path);
+  ASSERT_TRUE(current.has_value());
+
+  // The retired schema-1 format, same digest, claiming a finished scan 1
+  // whose one embedded record exists nowhere in the reference: adopting
+  // it would change scan 1.
+  const std::string old_format =
+      R"({"schema":1,"config_digest":")" +
+      obs::u64_hex(current->config_digest) +
+      R"(","scan_index":2,"scan1":{"label":"scan1","start_time":0,)"
+      R"("end_time":1,"targets_probed":1,"probe_bytes":60,"records":[)"
+      R"({"target":"203.0.113.9","engine_id":"80001f8804","boots":1,)"
+      R"("engine_time":5,"send_time":0,"receive_time":1,)"
+      R"("response_count":1,"response_bytes":100}]},)"
+      R"("shard_states":[],"scan_boundary_fabrics":[]})";
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  std::fputs(old_format.c_str(), file);
+  std::fclose(file);
+  EXPECT_FALSE(load_checkpoint(path).has_value());
+
+  options.abort_after_checkpoints = 0;
+  topo::World world = fresh_world();
+  const auto result = run_two_scan_campaign(world, options);
+  EXPECT_FALSE(result.interrupted);
+  expect_same_scan(reference.scan1, result.scan1);
+  expect_same_scan(reference.scan2, result.scan2);
+  EXPECT_FALSE(load_checkpoint(path).has_value());
+  EXPECT_FALSE(std::filesystem::exists(path + ".store"));
+}
+
 // ---- full pipeline --------------------------------------------------------
 
 TEST(CheckpointPipeline, InterruptedPipelineResumesToIdenticalResult) {
@@ -464,6 +527,8 @@ TEST(CheckpointPipeline, InterruptedPipelineResumesToIdenticalResult) {
   EXPECT_FALSE(
       load_checkpoint(killed_options.checkpoint_dir + "/campaign_v6.json")
           .has_value());
+  EXPECT_FALSE(std::filesystem::exists(killed_options.checkpoint_dir +
+                                       "/campaign_v4.json.store"));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/columnar.hpp"
 #include "core/pipeline.hpp"
 #include "filter_oracle.hpp"
@@ -35,6 +36,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_pipeline_result;
 
 using store::ColumnarBlock;
 using store::EngineDictionary;
@@ -656,41 +659,6 @@ core::PipelineOptions tiny_pipeline_options() {
   options.world = topo::WorldConfig::tiny();
   options.seed = 20210413;
   return options;
-}
-
-void expect_same_joined(const std::vector<core::JoinedRecord>& a,
-                        const std::vector<core::JoinedRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].address, b[i].address) << "joined " << i;
-    EXPECT_EQ(a[i].first.engine_id, b[i].first.engine_id);
-    EXPECT_EQ(a[i].second.engine_id, b[i].second.engine_id);
-    EXPECT_EQ(a[i].first.send_time, b[i].first.send_time);
-    EXPECT_EQ(a[i].second.receive_time, b[i].second.receive_time);
-    EXPECT_EQ(a[i].first.response_count, b[i].first.response_count);
-    EXPECT_EQ(a[i].first.extra_engines, b[i].first.extra_engines);
-  }
-}
-
-void expect_same_pipeline_result(const core::PipelineResult& a,
-                                 const core::PipelineResult& b) {
-  expect_same_joined(a.v4_joined, b.v4_joined);
-  expect_same_joined(a.v6_joined, b.v6_joined);
-  expect_same_joined(a.v4_records, b.v4_records);
-  expect_same_joined(a.v6_records, b.v6_records);
-  EXPECT_EQ(a.v4_join_stats.overlap, b.v4_join_stats.overlap);
-  EXPECT_EQ(a.v4_join_stats.first_only, b.v4_join_stats.first_only);
-  EXPECT_EQ(a.v4_join_stats.second_only, b.v4_join_stats.second_only);
-  EXPECT_EQ(a.v6_join_stats.overlap, b.v6_join_stats.overlap);
-  EXPECT_EQ(a.v4_report.dropped, b.v4_report.dropped);
-  EXPECT_EQ(a.v6_report.dropped, b.v6_report.dropped);
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i) {
-    EXPECT_EQ(a.resolution.sets[i].addresses, b.resolution.sets[i].addresses);
-    EXPECT_EQ(a.resolution.sets[i].engine_id, b.resolution.sets[i].engine_id);
-  }
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  EXPECT_EQ(a.router_device_count(), b.router_device_count());
 }
 
 // A store-backed run killed at a checkpoint resumes to a result

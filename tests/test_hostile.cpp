@@ -9,6 +9,7 @@
 // exactly; scripts/check.sh reruns this suite under ASan+UBSan.
 #include <gtest/gtest.h>
 
+#include "result_equal.hpp"
 #include "scan/campaign.hpp"
 #include "sim/fabric.hpp"
 #include "sim/faults.hpp"
@@ -18,6 +19,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_scan;
 
 // Recursively walks every TLV, descending into constructed encodings. The
 // reader API itself is the surface under test: any parse error just stops
@@ -200,17 +203,13 @@ TEST(HostileFabric, CorruptedCampaignIsDeterministicAndAccounted) {
             b.fabric_stats.responses_corrupted);
   EXPECT_EQ(a.scan1.undecodable_responses, b.scan1.undecodable_responses);
   EXPECT_EQ(a.scan2.undecodable_responses, b.scan2.undecodable_responses);
-  ASSERT_EQ(a.scan1.records.size(), b.scan1.records.size());
-  ASSERT_EQ(a.scan2.records.size(), b.scan2.records.size());
-  for (std::size_t i = 0; i < a.scan1.records.size(); ++i) {
-    EXPECT_EQ(a.scan1.records[i].target, b.scan1.records[i].target);
-    EXPECT_EQ(a.scan1.records[i].engine_id, b.scan1.records[i].engine_id);
-  }
+  expect_same_scan(a.scan1, b.scan1);
+  expect_same_scan(a.scan2, b.scan2);
 
   // A corrupted response never becomes a (phantom) record: every record's
   // target is a real device. (Scan 2 records are checked because the
   // campaign leaves the world in the post-churn epoch scan 2 probed.)
-  for (const auto& record : a.scan2.records)
+  for (const auto& record : a.scan2.materialize_records())
     EXPECT_NE(world_a.device_at(record.target), nullptr);
 }
 
@@ -227,11 +226,7 @@ TEST(HostileFabric, ZeroFaultRatesAreBitIdenticalToNoFaultConfig) {
 
   EXPECT_EQ(a.fabric_stats.probes_corrupted, 0u);
   EXPECT_EQ(b.fabric_stats.probes_corrupted, 0u);
-  ASSERT_EQ(a.scan1.records.size(), b.scan1.records.size());
-  for (std::size_t i = 0; i < a.scan1.records.size(); ++i) {
-    EXPECT_EQ(a.scan1.records[i].target, b.scan1.records[i].target);
-    EXPECT_EQ(a.scan1.records[i].receive_time, b.scan1.records[i].receive_time);
-  }
+  expect_same_scan(a.scan1, b.scan1);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "net/batched_udp.hpp"
 #include "net/udp_socket.hpp"
@@ -29,6 +30,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_run;
 
 // ---------------------------------------------------------------------------
 // SimFrame codec
@@ -255,52 +258,6 @@ core::PipelineResult run_equality_pipeline(bool net, std::size_t threads) {
   return core::run_full_pipeline(options);
 }
 
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  EXPECT_EQ(a.probe_bytes, b.probe_bytes);
-  EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target);
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.response_bytes, rb.response_bytes);
-    EXPECT_EQ(ra.extra_engines, rb.extra_engines);
-  }
-}
-
-void expect_identical(const core::PipelineResult& sim_run,
-                      const core::PipelineResult& net_run) {
-  expect_same_scan(sim_run.v4_campaign.scan1, net_run.v4_campaign.scan1);
-  expect_same_scan(sim_run.v4_campaign.scan2, net_run.v4_campaign.scan2);
-  expect_same_scan(sim_run.v6_campaign.scan1, net_run.v6_campaign.scan1);
-  expect_same_scan(sim_run.v6_campaign.scan2, net_run.v6_campaign.scan2);
-
-  ASSERT_EQ(sim_run.v4_records.size(), net_run.v4_records.size());
-  ASSERT_EQ(sim_run.v6_records.size(), net_run.v6_records.size());
-  ASSERT_EQ(sim_run.resolution.sets.size(), net_run.resolution.sets.size());
-  for (std::size_t i = 0; i < sim_run.resolution.sets.size(); ++i) {
-    ASSERT_EQ(sim_run.resolution.sets[i].addresses,
-              net_run.resolution.sets[i].addresses);
-    EXPECT_EQ(sim_run.resolution.sets[i].engine_id,
-              net_run.resolution.sets[i].engine_id);
-  }
-  ASSERT_EQ(sim_run.devices.size(), net_run.devices.size());
-  for (std::size_t i = 0; i < sim_run.devices.size(); ++i) {
-    EXPECT_EQ(sim_run.devices[i].fingerprint.vendor,
-              net_run.devices[i].fingerprint.vendor);
-    EXPECT_EQ(sim_run.devices[i].is_router, net_run.devices[i].is_router);
-  }
-}
-
 TEST(NetEnginePipeline, BitIdenticalToSimFabricAcrossThreadCounts) {
   {
     net::EngineConfig probe;
@@ -316,7 +273,7 @@ TEST(NetEnginePipeline, BitIdenticalToSimFabricAcrossThreadCounts) {
     if (!net_run.v4_campaign.net_error.empty())
       GTEST_SKIP() << "net engine unavailable: "
                    << net_run.v4_campaign.net_error;
-    expect_identical(sim_run, net_run);
+    expect_same_run(sim_run, net_run);
     // The probes really went through the kernel.
     EXPECT_GT(net_run.v4_campaign.net_io.datagrams_sent, 0u);
     EXPECT_EQ(sim_run.v4_campaign.net_io.datagrams_sent, 0u);

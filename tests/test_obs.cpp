@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "topo/generator.hpp"
@@ -28,6 +29,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_run;
 
 // ---- metrics registry ----------------------------------------------------
 
@@ -296,52 +299,10 @@ core::PipelineResult run_pipeline(std::size_t threads,
   return core::run_full_pipeline(options);
 }
 
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target);
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-  }
-}
-
 void expect_identical(const core::PipelineResult& a,
                       const core::PipelineResult& b) {
-  expect_same_scan(a.v4_campaign.scan1, b.v4_campaign.scan1);
-  expect_same_scan(a.v4_campaign.scan2, b.v4_campaign.scan2);
-  expect_same_scan(a.v6_campaign.scan1, b.v6_campaign.scan1);
-  expect_same_scan(a.v6_campaign.scan2, b.v6_campaign.scan2);
-  EXPECT_EQ(a.v4_campaign.fabric_stats.datagrams_sent,
-            b.v4_campaign.fabric_stats.datagrams_sent);
-  EXPECT_EQ(a.v4_campaign.fabric_stats.probes_lost,
-            b.v4_campaign.fabric_stats.probes_lost);
-  EXPECT_EQ(a.v4_campaign.fabric_stats.responses_duplicated,
-            b.v4_campaign.fabric_stats.responses_duplicated);
-
-  EXPECT_EQ(a.v4_report.input, b.v4_report.input);
-  EXPECT_EQ(a.v4_report.dropped, b.v4_report.dropped);
-  EXPECT_EQ(a.v4_report.output, b.v4_report.output);
-  EXPECT_EQ(a.v6_report.dropped, b.v6_report.dropped);
-
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i) {
-    ASSERT_EQ(a.resolution.sets[i].addresses, b.resolution.sets[i].addresses);
-    EXPECT_EQ(a.resolution.sets[i].engine_id, b.resolution.sets[i].engine_id);
-  }
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    EXPECT_EQ(a.devices[i].fingerprint.vendor, b.devices[i].fingerprint.vendor);
-    EXPECT_EQ(a.devices[i].is_router, b.devices[i].is_router);
-  }
+  expect_same_run(a, b);
+  EXPECT_EQ(a.v4_campaign.fabric_stats, b.v4_campaign.fabric_stats);
 }
 
 TEST(ObsContract, ResultsBitIdenticalWithObsOnOffAndAcrossThreads) {
@@ -456,7 +417,7 @@ TEST(ObsContract, RunReportJsonMatchesPipelineAccounting) {
     if (row.find("stage")->as_string() == "pipeline.v4.scan1")
       v4_scan1_responses +=
           static_cast<std::uint64_t>(row.find("responses")->as_number());
-  EXPECT_EQ(v4_scan1_responses, result.v4_campaign.scan1.records.size());
+  EXPECT_EQ(v4_scan1_responses, result.v4_campaign.scan1.responsive());
 
   // The table rendering exists and mentions the funnel.
   const std::string table = report.to_table();

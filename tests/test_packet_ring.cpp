@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "net/batched_udp.hpp"
 #include "net/packet_ring.hpp"
@@ -36,6 +37,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_run;
 
 using Bytes = std::vector<std::uint8_t>;
 
@@ -706,44 +709,6 @@ core::PipelineResult run_equality_pipeline(Mode mode, std::size_t threads) {
   return core::run_full_pipeline(options);
 }
 
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target);
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.response_bytes, rb.response_bytes);
-  }
-}
-
-void expect_identical(const core::PipelineResult& a,
-                      const core::PipelineResult& b) {
-  expect_same_scan(a.v4_campaign.scan1, b.v4_campaign.scan1);
-  expect_same_scan(a.v4_campaign.scan2, b.v4_campaign.scan2);
-  expect_same_scan(a.v6_campaign.scan1, b.v6_campaign.scan1);
-  expect_same_scan(a.v6_campaign.scan2, b.v6_campaign.scan2);
-  ASSERT_EQ(a.v4_records.size(), b.v4_records.size());
-  ASSERT_EQ(a.v6_records.size(), b.v6_records.size());
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i)
-    ASSERT_EQ(a.resolution.sets[i].addresses,
-              b.resolution.sets[i].addresses);
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i)
-    EXPECT_EQ(a.devices[i].fingerprint.vendor,
-              b.devices[i].fingerprint.vendor);
-}
-
 TEST(PacketRingPipeline, BitIdenticalToSimAndRecvmmsgAcrossThreadCounts) {
   {
     net::EngineConfig probe;
@@ -761,7 +726,7 @@ TEST(PacketRingPipeline, BitIdenticalToSimAndRecvmmsgAcrossThreadCounts) {
     if (!ring_run.v4_campaign.net_error.empty())
       GTEST_SKIP() << "net engine unavailable: "
                    << ring_run.v4_campaign.net_error;
-    expect_identical(sim_run, ring_run);
+    expect_same_run(sim_run, ring_run);
     EXPECT_GT(ring_run.v4_campaign.net_io.datagrams_sent, 0u);
     if (have_ring) {
       // With CAP_NET_RAW the responses really came off the rings.
@@ -773,7 +738,7 @@ TEST(PacketRingPipeline, BitIdenticalToSimAndRecvmmsgAcrossThreadCounts) {
   const core::PipelineResult mmsg_run =
       run_equality_pipeline(Mode::kNetRecvmmsg, 2);
   if (mmsg_run.v4_campaign.net_error.empty()) {
-    expect_identical(mmsg_run, run_equality_pipeline(Mode::kNetRing, 2));
+    expect_same_run(mmsg_run, run_equality_pipeline(Mode::kNetRing, 2));
     EXPECT_EQ(mmsg_run.v4_campaign.net_io.ring_frames, 0u);
   }
 }

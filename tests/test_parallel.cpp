@@ -9,11 +9,15 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "util/parallel.hpp"
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_joined;
+using result_equal::expect_same_run;
 
 using util::ParallelOptions;
 
@@ -106,25 +110,6 @@ core::PipelineResult run_with_threads(std::size_t threads) {
   return core::run_full_pipeline(options);
 }
 
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target);
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.extra_engines, rb.extra_engines);
-  }
-}
-
 void expect_same_report(const core::FilterReport& a,
                         const core::FilterReport& b) {
   EXPECT_EQ(a.input, b.input);
@@ -134,49 +119,8 @@ void expect_same_report(const core::FilterReport& a,
 
 void expect_identical(const core::PipelineResult& a,
                       const core::PipelineResult& b) {
-  expect_same_scan(a.v4_campaign.scan1, b.v4_campaign.scan1);
-  expect_same_scan(a.v4_campaign.scan2, b.v4_campaign.scan2);
-  expect_same_scan(a.v6_campaign.scan1, b.v6_campaign.scan1);
-  expect_same_scan(a.v6_campaign.scan2, b.v6_campaign.scan2);
-  EXPECT_EQ(a.v4_campaign.fabric_stats.datagrams_sent,
-            b.v4_campaign.fabric_stats.datagrams_sent);
-  EXPECT_EQ(a.v4_campaign.fabric_stats.responses_received,
-            b.v4_campaign.fabric_stats.responses_received);
-
-  EXPECT_EQ(a.v4_join_stats.overlap, b.v4_join_stats.overlap);
-  EXPECT_EQ(a.v4_join_stats.first_only, b.v4_join_stats.first_only);
-  EXPECT_EQ(a.v4_join_stats.second_only, b.v4_join_stats.second_only);
-  ASSERT_EQ(a.v4_joined.size(), b.v4_joined.size());
-  for (std::size_t i = 0; i < a.v4_joined.size(); ++i)
-    ASSERT_EQ(a.v4_joined[i].address, b.v4_joined[i].address);
-
-  expect_same_report(a.v4_report, b.v4_report);
-  expect_same_report(a.v6_report, b.v6_report);
-  ASSERT_EQ(a.v4_records.size(), b.v4_records.size());
-  ASSERT_EQ(a.v6_records.size(), b.v6_records.size());
-
-  // Alias sets: same order, same addresses, same representative identity.
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i) {
-    const auto& sa = a.resolution.sets[i];
-    const auto& sb = b.resolution.sets[i];
-    ASSERT_EQ(sa.addresses, sb.addresses);
-    EXPECT_EQ(sa.engine_id, sb.engine_id);
-    EXPECT_EQ(sa.engine_boots, sb.engine_boots);
-    EXPECT_EQ(sa.last_reboot, sb.last_reboot);
-  }
-
-  // Device records (sets live in the owning resolution; compare by value).
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    const auto& da = a.devices[i];
-    const auto& db = b.devices[i];
-    ASSERT_EQ(da.set->addresses, db.set->addresses);
-    EXPECT_EQ(da.fingerprint.vendor, db.fingerprint.vendor);
-    EXPECT_EQ(da.stack, db.stack);
-    EXPECT_EQ(da.is_router, db.is_router);
-    EXPECT_EQ(da.last_reboot, db.last_reboot);
-  }
+  expect_same_run(a, b);
+  EXPECT_EQ(a.v4_campaign.fabric_stats, b.v4_campaign.fabric_stats);
 }
 
 TEST(ParallelDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
@@ -201,9 +145,7 @@ TEST(ParallelDeterminism, AnalysisStagesMatchSequential) {
       core::join_scans(result.v4_campaign.scan1, result.v4_campaign.scan2,
                        &stats_par, eight);
   EXPECT_EQ(stats_seq.overlap, stats_par.overlap);
-  ASSERT_EQ(joined_seq.size(), joined_par.size());
-  for (std::size_t i = 0; i < joined_seq.size(); ++i)
-    ASSERT_EQ(joined_seq[i].address, joined_par[i].address);
+  expect_same_joined(joined_seq, joined_par);
 
   const core::FilterPipeline pipeline;
   std::vector<core::JoinedRecord> records_seq, records_par;

@@ -117,7 +117,7 @@ TEST(FabricLatency, ResponsesArriveWithinConfiguredEnvelope) {
   scan::Prober prober(fabric, {net::Ipv4(198, 51, 100, 7), 4444});
   const auto result = prober.run(world.addresses(net::Family::kIpv4), {}, 0);
   ASSERT_GT(result.responsive(), 0u);
-  for (const auto& record : result.records) {
+  for (const auto& record : result.materialize_records()) {
     if (record.response_count > 1) continue;  // amplified copies trickle
     const auto rtt = record.receive_time - record.send_time;
     EXPECT_GE(rtt, config.min_rtt);

@@ -2,6 +2,7 @@
 
 #include "core/join.hpp"
 #include "scan/campaign.hpp"
+#include "store/record_store.hpp"
 #include "topo/datasets.hpp"
 #include "scan/prober.hpp"
 #include "sim/fabric.hpp"
@@ -36,7 +37,7 @@ TEST_F(ScanTest, ProbeRecordsMatchAgents) {
 
   // Every record corresponds to a device that really answers, with the
   // device's true engine state at the (virtual) probe time.
-  for (const auto& record : result.records) {
+  for (const auto& record : result.materialize_records()) {
     const auto* device = world_.device_at(record.target);
     ASSERT_NE(device, nullptr) << record.target.to_string();
     EXPECT_TRUE(device->snmpv3_enabled);
@@ -78,7 +79,9 @@ TEST_F(ScanTest, UniqueEngineIdCounting) {
   a.engine_id = snmp::EngineId(util::Bytes{0x80, 1, 2, 3, 4});
   b.engine_id = a.engine_id;
   c.engine_id = snmp::EngineId(util::Bytes{0x80, 9, 9, 9, 9});
-  result.records = {a, b, c};
+  result.store = std::make_shared<store::RecordStore>(store::StoreOptions{},
+                                                      "unique_ids");
+  for (const auto& record : {a, b, c}) result.store->append(record);
   EXPECT_EQ(result.unique_engine_ids(), 2u);
 }
 
@@ -122,7 +125,7 @@ TEST_F(ScanTest, ExplicitTargetListIsrespected) {
   options.scan_gap = util::kDay;
   const auto pair = run_two_scan_campaign(world_, options);
   EXPECT_EQ(pair.scan1.targets_probed, options.targets->size());
-  for (const auto& record : pair.scan1.records) {
+  for (const auto& record : pair.scan1.materialize_records()) {
     EXPECT_TRUE(record.target.is_v6());
   }
 }

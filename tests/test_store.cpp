@@ -2,10 +2,10 @@
 //
 // The load-bearing guarantees: (1) the codec and the store fail closed on
 // any damaged input — the sim/faults mutation corpus never makes decode
-// throw or silently accept corrupted records; (2) a store-backed campaign
-// and pipeline are bit-identical to the historical all-in-RAM path at any
-// thread count, including through a kill/resume cycle whose checkpoints
-// carry only per-shard store deltas.
+// throw or silently accept corrupted records; (2) a campaign and pipeline
+// whose stores spill to disk are bit-identical to the default resident
+// (RAM-only) ones at any thread count, including through a kill/resume
+// cycle whose checkpoints carry only per-shard store deltas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
 #include "sim/faults.hpp"
@@ -27,6 +29,10 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_pipeline_result;
+using result_equal::expect_same_records;
+using result_equal::expect_same_scan;
 
 using store::RecordStore;
 using store::StoreOptions;
@@ -72,36 +78,21 @@ scan::ScanRecord make_record(std::size_t i) {
   return r;
 }
 
+void flip_byte(const std::string& path, std::size_t offset) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  char byte = 0;
+  file.seekg(static_cast<std::streamoff>(offset));
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x40);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(&byte, 1);
+}
+
 std::vector<scan::ScanRecord> make_records(std::size_t n) {
   std::vector<scan::ScanRecord> records;
   records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) records.push_back(make_record(i));
   return records;
-}
-
-void expect_same_records(const std::vector<scan::ScanRecord>& a,
-                         const std::vector<scan::ScanRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].target, b[i].target) << "record " << i;
-    EXPECT_EQ(a[i].engine_id, b[i].engine_id) << "record " << i;
-    EXPECT_EQ(a[i].engine_boots, b[i].engine_boots);
-    EXPECT_EQ(a[i].engine_time, b[i].engine_time);
-    EXPECT_EQ(a[i].send_time, b[i].send_time);
-    EXPECT_EQ(a[i].receive_time, b[i].receive_time);
-    EXPECT_EQ(a[i].response_count, b[i].response_count) << "record " << i;
-    EXPECT_EQ(a[i].response_bytes, b[i].response_bytes);
-    EXPECT_EQ(a[i].extra_engines, b[i].extra_engines) << "record " << i;
-  }
-}
-
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
-  EXPECT_EQ(a.pacer_backoffs, b.pacer_backoffs);
-  expect_same_records(a.materialize_records(), b.materialize_records());
 }
 
 // ---- codec ----------------------------------------------------------------
@@ -328,16 +319,7 @@ TEST(RecordStoreTest, RestoreFailsClosedOnDamagedFiles) {
 
   // Bit flip inside a committed block: restore may succeed (the index is
   // intact) but reading the store fails closed on the CRC.
-  {
-    std::fstream file(seg, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(static_cast<std::streamoff>(seg_size / 2));
-    char byte = 0;
-    file.seekg(static_cast<std::streamoff>(seg_size / 2));
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    file.seekp(static_cast<std::streamoff>(seg_size / 2));
-    file.write(&byte, 1);
-  }
+  flip_byte(seg, seg_size / 2);
   auto flipped = RecordStore::restore(options, manifest);
   if (flipped != nullptr) {
     auto cursor = flipped->cursor();
@@ -386,6 +368,83 @@ TEST(RecordStoreTest, ExternalSortMatchesInRamSort) {
   expect_same_records(sorted->materialize(), expected);
 }
 
+std::vector<scan::ScanRecord> sorted_by_address(
+    std::vector<scan::ScanRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const scan::ScanRecord& x, const scan::ScanRecord& y) {
+              return x.target < y.target;
+            });
+  return records;
+}
+
+TEST(RecordStoreTest, MergeOfPreSortedSourcesInterleaves) {
+  StoreOptions spilled;
+  spilled.dir = temp_dir("store_merge");
+  spilled.records_per_block = 16;
+  spilled.max_resident_bytes = 1024;  // the spilled source reads from disk
+  StoreOptions resident;
+  resident.records_per_block = 16;
+  const auto all = sorted_by_address(make_records(400));
+  // Interleaving key ranges from spilled, resident and empty sources.
+  RecordStore a(spilled, "merge_a"), b(resident, "merge_b");
+  RecordStore empty(resident, "merge_empty");
+  for (std::size_t i = 0; i < all.size(); ++i)
+    (i % 3 == 0 ? a : b).append(all[i]);
+  for (RecordStore* store : {&a, &b, &empty}) store->seal();
+
+  const auto merged = store::merge_sorted_stores(
+      {&a, &empty, &b}, store::SortKey::kAddress, spilled, "merged");
+  ASSERT_NE(merged, nullptr);
+  EXPECT_TRUE(merged->spills());
+  expect_same_records(merged->materialize(), all);
+}
+
+TEST(RecordStoreTest, SingleRunSortAppendsStraightIntoOutput) {
+  StoreOptions options;
+  options.dir = temp_dir("store_single_run");
+  options.records_per_block = 16;
+  auto records = make_records(300);
+  util::Rng rng(7);
+  for (std::size_t i = records.size(); i > 1; --i)
+    std::swap(records[i - 1], records[rng.next() % i]);
+  RecordStore source(options, "single_source");
+  for (const auto& record : records) source.append(record);
+  source.seal();
+
+  obs::MetricsRegistry metrics;
+  StoreOptions counted = options;
+  counted.telemetry.sealed_blocks = metrics.counter("sealed_blocks");
+  const auto sorted = store::sort_stores({&source}, store::SortKey::kAddress,
+                                         counted, "single_sorted",
+                                         records.size());
+  ASSERT_NE(sorted, nullptr);
+  expect_same_records(sorted->materialize(), sorted_by_address(records));
+  // Only the output sealed blocks: no intermediate run store was written.
+  EXPECT_EQ(metrics.snapshot().counters.at(0).value, sorted->block_count());
+}
+
+TEST(RecordStoreTest, MergeFailsClosedOnDamagedSource) {
+  StoreOptions options;
+  options.dir = temp_dir("store_merge_damage");
+  options.records_per_block = 16;
+  options.max_resident_bytes = 1;  // evict all, so reads go to the segment
+  const auto records = sorted_by_address(make_records(200));
+  RecordStore good(options, "merge_good"), damaged(options, "merge_bad");
+  for (std::size_t i = 0; i < records.size(); ++i)
+    (i % 2 == 0 ? good : damaged).append(records[i]);
+  good.seal();
+  damaged.seal();
+  // Damage a middle block, which eviction has dropped from RAM.
+  const std::string seg = options.dir + "/merge_bad.seg";
+  flip_byte(seg, std::filesystem::file_size(seg) / 2);
+  EXPECT_EQ(store::merge_sorted_stores({&good, &damaged},
+                                       store::SortKey::kAddress, options,
+                                       "merge_out"),
+            nullptr);
+  // The failed merge leaves no output behind.
+  EXPECT_FALSE(std::filesystem::exists(options.dir + "/merge_out.seg"));
+}
+
 TEST(RecordStoreTest, ManifestJsonRoundTrip) {
   store::StoreManifest manifest;
   manifest.name = "round_trip";
@@ -416,21 +475,6 @@ TEST(RecordStoreTest, ManifestJsonRoundTrip) {
             manifest.patches[0].second.extra_engines);
 }
 
-// ---- ScanResult accessors -------------------------------------------------
-
-TEST(ScanResultAccessors, ByTargetIsMemoizedAndRebuiltOnGrowth) {
-  scan::ScanResult result;
-  result.records = make_records(20);
-  const auto& first = result.by_target();
-  EXPECT_EQ(first.size(), 20u);
-  // Second call returns the same map object, not a rebuild.
-  EXPECT_EQ(&result.by_target(), &first);
-  result.records.push_back(make_record(500));
-  const auto& rebuilt = result.by_target();
-  EXPECT_EQ(rebuilt.size(), 21u);
-  EXPECT_TRUE(rebuilt.count(make_record(500).target));
-}
-
 // ---- campaigns and pipeline -----------------------------------------------
 
 class StoreCampaignTest : public ::testing::Test {
@@ -454,6 +498,7 @@ TEST_F(StoreCampaignTest, StoreBackedCampaignBitIdenticalAtAnyThreadCount) {
   const auto reference =
       scan::run_two_scan_campaign(reference_world, base_options());
   ASSERT_GT(reference.scan1.responsive(), 0u);
+  EXPECT_FALSE(reference.scan1.store->spills());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     auto options = base_options();
@@ -463,9 +508,8 @@ TEST_F(StoreCampaignTest, StoreBackedCampaignBitIdenticalAtAnyThreadCount) {
     options.store.max_resident_bytes = 4096;
     topo::World world = fresh_world();
     const auto pair = scan::run_two_scan_campaign(world, options);
-    EXPECT_TRUE(pair.scan1.store_backed());
-    EXPECT_TRUE(pair.scan2.store_backed());
-    EXPECT_TRUE(pair.scan1.records.empty());
+    EXPECT_TRUE(pair.scan1.store->spills());
+    EXPECT_TRUE(pair.scan2.store->spills());
     expect_same_scan(pair.scan1, reference.scan1);
     expect_same_scan(pair.scan2, reference.scan2);
   }
@@ -493,14 +537,10 @@ TEST_F(StoreCampaignTest, KillResumeThroughStoreCheckpointsBitIdentical) {
     EXPECT_TRUE(killed.interrupted) << threads << " threads";
     const auto checkpoint = scan::load_checkpoint(path);
     ASSERT_TRUE(checkpoint.has_value());
-    // The mid-scan checkpoint carries per-shard store manifests, not
-    // embedded records.
-    bool has_manifest = false;
-    for (const auto& shard : checkpoint->shard_states) {
-      EXPECT_TRUE(shard.partial.records.empty());
-      has_manifest = has_manifest || shard.store_manifest.has_value();
-    }
-    EXPECT_TRUE(has_manifest);
+    // The mid-scan checkpoint names each shard's store by its manifest.
+    ASSERT_FALSE(checkpoint->shard_states.empty());
+    for (const auto& shard : checkpoint->shard_states)
+      EXPECT_FALSE(shard.store_manifest.name.empty());
 
     auto resume_options = killed_options;
     resume_options.abort_after_checkpoints = 0;
@@ -561,25 +601,11 @@ class StorePipelineTest : public ::testing::Test {
   }
 };
 
-void expect_same_joined(const std::vector<core::JoinedRecord>& a,
-                        const std::vector<core::JoinedRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].address, b[i].address) << "joined " << i;
-    EXPECT_EQ(a[i].first.engine_id, b[i].first.engine_id);
-    EXPECT_EQ(a[i].second.engine_id, b[i].second.engine_id);
-    EXPECT_EQ(a[i].first.send_time, b[i].first.send_time);
-    EXPECT_EQ(a[i].second.send_time, b[i].second.send_time);
-    EXPECT_EQ(a[i].first.receive_time, b[i].first.receive_time);
-    EXPECT_EQ(a[i].first.response_count, b[i].first.response_count);
-    EXPECT_EQ(a[i].first.extra_engines, b[i].first.extra_engines);
-  }
-}
-
 TEST_F(StorePipelineTest, StoreModePipelineBitIdenticalAtAnyThreadCount) {
   const auto reference = core::run_full_pipeline(base_options());
   ASSERT_GT(reference.v4_joined.size(), 0u);
   ASSERT_GT(reference.devices.size(), 0u);
+  EXPECT_FALSE(reference.v4_campaign.scan1.store->spills());
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     auto options = base_options();
@@ -589,28 +615,9 @@ TEST_F(StorePipelineTest, StoreModePipelineBitIdenticalAtAnyThreadCount) {
     options.store.max_resident_bytes = 4096;
     const auto result = core::run_full_pipeline(options);
 
-    EXPECT_TRUE(result.v4_campaign.scan1.store_backed());
-    EXPECT_TRUE(result.v6_campaign.scan1.store_backed());
-    expect_same_joined(result.v4_joined, reference.v4_joined);
-    expect_same_joined(result.v6_joined, reference.v6_joined);
-    expect_same_joined(result.v4_records, reference.v4_records);
-    expect_same_joined(result.v6_records, reference.v6_records);
-    EXPECT_EQ(result.v4_join_stats.overlap, reference.v4_join_stats.overlap);
-    EXPECT_EQ(result.v4_join_stats.first_only,
-              reference.v4_join_stats.first_only);
-    EXPECT_EQ(result.v4_join_stats.second_only,
-              reference.v4_join_stats.second_only);
-    EXPECT_EQ(result.v4_report.dropped, reference.v4_report.dropped);
-    EXPECT_EQ(result.v6_report.dropped, reference.v6_report.dropped);
-    ASSERT_EQ(result.resolution.sets.size(), reference.resolution.sets.size());
-    for (std::size_t i = 0; i < result.resolution.sets.size(); ++i) {
-      EXPECT_EQ(result.resolution.sets[i].addresses,
-                reference.resolution.sets[i].addresses);
-      EXPECT_EQ(result.resolution.sets[i].engine_id,
-                reference.resolution.sets[i].engine_id);
-    }
-    ASSERT_EQ(result.devices.size(), reference.devices.size());
-    EXPECT_EQ(result.router_device_count(), reference.router_device_count());
+    EXPECT_TRUE(result.v4_campaign.scan1.store->spills());
+    EXPECT_TRUE(result.v6_campaign.scan1.store->spills());
+    expect_same_pipeline_result(result, reference);
   }
 }
 

@@ -174,8 +174,8 @@ TEST(TelemetryContract, BitIdenticalOnOffStoreOnOffAcrossThreads) {
 
   // Virtual timeline samples are deterministic: identical series (stages,
   // shards, boundary times AND channel values) at every thread count, and
-  // unchanged by the store backend (resident-bytes channel excepted — the
-  // in-RAM runs report -1 there, so compare the in-RAM runs directly).
+  // unchanged by the store backend (resident-bytes channel excepted — a
+  // spilling store evicts, so compare the resident runs directly).
   ASSERT_EQ(on2.timeline.series.size(), on1.timeline.series.size());
   EXPECT_EQ(on2.timeline.series, on1.timeline.series);
   EXPECT_EQ(on8.timeline.series, on1.timeline.series);

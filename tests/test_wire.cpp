@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "net/transport.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +28,8 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_run;
 
 using snmp::EngineId;
 using snmp::V3Message;
@@ -388,51 +391,13 @@ core::PipelineResult run_pipeline(bool wire_fast_path, std::size_t threads) {
   return core::run_full_pipeline(options);
 }
 
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  EXPECT_EQ(a.probe_bytes, b.probe_bytes);
-  EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target);
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.response_bytes, rb.response_bytes);
-    EXPECT_EQ(ra.extra_engines, rb.extra_engines);
-  }
-}
-
 void expect_identical(const core::PipelineResult& a,
                       const core::PipelineResult& b) {
-  expect_same_scan(a.v4_campaign.scan1, b.v4_campaign.scan1);
-  expect_same_scan(a.v4_campaign.scan2, b.v4_campaign.scan2);
-  expect_same_scan(a.v6_campaign.scan1, b.v6_campaign.scan1);
-  expect_same_scan(a.v6_campaign.scan2, b.v6_campaign.scan2);
+  expect_same_run(a, b);
   // Full data-plane accounting must agree: the fast paths feed identical
   // bytes through identical RNG-draw sequences.
   EXPECT_EQ(a.v4_campaign.fabric_stats, b.v4_campaign.fabric_stats);
   EXPECT_EQ(a.v6_campaign.fabric_stats, b.v6_campaign.fabric_stats);
-
-  ASSERT_EQ(a.v4_records.size(), b.v4_records.size());
-  ASSERT_EQ(a.v6_records.size(), b.v6_records.size());
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i) {
-    ASSERT_EQ(a.resolution.sets[i].addresses, b.resolution.sets[i].addresses);
-    EXPECT_EQ(a.resolution.sets[i].engine_id, b.resolution.sets[i].engine_id);
-  }
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    EXPECT_EQ(a.devices[i].fingerprint.vendor, b.devices[i].fingerprint.vendor);
-    EXPECT_EQ(a.devices[i].is_router, b.devices[i].is_router);
-  }
 }
 
 TEST(WirePipeline, BitIdenticalWithFastPathOnOrOffAcrossThreadCounts) {

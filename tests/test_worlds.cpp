@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "result_equal.hpp"
 #include "core/alias.hpp"
 #include "core/join.hpp"
 #include "core/pipeline.hpp"
@@ -34,6 +35,9 @@
 
 namespace snmpv3fp {
 namespace {
+
+using result_equal::expect_same_pipeline_result;
+using result_equal::expect_same_scan;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
@@ -194,44 +198,6 @@ topo::ProceduralConfig static_layer_config() {
   return config;
 }
 
-void expect_same_joined(const std::vector<core::JoinedRecord>& a,
-                        const std::vector<core::JoinedRecord>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].address, b[i].address) << "joined " << i;
-    EXPECT_EQ(a[i].first.engine_id, b[i].first.engine_id);
-    EXPECT_EQ(a[i].second.engine_id, b[i].second.engine_id);
-    EXPECT_EQ(a[i].first.engine_boots, b[i].first.engine_boots);
-    EXPECT_EQ(a[i].first.engine_time, b[i].first.engine_time);
-    EXPECT_EQ(a[i].first.send_time, b[i].first.send_time);
-    EXPECT_EQ(a[i].second.receive_time, b[i].second.receive_time);
-    EXPECT_EQ(a[i].first.response_count, b[i].first.response_count);
-    EXPECT_EQ(a[i].first.extra_engines, b[i].first.extra_engines);
-  }
-}
-
-void expect_same_pipeline_result(const core::PipelineResult& a,
-                                 const core::PipelineResult& b) {
-  expect_same_joined(a.v4_joined, b.v4_joined);
-  expect_same_joined(a.v6_joined, b.v6_joined);
-  expect_same_joined(a.v4_records, b.v4_records);
-  expect_same_joined(a.v6_records, b.v6_records);
-  EXPECT_EQ(a.v4_join_stats.overlap, b.v4_join_stats.overlap);
-  EXPECT_EQ(a.v4_join_stats.first_only, b.v4_join_stats.first_only);
-  EXPECT_EQ(a.v4_join_stats.second_only, b.v4_join_stats.second_only);
-  EXPECT_EQ(a.v6_join_stats.overlap, b.v6_join_stats.overlap);
-  EXPECT_EQ(a.v4_report.dropped, b.v4_report.dropped);
-  EXPECT_EQ(a.v6_report.dropped, b.v6_report.dropped);
-  EXPECT_EQ(a.hitlist_v6, b.hitlist_v6);
-  ASSERT_EQ(a.resolution.sets.size(), b.resolution.sets.size());
-  for (std::size_t i = 0; i < a.resolution.sets.size(); ++i) {
-    EXPECT_EQ(a.resolution.sets[i].addresses, b.resolution.sets[i].addresses);
-    EXPECT_EQ(a.resolution.sets[i].engine_id, b.resolution.sets[i].engine_id);
-  }
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  EXPECT_EQ(a.router_device_count(), b.router_device_count());
-}
-
 TEST(ProceduralWorld, PipelineBitIdenticalToMaterializedTwin) {
   core::PipelineOptions options;
   options.seed = 991;
@@ -268,7 +234,8 @@ scan::CampaignOptions zero_loss_options(std::uint64_t seed) {
 
 std::set<net::IpAddress> responder_set(const scan::ScanResult& result) {
   std::set<net::IpAddress> set;
-  for (const auto& record : result.records) set.insert(record.target);
+  (void)result.for_each_record(
+      [&set](const scan::ScanRecord& record) { set.insert(record.target); });
   return set;
 }
 
@@ -301,25 +268,6 @@ TEST(SpecModeCampaign, FindsSameRespondersAsListMode) {
   // Spec mode derives lazily; the cache saw real traffic.
   EXPECT_GT(spec_pair.responder_cache.misses, 0u);
   EXPECT_GT(spec_pair.responder_cache.hit_rate(), 0.0);
-}
-
-void expect_same_scan(const scan::ScanResult& a, const scan::ScanResult& b) {
-  EXPECT_EQ(a.start_time, b.start_time);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.targets_probed, b.targets_probed);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    ASSERT_EQ(ra.target, rb.target) << "record " << i;
-    EXPECT_EQ(ra.engine_id, rb.engine_id);
-    EXPECT_EQ(ra.engine_boots, rb.engine_boots);
-    EXPECT_EQ(ra.engine_time, rb.engine_time);
-    EXPECT_EQ(ra.send_time, rb.send_time);
-    EXPECT_EQ(ra.receive_time, rb.receive_time);
-    EXPECT_EQ(ra.response_count, rb.response_count);
-    EXPECT_EQ(ra.extra_engines, rb.extra_engines);
-  }
 }
 
 TEST(SpecModeCampaign, KillResumeBitIdenticalAtThreadCounts) {

@@ -15,7 +15,9 @@
 #      test_wire), the filter funnel's oracle suite (test_columnar's
 #      ColumnarFilterTest) and the whole pacer suite (test_pacer's unit
 #      tests on a caller clock, burst 1 and wall-clock bursts, plus
-#      test_checkpoint's campaign-level Pacer test) — >=10k corrupted
+#      test_checkpoint's campaign-level Pacer test), and test_topo's Churn
+#      suite, whose patched address index erases and re-inserts hash-map
+#      nodes through iterators on every rebind — >=10k corrupted
 #      payloads must decode-reject with zero memory errors or UB; the
 #      store suites re-run the codec
 #      mutation corpus and the spill/restore paths under the sanitizers,
@@ -108,9 +110,9 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake -B build-asan -S . -DSNMPFP_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
-               test_pacer test_store test_wire test_columnar
+               test_pacer test_store test_wire test_columnar test_topo
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn)\.")
 fi
 
 echo "==> record-store check (bench_store --quick: checkpoint bound, schema)"

@@ -268,12 +268,14 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
   // paper probes all routable space; probing known-dead space only burns
   // simulated time, so we probe the live superset). The second epoch's
   // addresses come from a model query instead of churning a full copy of
-  // the world.
+  // the world; its span accounts for that serial set-up.
   std::vector<net::IpAddress> targets;
-  if (!spec_mode) {
-    targets = options.targets.has_value()
-                  ? *options.targets
-                  : model.campaign_targets(options.family, churn_seed);
+  if (!spec_mode && options.targets.has_value()) {
+    targets = *options.targets;
+  } else if (!spec_mode) {
+    obs::Span union_span(options.obs.trace(),
+                         options.obs.scoped("target_union"));
+    targets = model.campaign_targets(options.family, churn_seed);
   }
 
   const net::Endpoint prober_source{
@@ -772,7 +774,10 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     remove_retired_stores();
   }
 
-  model.apply_churn(churn_seed);
+  {
+    obs::Span churn_span(options.obs.trace(), options.obs.scoped("churn"));
+    model.apply_churn(churn_seed);
+  }
 
   {
     const auto slots = (resuming && resume_scan_index == 2)

@@ -64,12 +64,34 @@ DeviceIndex World::device_index_at(const net::IpAddress& address) const {
   return kNoDevice;
 }
 
+namespace {
+
+// Sorts and deduplicates typed addresses, then widens them to IpAddress.
+// Ipv4/Ipv6 values compare far cheaper than variants, and the orders agree.
+template <typename Address>
+std::vector<net::IpAddress> sorted_unique(std::vector<Address> typed) {
+  std::sort(typed.begin(), typed.end());
+  typed.erase(std::unique(typed.begin(), typed.end()), typed.end());
+  return {typed.begin(), typed.end()};
+}
+
+template <typename Address>
+std::vector<net::IpAddress> interface_addresses(
+    const std::vector<Device>& devices,
+    std::optional<Address> Interface::*field) {
+  std::vector<Address> typed;
+  for (const auto& device : devices)
+    for (const auto& itf : device.interfaces)
+      if (itf.*field) typed.push_back(*(itf.*field));
+  return sorted_unique(std::move(typed));
+}
+
+}  // namespace
+
 std::vector<net::IpAddress> World::addresses(net::Family family) const {
-  std::vector<net::IpAddress> out;
-  for (const auto& [addr, index] : address_map_)
-    if (addr.family() == family) out.push_back(addr);
-  std::sort(out.begin(), out.end());
-  return out;
+  return family == net::Family::kIpv4
+             ? interface_addresses(devices, &Interface::v4)
+             : interface_addresses(devices, &Interface::v6);
 }
 
 World::ChurnPlan World::plan_churn(std::uint64_t epoch_seed,
@@ -146,60 +168,71 @@ World::ChurnPlan World::plan_churn(std::uint64_t epoch_seed,
 void World::rebind_churning_devices(std::uint64_t epoch_seed) {
   if (v4_cursor.size() < ases.size()) v4_cursor.resize(ases.size(), 0);
   const ChurnPlan plan = plan_churn(epoch_seed, v4_cursor);
-  for (const auto& slot : plan.v4)
-    devices[slot.device].interfaces[slot.interface].v4 = slot.address;
-  for (const auto& slot : plan.v6)
-    devices[slot.device].interfaces[slot.interface].v6 = slot.address;
-  reindex();
+  // An aliased device's /64 moves with its lease; only reindex() rebuilds
+  // the aliased-prefix map.
+  bool patch = unique_holders_ &&
+               std::none_of(plan.v6.begin(), plan.v6.end(),
+                            [&](const auto& lease) {
+                              return devices[lease.device]
+                                  .answers_whole_v6_prefix;
+                            });
+  // Every old lease is unbound before any new one is bound: recycled
+  // leases move between churned slots.
+  const auto unbind = [&](const auto& leases, auto Interface::*field) {
+    for (const auto& lease : leases) {
+      auto& address = devices[lease.device].interfaces[lease.interface].*field;
+      if (patch) {
+        const auto it = address_map_.find(net::IpAddress(*address));
+        patch = it != address_map_.end() && it->second == lease.device;
+        if (patch) address_map_.erase(it);
+      }
+      address = lease.address;
+    }
+  };
+  const auto bind = [&](const auto& leases) {
+    for (const auto& lease : leases)
+      if (patch)
+        patch = address_map_.try_emplace(net::IpAddress(lease.address),
+                                         lease.device).second;
+  };
+  unbind(plan.v4, &Interface::v4);
+  unbind(plan.v6, &Interface::v6);
+  bind(plan.v4);
+  bind(plan.v6);
+  if (!patch) reindex();
 }
 
-std::vector<net::IpAddress> World::addresses_after_churn(
-    std::uint64_t epoch_seed, net::Family family) const {
+std::vector<net::IpAddress> World::churn_leases(std::uint64_t epoch_seed,
+                                                net::Family family) const {
   std::vector<std::uint64_t> cursor = v4_cursor;
   cursor.resize(std::max(cursor.size(), ases.size()), 0);
   const ChurnPlan plan = plan_churn(epoch_seed, cursor);
-  const auto slot_key = [](DeviceIndex device, std::uint32_t interface) {
-    return (static_cast<std::uint64_t>(device) << 32) | interface;
+  const auto leases = [](const auto& slots) {
+    std::vector<decltype(slots.front().address)> typed;
+    typed.reserve(slots.size());
+    for (const auto& slot : slots) typed.push_back(slot.address);
+    return sorted_unique(std::move(typed));
   };
-  std::unordered_map<std::uint64_t, net::Ipv4> new_v4;
-  std::unordered_map<std::uint64_t, net::Ipv6> new_v6;
-  new_v4.reserve(plan.v4.size());
-  new_v6.reserve(plan.v6.size());
-  for (const auto& slot : plan.v4)
-    new_v4.emplace(slot_key(slot.device, slot.interface), slot.address);
-  for (const auto& slot : plan.v6)
-    new_v6.emplace(slot_key(slot.device, slot.interface), slot.address);
-
-  std::vector<net::IpAddress> out;
-  out.reserve(address_map_.size());
-  for (const auto& device : devices) {
-    for (std::uint32_t i = 0; i < device.interfaces.size(); ++i) {
-      const auto& itf = device.interfaces[i];
-      if (family == net::Family::kIpv4) {
-        if (!itf.v4) continue;
-        const auto it = new_v4.find(slot_key(device.index, i));
-        out.emplace_back(it == new_v4.end() ? *itf.v4 : it->second);
-      } else {
-        if (!itf.v6) continue;
-        const auto it = new_v6.find(slot_key(device.index, i));
-        out.emplace_back(it == new_v6.end() ? *itf.v6 : it->second);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return family == net::Family::kIpv4 ? leases(plan.v4) : leases(plan.v6);
 }
 
 void World::reindex() {
   address_map_.clear();
   if (v4_cursor.size() < ases.size()) v4_cursor.resize(ases.size(), 0);
   aliased_v6_prefixes_.clear();
+  unique_holders_ = true;
+  const auto bind = [&](const net::IpAddress& address, DeviceIndex device) {
+    const auto [it, inserted] = address_map_.try_emplace(address, device);
+    if (!inserted) {
+      it->second = device;
+      unique_holders_ = false;
+    }
+  };
   for (const auto& device : devices) {
     for (const auto& itf : device.interfaces) {
-      if (itf.v4) address_map_[net::IpAddress(*itf.v4)] = device.index;
+      if (itf.v4) bind(net::IpAddress(*itf.v4), device.index);
       if (itf.v6) {
-        address_map_[net::IpAddress(*itf.v6)] = device.index;
+        bind(net::IpAddress(*itf.v6), device.index);
         if (device.answers_whole_v6_prefix)
           aliased_v6_prefixes_[v6_prefix64(*itf.v6)] = device.index;
       }

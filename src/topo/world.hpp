@@ -120,23 +120,34 @@ class World {
   const Device* device_at(const net::IpAddress& address) const;
   DeviceIndex device_index_at(const net::IpAddress& address) const;
 
-  // All currently assigned addresses of the given family, sorted.
+  // All currently assigned addresses of the given family, sorted and
+  // deduplicated. Collected from the interface lists as typed Ipv4/Ipv6
+  // values, so the sort never compares IpAddress variants.
   std::vector<net::IpAddress> addresses(net::Family family) const;
 
   // Re-assigns the addresses of churning (CPE) devices within their AS
   // pool; models the DHCP churn between the paper's two campaigns. Called
-  // by the campaign orchestrator between scans.
+  // by the campaign orchestrator between scans. Costs O(churned slots)
+  // when every address has exactly one holder: each churned slot's old
+  // address is erased from the index and its new lease inserted. A world
+  // whose index holds shared addresses, a patch that would create one, or
+  // a churning device that answers its whole /64 falls back to reindex(),
+  // which keeps the last-writer-wins mapping exact in those cases.
   void rebind_churning_devices(std::uint64_t epoch_seed);
 
-  // All addresses of `family` that would be assigned after
-  // rebind_churning_devices(epoch_seed), sorted and deduplicated — without
-  // copying or mutating the world. Lets the campaign enumerate the second
-  // epoch's targets up front.
-  std::vector<net::IpAddress> addresses_after_churn(std::uint64_t epoch_seed,
-                                                    net::Family family) const;
+  // The addresses of `family` that rebind_churning_devices(epoch_seed)
+  // would hand out, sorted and deduplicated — without mutating the world.
+  // Every post-churn address is either a current address or one of these
+  // leases, so the two-epoch target union is addresses(family) merged
+  // with this list.
+  std::vector<net::IpAddress> churn_leases(std::uint64_t epoch_seed,
+                                           net::Family family) const;
 
-  // Rebuilds the IP -> device maps from the interface lists. Must be
-  // called after construction or any address mutation.
+  // Rebuilds the IP -> device maps from the interface lists (last writer
+  // wins on a shared address) and records whether every assigned address
+  // has exactly one holder, which lets rebind_churning_devices patch the
+  // maps instead of rebuilding them. Must be called after construction or
+  // any address mutation made outside rebind_churning_devices.
   void reindex();
 
   // --- ground truth --------------------------------------------------------
@@ -157,19 +168,15 @@ class World {
 
  private:
   // One churn epoch's address re-assignments, keyed by (device, interface).
+  template <typename Address>
+  struct Lease {
+    DeviceIndex device;
+    std::uint32_t interface;
+    Address address;
+  };
   struct ChurnPlan {
-    struct V4Slot {
-      DeviceIndex device;
-      std::uint32_t interface;
-      net::Ipv4 address;
-    };
-    struct V6Slot {
-      DeviceIndex device;
-      std::uint32_t interface;
-      net::Ipv6 address;
-    };
-    std::vector<V4Slot> v4;
-    std::vector<V6Slot> v6;
+    std::vector<Lease<net::Ipv4>> v4;
+    std::vector<Lease<net::Ipv6>> v6;
   };
   // Computes the re-assignments rebind_churning_devices(epoch_seed) would
   // apply. `cursor` is the per-AS fresh-lease cursor (advanced in place);
@@ -180,6 +187,8 @@ class World {
   std::unordered_map<net::IpAddress, DeviceIndex> address_map_;
   // /64s on which one device answers every interface identifier.
   std::unordered_map<std::uint64_t, DeviceIndex> aliased_v6_prefixes_;
+  // Set by reindex(): no address is held by two interfaces.
+  bool unique_holders_ = false;
 };
 
 }  // namespace snmpv3fp::topo

@@ -1,6 +1,7 @@
 #include "topo/world_model.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "topo/datasets.hpp"
 
@@ -51,14 +52,16 @@ void MaterializedWorldModel::apply_churn(std::uint64_t epoch_seed) {
 
 std::vector<net::IpAddress> MaterializedWorldModel::campaign_targets(
     net::Family family, std::uint64_t churn_seed) const {
-  // The union the campaign orchestrator historically computed inline:
-  // probe every address assigned in either epoch (probing known-dead space
-  // only burns simulated time), without churning a copy of the world.
-  std::vector<net::IpAddress> targets = world_->addresses(family);
-  const auto later = world_->addresses_after_churn(churn_seed, family);
-  targets.insert(targets.end(), later.begin(), later.end());
-  std::sort(targets.begin(), targets.end());
-  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  // Probe every address assigned in either epoch (probing known-dead space
+  // only burns simulated time). A post-churn address is either a current
+  // one or a churned slot's new lease, so the union is a linear merge of
+  // two sorted lists — no churned copy of the world, no post-churn list.
+  const auto current = world_->addresses(family);
+  const auto leases = world_->churn_leases(churn_seed, family);
+  std::vector<net::IpAddress> targets;
+  targets.reserve(current.size() + leases.size());
+  std::set_union(current.begin(), current.end(), leases.begin(), leases.end(),
+                 std::back_inserter(targets));
   return targets;
 }
 

@@ -75,8 +75,7 @@ class WorldModel {
 
   // Every address of `family` assigned in the current OR the post-churn
   // epoch, sorted and deduplicated — the campaign's default target list.
-  // Subsumes World::addresses + World::addresses_after_churn without the
-  // caller pre-enumerating or deep-copying anything.
+  // Computed without the caller pre-enumerating or deep-copying anything.
   virtual std::vector<net::IpAddress> campaign_targets(
       net::Family family, std::uint64_t churn_seed) const = 0;
 

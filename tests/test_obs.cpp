@@ -349,6 +349,12 @@ TEST(ObsContract, RunReportJsonMatchesPipelineAccounting) {
   EXPECT_TRUE(span_names.contains("pipeline.v4.join"));
   EXPECT_TRUE(span_names.contains("pipeline.v6.join"));
   EXPECT_FALSE(span_names.contains("pipeline.join"));
+  // Campaign set-up is spanned: the v4 target union (the v6 campaign
+  // probes an explicit hitlist, so it computes none) and both churns.
+  EXPECT_TRUE(span_names.contains("pipeline.v4.target_union"));
+  EXPECT_FALSE(span_names.contains("pipeline.v6.target_union"));
+  EXPECT_TRUE(span_names.contains("pipeline.v4.churn"));
+  EXPECT_TRUE(span_names.contains("pipeline.v6.churn"));
 
   // Campaign virtual time: the scans advanced the simulated clock.
   bool campaign_has_virtual = false;

@@ -6,6 +6,8 @@
 #include "topo/datasets.hpp"
 #include "topo/generator.hpp"
 #include "topo/vendor.hpp"
+#include "topo/world_model.hpp"
+#include "util/rng.hpp"
 
 namespace snmpv3fp::topo {
 namespace {
@@ -209,6 +211,178 @@ TEST(Churn, RecyclesAddressesToOtherDevices) {
   // somebody else (drives the paper's "inconsistent engine ID" filter).
   if (old_owner.size() > 20)
     EXPECT_GT(reused_by_other, old_owner.size() / 4);
+}
+
+// Tiny worlds over 20 generator seeds, for the churn identities below.
+const std::vector<World>& seeded_tiny_worlds() {
+  static const std::vector<World> worlds = [] {
+    std::vector<World> out;
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      WorldConfig config = WorldConfig::tiny();
+      config.seed = 1000 + seed;
+      out.push_back(generate_world(config));
+    }
+    return out;
+  }();
+  return worlds;
+}
+
+bool has_shared_address(const World& world) {
+  std::size_t v4 = 0, v6 = 0;
+  for (const auto& device : world.devices) {
+    v4 += device.v4_count();
+    v6 += device.v6_count();
+  }
+  return v4 != world.addresses(net::Family::kIpv4).size() ||
+         v6 != world.addresses(net::Family::kIpv6).size();
+}
+
+// One random interface identifier inside each /64 an aliased device
+// answers on.
+void add_aliased_probes(const World& world, util::Rng& rng,
+                        std::vector<net::IpAddress>& probes) {
+  for (const auto& device : world.devices) {
+    if (!device.answers_whole_v6_prefix) continue;
+    for (const auto& itf : device.interfaces) {
+      if (!itf.v6) continue;
+      std::array<std::uint16_t, 8> groups{};
+      for (int g = 0; g < 4; ++g) groups[g] = itf.v6->group(g);
+      for (int g = 4; g < 8; ++g)
+        groups[g] = static_cast<std::uint16_t>(rng.next());
+      probes.emplace_back(net::Ipv6::from_groups(groups));
+    }
+  }
+}
+
+// Rebinds `world` (which patches its index when it can) and compares the
+// result against a copy whose index is rebuilt from scratch: the device
+// behind every pre- and post-churn address and behind a random address
+// of each aliased /64, the address lists and the indexed address counts.
+void rebind_and_expect_rebuilt_index(World& world, std::uint64_t epoch_seed,
+                                     util::Rng& rng) {
+  std::vector<net::IpAddress> probes;
+  for (const auto family : {net::Family::kIpv4, net::Family::kIpv6}) {
+    const auto before = world.addresses(family);
+    probes.insert(probes.end(), before.begin(), before.end());
+  }
+  add_aliased_probes(world, rng, probes);
+  world.rebind_churning_devices(epoch_seed);
+  World rebuilt = world;
+  rebuilt.reindex();
+  for (const auto family : {net::Family::kIpv4, net::Family::kIpv6}) {
+    const auto after = world.addresses(family);
+    probes.insert(probes.end(), after.begin(), after.end());
+    EXPECT_EQ(after, rebuilt.addresses(family));
+    EXPECT_EQ(world.address_count(family), rebuilt.address_count(family));
+  }
+  add_aliased_probes(world, rng, probes);
+  std::size_t mismatches = 0;
+  for (const auto& address : probes)
+    mismatches +=
+        world.device_index_at(address) != rebuilt.device_index_at(address);
+  EXPECT_EQ(mismatches, 0u) << "of " << probes.size() << " probed addresses";
+}
+
+TEST(Churn, PatchedIndexMatchesRebuild) {
+  util::Rng rng(0x5eed);
+  std::uint64_t epoch_seed = 0xfeed;
+  for (const World& generated : seeded_tiny_worlds()) {
+    // Generated worlds give every address one holder, so these rebinds
+    // patch the index in place.
+    EXPECT_FALSE(has_shared_address(generated));
+    World world = generated;
+    rebind_and_expect_rebuilt_index(world, ++epoch_seed, rng);
+    rebind_and_expect_rebuilt_index(world, ++epoch_seed, rng);
+  }
+
+  // Fallback 1: static devices share churning devices' addresses. Each
+  // churning device indexes later, so it owns the address until it moves
+  // and the static holder must take it back.
+  {
+    World world = seeded_tiny_worlds().front();
+    std::vector<Interface*> static_v4, churning_v4;
+    for (auto& device : world.devices)
+      for (auto& itf : device.interfaces)
+        if (itf.v4) (device.churns ? churning_v4 : static_v4).push_back(&itf);
+    ASSERT_GE(static_v4.size(), 16u);
+    ASSERT_GE(churning_v4.size(), 16u);
+    for (std::size_t k = 0; k < 16; ++k) {
+      const Interface* churning = churning_v4[churning_v4.size() - 1 - k];
+      ASSERT_LT(world.device_index_at(net::IpAddress(*static_v4[k]->v4)),
+                world.device_index_at(net::IpAddress(*churning->v4)));
+      static_v4[k]->v4 = churning->v4;
+    }
+    world.reindex();
+    ASSERT_TRUE(has_shared_address(world));
+    rebind_and_expect_rebuilt_index(world, 0xfeed, rng);
+    rebind_and_expect_rebuilt_index(world, 0xbeef, rng);
+  }
+
+  // Fallback 2: churning devices that answer on their whole /64, each on a
+  // /64 of its own, which moves away with the lease.
+  {
+    World world = seeded_tiny_worlds().front();
+    std::uint16_t aliased = 0;
+    for (auto& device : world.devices) {
+      if (!device.churns || device.v6_count() == 0 || aliased == 8) continue;
+      device.answers_whole_v6_prefix = true;
+      for (auto& itf : device.interfaces) {
+        if (!itf.v6) continue;
+        std::array<std::uint16_t, 8> groups{};
+        for (int g = 0; g < 8; ++g) groups[g] = itf.v6->group(g);
+        groups[2] = 0xa11a;
+        groups[3] = aliased;
+        itf.v6 = net::Ipv6::from_groups(groups);
+      }
+      ++aliased;
+    }
+    ASSERT_EQ(aliased, 8u);
+    world.reindex();
+    rebind_and_expect_rebuilt_index(world, 0xfeed, rng);
+    rebind_and_expect_rebuilt_index(world, 0xbeef, rng);
+  }
+
+  // Fallback 3: the last static device already holds a fresh lease the
+  // rebind hands out, so binding the lease collides.
+  {
+    World world = seeded_tiny_worlds().front();
+    const auto current = world.addresses(net::Family::kIpv4);
+    std::optional<net::IpAddress> fresh;
+    for (const auto& lease : world.churn_leases(0xfeed, net::Family::kIpv4))
+      if (!std::binary_search(current.begin(), current.end(), lease))
+        fresh = lease;
+    ASSERT_TRUE(fresh.has_value());
+    Interface* holder = nullptr;
+    for (auto& device : world.devices)
+      for (auto& itf : device.interfaces)
+        if (!device.churns && itf.v4) holder = &itf;
+    ASSERT_NE(holder, nullptr);
+    holder->v4 = fresh->v4();
+    world.reindex();
+    ASSERT_FALSE(has_shared_address(world));
+    rebind_and_expect_rebuilt_index(world, 0xfeed, rng);
+  }
+}
+
+// The target union is a linear merge of the current addresses with the
+// churned slots' new leases; pin it against churning a copy of the world.
+TEST(Churn, CampaignTargetsEqualTwoEpochUnion) {
+  std::uint64_t churn_seed = 0xc0ffee;
+  for (const World& generated : seeded_tiny_worlds()) {
+    World world = generated;
+    const MaterializedWorldModel model(world);
+    World churned = world;
+    churned.rebind_churning_devices(++churn_seed);
+    for (const auto family : {net::Family::kIpv4, net::Family::kIpv6}) {
+      auto expected = world.addresses(family);
+      const auto later = churned.addresses(family);
+      expected.insert(expected.end(), later.begin(), later.end());
+      std::sort(expected.begin(), expected.end());
+      expected.erase(std::unique(expected.begin(), expected.end()),
+                     expected.end());
+      EXPECT_EQ(model.campaign_targets(family, churn_seed), expected);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

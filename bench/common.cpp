@@ -9,51 +9,6 @@
 
 namespace snmpv3fp::benchx {
 
-namespace {
-
-// Cached pipeline run plus the RunReport observed alongside it. The
-// observer is execution-only (tests/test_obs.cpp proves bit-identical
-// results), so benches consuming only the PipelineResult see the exact
-// run they always did.
-struct ObservedRun {
-  core::PipelineResult result;
-  core::RunReport report;
-};
-
-ObservedRun run_observed(const char* label, topo::WorldConfig world) {
-  std::fprintf(stderr, "[bench] building %s world + campaigns...\n", label);
-  obs::RunObserver observer;
-  core::PipelineOptions options;
-  options.world = std::move(world);
-  options.obs.observer = &observer;
-  ObservedRun run;
-  run.result = core::run_full_pipeline(options);
-  run.report = core::build_run_report(run.result, options, &observer);
-  return run;
-}
-
-const ObservedRun& full_run() {
-  static const ObservedRun run =
-      run_observed("full-Internet", topo::WorldConfig::full_internet());
-  return run;
-}
-
-const ObservedRun& router_run() {
-  static const ObservedRun run =
-      run_observed("router-focus", topo::WorldConfig::router_focus());
-  return run;
-}
-
-}  // namespace
-
-const core::PipelineResult& full_pipeline() { return full_run().result; }
-
-const core::PipelineResult& router_pipeline() { return router_run().result; }
-
-const core::RunReport& full_run_report() { return full_run().report; }
-
-const core::RunReport& router_run_report() { return router_run().report; }
-
 std::string build_flags() {
 #ifdef SNMPFP_BUILD_FLAGS
   std::string flags = SNMPFP_BUILD_FLAGS;
@@ -74,20 +29,6 @@ void print_header(const std::string& experiment, const std::string& title) {
   std::cout << "\n=== " << experiment << ": " << title << " ===\n"
             << "(simulated reproduction of Albakour et al., IMC 2021 — "
                "scaled world; compare shapes/ratios, not magnitudes)\n\n";
-}
-
-void print_ecdf_at(const std::string& label, const util::Ecdf& ecdf,
-                   const std::vector<double>& xs) {
-  std::cout << label << " (n=" << ecdf.size() << ")\n";
-  for (const double x : xs) {
-    std::printf("  F(%-10.6g) = %.3f\n", x, ecdf.fraction_at_most(x));
-  }
-}
-
-void print_paper_row(const std::string& metric, const std::string& paper,
-                     const std::string& measured) {
-  std::printf("  %-52s paper: %-14s measured: %s\n", metric.c_str(),
-              paper.c_str(), measured.c_str());
 }
 
 double best_wall_ms(int repeats, const std::function<void()>& fn) {

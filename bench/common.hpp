@@ -1,6 +1,5 @@
-// Shared plumbing for the experiment benches: cached pipeline runs (one
-// per world flavour) and small print helpers so every bench emits the same
-// "paper vs measured" layout.
+// Shared plumbing for the benches: a common header, wall-clock timing and
+// machine-readable JSON artifacts with run provenance.
 #pragma once
 
 #include <chrono>
@@ -17,34 +16,13 @@
 
 namespace snmpv3fp::benchx {
 
-// Full-Internet world (all device kinds): Figures 4-9, 11, Tables 1-3.
-const core::PipelineResult& full_pipeline();
-
-// Router-focused world (deep infrastructure): Figures 10, 12-20.
-const core::PipelineResult& router_pipeline();
-
-// RunReports for the cached pipeline runs above. The cached runs execute
-// under a RunObserver, so these carry spans, metrics and shard progress in
-// addition to the accounting sections.
-const core::RunReport& full_run_report();
-const core::RunReport& router_run_report();
-
 // Build/run provenance baked into bench JSON artifacts (see
 // JsonRows::meta): compiler + flags the bench binary was built with.
 std::string build_flags();
 
 void print_header(const std::string& experiment, const std::string& title);
 
-// Prints an ECDF as "F(x)" rows at the given x positions.
-void print_ecdf_at(const std::string& label, const util::Ecdf& ecdf,
-                   const std::vector<double>& xs);
-
-// One "paper vs measured" comparison row.
-void print_paper_row(const std::string& metric, const std::string& paper,
-                     const std::string& measured);
-
-// Wall-clock stopwatch (steady_clock) for benches that time whole stages
-// rather than google-benchmark iterations.
+// Wall-clock stopwatch (steady_clock) for benches that time whole stages.
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Repo verification driver:
-#   1. Tier-1: configure + build + full ctest suite in build/.
+#   1. Tier-1: configure + build + full ctest suite in build/. The suite
+#      includes the bench_repro test: it rebuilds every paper artifact
+#      (Tables 1-3, Figs. 4-20, §5-§9, the ablation) from the
+#      full-Internet and router-focus worlds and fails when any paper
+#      claim leaves its band, so this step gates the reproduction itself.
 #   2. Focused race check: TSan build in build-tsan/ running the tests that
 #      exercise the parallel execution and observability layers
 #      (test_parallel, test_obs, test_telemetry) plus test_worlds — the

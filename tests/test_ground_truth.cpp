@@ -40,12 +40,16 @@ TEST_P(GroundTruth, AliasPrecisionAcrossSeeds) {
       },
       universe);
   ASSERT_GT(metrics.inferred_pairs, 0u);
+  // Measured over the three seeds: precision 1.000 on each, recall
+  // 0.474 / 0.876 / 0.820 for seeds 7 / 1001 / 20210416. Recall's floor
+  // sits 0.05 below its lowest value; precision's 0.97 already sits above
+  // that rule's 0.95.
   EXPECT_GT(metrics.precision(), 0.97) << "seed " << GetParam();
   // Recall is substantially below 1 even over the filtered universe: bin
   // straddling and clock drift between the IPv6 (day 0-1) and IPv4
   // (day 3-9) campaigns split some true cross-family aliases. That is the
   // honest cost of the conservative keying the paper chose.
-  EXPECT_GT(metrics.recall(), 0.4) << "seed " << GetParam();
+  EXPECT_GT(metrics.recall(), 0.424) << "seed " << GetParam();
 }
 
 TEST_P(GroundTruth, DualStackSetsNeverMixDevices) {

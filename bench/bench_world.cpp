@@ -82,10 +82,10 @@ SweepResult run_sweep(std::uint64_t addresses) {
   scan::CampaignOptions options;
   options.seed = 20210416;
   // Virtual-time rate: it never limits wall speed, but it DOES size the
-  // outstanding-probe window (rate x sent_horizon entries per shard) — the
+  // prober's send ring (rate x sent_horizon slots per shard) — the
   // constant working set the flat-RSS gate measures. 50 kpps keeps that
-  // window (~70k entries) well under the gate floor so even the smallest
-  // sweep measures the plateau, not the ramp.
+  // ring (~70k 16-byte slots) well under the gate floor so even the
+  // smallest sweep measures the plateau, not the ramp.
   options.rate_pps = 50000.0;
   scan::TargetSpec spec;
   for (const auto& region : config.regions) spec.ranges.push_back(region.v4);

@@ -16,8 +16,10 @@
 #   3. Focused memory/UB check: ASan+UBSan build in build-asan/ running the
 #      hostile-input corpus plus the decode-path suites (test_hostile,
 #      test_asn1, test_snmp_message, test_checkpoint, test_store,
-#      test_wire), the filter funnel's oracle suite (test_columnar's
-#      ColumnarFilterTest) and the whole pacer suite (test_pacer's unit
+#      test_wire), the probe-validation suites (test_probe_validation's
+#      id-permutation and forged-REPORT tests, plus test_checkpoint's
+#      send-window codec, bound and wrapped-ring resume tests), the filter
+#      funnel's oracle suite (test_columnar's ColumnarFilterTest) and the whole pacer suite (test_pacer's unit
 #      tests on a caller clock, burst 1 and wall-clock bursts, plus
 #      test_checkpoint's campaign-level Pacer test), and test_topo's Churn
 #      suite, whose patched address index erases and re-inserts hash-map
@@ -114,9 +116,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake -B build-asan -S . -DSNMPFP_SANITIZE=address
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
-               test_pacer test_store test_wire test_columnar test_topo
+               test_pacer test_store test_wire test_columnar test_topo \
+               test_probe_validation
   (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn)\.")
 fi
 
 echo "==> record-store check (bench_store --quick: checkpoint bound, schema)"

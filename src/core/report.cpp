@@ -44,6 +44,12 @@ RunReport::CampaignReport summarize_campaign(const std::string& family,
   out.undecodable_responses =
       pair.scan1.undecodable_responses + pair.scan2.undecodable_responses;
   out.pacer_backoffs = pair.scan1.pacer_backoffs + pair.scan2.pacer_backoffs;
+  out.unverified_responses =
+      pair.scan1.unverified_responses + pair.scan2.unverified_responses;
+  out.off_target_responses =
+      pair.scan1.off_target_responses + pair.scan2.off_target_responses;
+  out.send_ring_overruns =
+      pair.scan1.send_ring_overruns + pair.scan2.send_ring_overruns;
   out.fabric = pair.fabric_stats;
   out.net_io = pair.net_io;
   return out;
@@ -171,6 +177,12 @@ std::string RunReport::to_json() const {
             static_cast<std::uint64_t>(campaign.undecodable_responses));
     json.kv("pacer_backoffs",
             static_cast<std::uint64_t>(campaign.pacer_backoffs));
+    json.kv("unverified_responses",
+            static_cast<std::uint64_t>(campaign.unverified_responses));
+    json.kv("off_target_responses",
+            static_cast<std::uint64_t>(campaign.off_target_responses));
+    json.kv("send_ring_overruns",
+            static_cast<std::uint64_t>(campaign.send_ring_overruns));
     json.key("fabric");
     write_fabric(json, campaign.fabric);
     json.key("net_io");
@@ -320,19 +332,27 @@ std::string RunReport::to_table() const {
   }
 
   // Robustness counters only clutter the output when something actually
-  // dropped, backed off, or got corrupted — clean fixed-rate runs skip it.
+  // dropped, failed validation, backed off, or got corrupted — clean
+  // fixed-rate runs skip it.
   bool any_robustness = false;
   for (const auto& campaign : campaigns)
     any_robustness |= campaign.undecodable_responses != 0 ||
+                      campaign.unverified_responses != 0 ||
+                      campaign.off_target_responses != 0 ||
+                      campaign.send_ring_overruns != 0 ||
                       campaign.pacer_backoffs != 0 ||
                       campaign.fabric.probes_corrupted != 0 ||
                       campaign.fabric.responses_corrupted != 0;
   if (any_robustness) {
     util::TablePrinter robustness_table(
-        {"Campaign", "Undecodable", "Backoffs", "ProbeCorrupt", "RespCorrupt"});
+        {"Campaign", "Undecodable", "Unverified", "OffTarget", "RingOverruns",
+         "Backoffs", "ProbeCorrupt", "RespCorrupt"});
     for (const auto& campaign : campaigns)
       robustness_table.add_row(
           {campaign.family, util::fmt_count(campaign.undecodable_responses),
+           util::fmt_count(campaign.unverified_responses),
+           util::fmt_count(campaign.off_target_responses),
+           util::fmt_count(campaign.send_ring_overruns),
            util::fmt_count(campaign.pacer_backoffs),
            util::fmt_count(campaign.fabric.probes_corrupted),
            util::fmt_count(campaign.fabric.responses_corrupted)});

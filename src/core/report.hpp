@@ -38,6 +38,13 @@ struct RunReport {
     // adaptive-pacer backoff events (zero unless PacerConfig::adaptive).
     std::size_t undecodable_responses = 0;
     std::size_t pacer_backoffs = 0;
+    // Probe validation across both scans (scan/record.hpp): REPORTs whose
+    // echoed ids name no sent probe, REPORTs from an address that is not
+    // the named probe's target, and send-ring overruns. All zero on a
+    // clean run.
+    std::size_t unverified_responses = 0;
+    std::size_t off_target_responses = 0;
+    std::size_t send_ring_overruns = 0;
     sim::FabricStats fabric;
     // Kernel I/O and drop-cause accounting for net-engine campaigns
     // (net/batched_udp.hpp): syscall batching counters plus the send/recv

@@ -64,6 +64,9 @@ ScanResult merge_shard_results(const std::vector<ScanResult>& shards,
     merged.probe_bytes = std::max(merged.probe_bytes, shard.probe_bytes);
     merged.undecodable_responses += shard.undecodable_responses;
     merged.pacer_backoffs += shard.pacer_backoffs;
+    merged.unverified_responses += shard.unverified_responses;
+    merged.off_target_responses += shard.off_target_responses;
+    merged.send_ring_overruns += shard.send_ring_overruns;
     sources.push_back(shard.store.get());
   }
   const std::string name = label + "_merged";
@@ -587,9 +590,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         probe.send_offset = 0;
       }
       // Generated sweeps cover orders of magnitude more dead space than
-      // they have responders; forgetting send times past the worst-case
-      // round trip keeps the outstanding-probe map constant-sized. List
-      // mode keeps the historical retain-everything behavior bit for bit.
+      // they have responders; a horizon just past the worst-case round
+      // trip keeps the send ring small. List mode keeps the default
+      // horizon, response_timeout.
       if (spec_mode)
         probe.sent_horizon = options.fabric.max_rtt + util::kSecond;
       probe.pacer = options.pacer;

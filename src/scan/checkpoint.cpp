@@ -1,6 +1,7 @@
 #include "scan/checkpoint.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 
 #include "obs/json.hpp"
@@ -103,6 +104,12 @@ void write_scan_result(JsonWriter& json, const ScanResult& result) {
           static_cast<std::uint64_t>(result.undecodable_responses));
   json.kv("pacer_backoffs",
           static_cast<std::uint64_t>(result.pacer_backoffs));
+  json.kv("unverified_responses",
+          static_cast<std::uint64_t>(result.unverified_responses));
+  json.kv("off_target_responses",
+          static_cast<std::uint64_t>(result.off_target_responses));
+  json.kv("send_ring_overruns",
+          static_cast<std::uint64_t>(result.send_ring_overruns));
   json.end_object();
 }
 
@@ -115,6 +122,9 @@ ScanResult read_scan_result(const JsonValue& value) {
   result.probe_bytes = get_u64(value, "probe_bytes");
   result.undecodable_responses = get_u64(value, "undecodable_responses");
   result.pacer_backoffs = get_u64(value, "pacer_backoffs");
+  result.unverified_responses = get_u64(value, "unverified_responses");
+  result.off_target_responses = get_u64(value, "off_target_responses");
+  result.send_ring_overruns = get_u64(value, "send_ring_overruns");
   return result;
 }
 
@@ -258,12 +268,12 @@ void write_shard_state(JsonWriter& json, const ShardScanState& state) {
   write_pacer(json, state.pacer);
   json.key("partial");
   write_scan_result(json, state.partial);
-  json.key("sent_at").begin_array();
-  for (const auto& [address, time] : state.sent_at) {
-    json.begin_object();
-    json.kv("target", address.to_string());
-    json.kv("time", static_cast<std::int64_t>(time));
-    json.end_object();
+  json.key("send_window").begin_array();
+  for (const auto& sent : state.send_window) {
+    json.begin_array();
+    json.value(sent.seq);
+    json.value(static_cast<std::int64_t>(sent.send_time));
+    json.end_array();
   }
   json.end_array();
   json.key("fabric");
@@ -273,7 +283,40 @@ void write_shard_state(JsonWriter& json, const ShardScanState& state) {
   json.end_object();
 }
 
-ShardScanState read_shard_state(const JsonValue& value) {
+// A JSON number that is an exact integer: no fraction, and inside the
+// +-2^53 range a double carries without rounding.
+std::optional<std::int64_t> exact_integer(const JsonValue& value) {
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  if (value.kind() != JsonValue::Kind::kNumber) return std::nullopt;
+  const double number = value.as_number();
+  if (!(std::abs(number) <= kExactLimit) || number != std::trunc(number))
+    return std::nullopt;
+  return static_cast<std::int64_t>(number);
+}
+
+// The send window fails closed: nullopt when it is absent, or on any entry
+// that is not a [seq, time] pair of exact integers, repeats or goes back on
+// a seq, or names a probe at or past the cursor.
+std::optional<std::vector<SentProbe>> read_send_window(const JsonValue* value,
+                                                       std::size_t cursor) {
+  if (value == nullptr || !value->is_array()) return std::nullopt;
+  std::vector<SentProbe> window;
+  window.reserve(value->items().size());
+  for (const auto& item : value->items()) {
+    if (!item.is_array() || item.items().size() != 2) return std::nullopt;
+    const auto seq = exact_integer(item.items()[0]);
+    const auto time = exact_integer(item.items()[1]);
+    if (!seq || !time || *seq < 0 ||
+        static_cast<std::uint64_t>(*seq) >= cursor ||
+        (!window.empty() &&
+         static_cast<std::uint64_t>(*seq) <= window.back().seq))
+      return std::nullopt;
+    window.push_back({static_cast<std::uint64_t>(*seq), *time});
+  }
+  return window;
+}
+
+std::optional<ShardScanState> read_shard_state(const JsonValue& value) {
   ShardScanState state;
   state.shard = get_u64(value, "shard");
   state.cursor = get_u64(value, "cursor");
@@ -285,13 +328,9 @@ ShardScanState read_shard_state(const JsonValue& value) {
     state.pacer = read_pacer(*pacer);
   if (const auto* partial = value.find("partial"))
     state.partial = read_scan_result(*partial);
-  if (const auto* sent = value.find("sent_at");
-      sent != nullptr && sent->is_array())
-    for (const auto& item : sent->items()) {
-      const auto address = net::IpAddress::parse(get_string(item, "target"));
-      if (address) state.sent_at.emplace_back(address.value(),
-                                              get_i64(item, "time"));
-    }
+  auto window = read_send_window(value.find("send_window"), state.cursor);
+  if (!window.has_value()) return std::nullopt;
+  state.send_window = std::move(window).value();
   if (const auto* fabric = value.find("fabric"))
     state.fabric = read_fabric_state(*fabric);
   if (const auto* manifest = value.find("store"))
@@ -338,8 +377,11 @@ std::optional<CampaignCheckpoint> CampaignCheckpoint::from_json(
     checkpoint.scan1_manifest = store::read_manifest_json(*manifest);
   if (const auto* shards = root->find("shard_states");
       shards != nullptr && shards->is_array())
-    for (const auto& item : shards->items())
-      checkpoint.shard_states.push_back(read_shard_state(item));
+    for (const auto& item : shards->items()) {
+      auto state = read_shard_state(item);
+      if (!state.has_value()) return std::nullopt;
+      checkpoint.shard_states.push_back(std::move(state).value());
+    }
   if (const auto* fabrics = root->find("scan_boundary_fabrics");
       fabrics != nullptr && fabrics->is_array())
     for (const auto& item : fabrics->items())

@@ -12,11 +12,11 @@ Pacer::Pacer(double target_rate_pps, const PacerConfig& config, util::Rng& rng)
   config_.burst_probes = std::max<std::size_t>(config_.burst_probes, 1);
 }
 
-util::VTime Pacer::gap() const {
+util::VTime Pacer::gap_at(double rate_pps) {
   // Same arithmetic as the historical fixed-gap prober, so the default
   // (never-backed-off) schedule is bit-identical to the pre-pacer code.
   return static_cast<util::VTime>(static_cast<double>(util::kSecond) /
-                                  std::max(state_.rate_pps, 1.0));
+                                  std::max(rate_pps, 1.0));
 }
 
 util::VTime Pacer::on_probe_sent(util::VTime now) {

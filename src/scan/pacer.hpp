@@ -98,8 +98,12 @@ class Pacer {
   const PacerState& state() const { return state_; }
   void restore(const PacerState& state);
 
+  // The integer inter-probe gap at `rate_pps`. Backoffs only lower the
+  // rate, so the gap at the target rate is the shortest the pacer uses.
+  static util::VTime gap_at(double rate_pps);
+
  private:
-  util::VTime gap() const;
+  util::VTime gap() const { return gap_at(state_.rate_pps); }
   // Closes a full window: returns the jitter delay to apply (0 unless a
   // backoff fired).
   util::VTime evaluate_window();

@@ -1,10 +1,12 @@
 #include "scan/prober.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <optional>
+#include <unordered_map>
 
 #include "obs/log.hpp"
+#include "scan/probe_ids.hpp"
 #include "snmp/message.hpp"
 #include "store/record_store.hpp"
 #include "wire/probe_template.hpp"
@@ -13,13 +15,6 @@
 namespace snmpv3fp::scan {
 
 namespace {
-// msg_id/request_id in [128, 32767] encode as exactly two content bytes,
-// which keeps the discovery probe at the paper's 60-byte payload
-// (88 bytes on the IPv4 wire, 108 on IPv6).
-std::int32_t two_byte_id(util::Rng& rng) {
-  return static_cast<std::int32_t>(128 + rng.next_below(32767 - 128));
-}
-
 // The shard's progress after `targets_sent` probes: the values a timeline
 // tick and a status row both report.
 obs::TimelinePoint progress(std::size_t targets_sent, const ScanResult& result,
@@ -34,15 +29,97 @@ obs::TimelinePoint progress(std::size_t targets_sent, const ScanResult& result,
   point.store_resident_bytes = static_cast<std::int64_t>(sink.resident_bytes());
   return point;
 }
-}  // namespace
 
-std::size_t Prober::drain(
-    ScanResult& result, store::RecordStore& sink,
-    std::unordered_map<net::IpAddress, SourceEntry>& by_source,
-    const std::unordered_map<net::IpAddress, util::VTime>& sent_at,
-    WireState& wire, obs::ShardTelemetry& telemetry) {
+// A responsive source we already hold a record for: its index in the
+// store plus a copy of its primary engine ID (sealed store records are
+// not random-access, so the duplicate-engine comparison needs the copy).
+struct SourceEntry {
+  std::size_t index = 0;
+  snmp::EngineId engine;
+};
+
+// Response-path decode state for one run: the fast-path switch plus the
+// path counters (copied out of ProbeConfig so drain can bump them).
+struct WireState {
+  bool enabled = true;
+  obs::Counter fast_parses;
+  obs::Counter fallbacks;
+};
+
+// The prober's only per-probe state: the send times of the probes inside
+// the horizon, in a flat ring indexed by seq mod capacity. A slot answers
+// for its probe only while it still holds that seq and the probe was sent
+// no more than `horizon` before the latest send.
+class SendRing {
+ public:
+  SendRing(std::size_t capacity, util::VTime horizon)
+      : slots_(std::max<std::size_t>(capacity, 1), SentProbe{kEmpty, 0}),
+        horizon_(horizon) {}
+
+  // Records probe `seq` sent at `time`; true when that overwrote a slot
+  // still inside the horizon (its probe loses its send time).
+  bool record(std::uint64_t seq, util::VTime time) {
+    SentProbe& slot = slots_[seq % slots_.size()];
+    const bool overrun =
+        slot.seq != kEmpty && slot.send_time >= time - horizon_;
+    slot = {seq, time};
+    last_send_ = time;
+    return overrun;
+  }
+
+  std::optional<util::VTime> send_time(std::uint64_t seq) const {
+    const SentProbe& slot = slots_[seq % slots_.size()];
+    if (slot.seq != seq || slot.send_time < last_send_ - horizon_)
+      return std::nullopt;
+    return slot.send_time;
+  }
+
+  // The entries inside the horizon after `sent` probes, ascending by seq:
+  // the checkpoint's send window.
+  std::vector<SentProbe> window(std::uint64_t sent) const {
+    std::vector<SentProbe> out;
+    const std::uint64_t first =
+        sent - std::min<std::uint64_t>(sent, slots_.size());
+    for (std::uint64_t seq = first; seq < sent; ++seq)
+      if (const auto time = send_time(seq)) out.push_back({seq, *time});
+    return out;
+  }
+
+  // Refills the ring from a checkpoint's window. Its last entry is the
+  // latest send, which is always inside its own horizon.
+  void restore(const std::vector<SentProbe>& window) {
+    for (const SentProbe& sent : window)
+      slots_[sent.seq % slots_.size()] = sent;
+    if (!window.empty()) last_send_ = window.back().send_time;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty =
+      std::numeric_limits<std::uint64_t>::max();
+
+  std::vector<SentProbe> slots_;
+  util::VTime horizon_;
+  util::VTime last_send_ = 0;
+};
+
+// Everything drain needs to accept a response: who answered before, which
+// probes have left, and where their send times are.
+struct Matcher {
+  const TargetSequence& order;
+  const ProbeIds& ids;
+  const SendRing& ring;
+  std::uint64_t sent = 0;
+  std::unordered_map<net::IpAddress, SourceEntry> by_source;
+};
+
+// Drains matured responses into `result` and its store; returns the
+// number of NEW records (first responses), the signal the adaptive pacer
+// watches.
+std::size_t drain(net::Transport& transport, ScanResult& result,
+                  store::RecordStore& sink, Matcher& matcher, WireState& wire,
+                  obs::ShardTelemetry& telemetry) {
   std::size_t new_records = 0;
-  while (auto datagram = transport_.receive_view()) {
+  while (auto datagram = transport.receive_view()) {
     // Fast path first: the single-pass scanner extracts engineID (as a
     // view), boots and time without allocating. Anything it rejects goes
     // through the full decoder — it accepts a strict subset with equal
@@ -73,6 +150,26 @@ std::size_t Prober::drain(
       }
       full = std::move(message).value();
     }
+
+    // Validation: the echoed ids must name a probe already sent, and the
+    // source must be that probe's target.
+    const auto& source = datagram->source.address;
+    const auto residue =
+        fast_ok ? matcher.ids.decode(fast.msg_id, fast.request_id)
+                : matcher.ids.decode(full->header.msg_id,
+                                     full->scoped_pdu.pdu.request_id);
+    const auto seq = residue.has_value()
+                         ? ProbeIds::latest_sent(*residue, matcher.sent)
+                         : std::nullopt;
+    if (!seq.has_value()) {
+      ++result.unverified_responses;
+      continue;
+    }
+    if (matcher.order.at(*seq) != source) {
+      ++result.off_target_responses;
+      continue;
+    }
+
     const util::ByteView engine_view =
         fast_ok ? fast.engine_id
                 : util::ByteView(full->usm.authoritative_engine_id.raw());
@@ -84,27 +181,27 @@ std::size_t Prober::drain(
                      : std::move(full->usm.authoritative_engine_id);
     };
 
-    const auto& source = datagram->source.address;
-    const auto it = by_source.find(source);
-    if (it == by_source.end()) {
+    const auto it = matcher.by_source.find(source);
+    if (it == matcher.by_source.end()) {
       // First response from this address.
       ScanRecord record;
       record.target = source;
       record.engine_id = materialize_engine();
       record.engine_boots = fast_ok ? fast.engine_boots : full->usm.engine_boots;
       record.engine_time = fast_ok ? fast.engine_time : full->usm.engine_time;
-      if (const auto sent = sent_at.find(source); sent != sent_at.end()) {
-        record.send_time = sent->second;
+      if (const auto sent = matcher.ring.send_time(*seq)) {
+        record.send_time = *sent;
         // Virtual-clock RTT: deterministic, so the histogram (and its
         // percentiles) are identical at any thread count.
         telemetry.rtt_ms.observe(
-            static_cast<double>(datagram->time - sent->second) / 1000.0);
+            static_cast<double>(datagram->time - *sent) / 1000.0);
       }
       record.receive_time = datagram->time;
       record.response_count = 1;
       record.response_bytes = datagram->payload.size();
       const std::size_t index = sink.append(record);
-      by_source.emplace(source, SourceEntry{index, std::move(record.engine_id)});
+      matcher.by_source.emplace(
+          source, SourceEntry{index, std::move(record.engine_id)});
       ++new_records;
     } else if (util::equal(engine_view, it->second.engine.raw())) {
       // The store's patch overlay reaches records in sealed blocks too.
@@ -115,6 +212,17 @@ std::size_t Prober::drain(
     }
   }
   return new_records;
+}
+}  // namespace
+
+std::size_t send_ring_capacity(std::uint64_t slice_length,
+                               const ProbeConfig& config) {
+  const util::VTime gap =
+      std::max<util::VTime>(Pacer::gap_at(config.rate_pps), 1);
+  const std::uint64_t window =
+      static_cast<std::uint64_t>(config.horizon() / gap) +
+      std::max<std::size_t>(config.pacer.burst_probes, 1) + 1;
+  return static_cast<std::size_t>(std::min(slice_length, window));
 }
 
 ScanResult Prober::run(std::span<const net::IpAddress> targets,
@@ -159,14 +267,9 @@ ScanResult Prober::run_impl(const TargetSequence& order,
           : std::make_shared<store::RecordStore>(store::StoreOptions{},
                                                  config.label);
   store::RecordStore& sink = *sink_owner;
-  std::unordered_map<net::IpAddress, SourceEntry> by_source;
-  std::unordered_map<net::IpAddress, util::VTime> sent_at;
-  // Outstanding sends in order, for sent_horizon pruning (empty when off).
-  std::deque<std::pair<util::VTime, net::IpAddress>> send_log;
-  // Generated sweeps can cover billions of positions; pre-sizing must
-  // follow the expected working set, not the sweep length.
-  const auto reserve_n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(order.size(), 65536));
+  const ProbeIds ids(config.seed);
+  SendRing ring(send_ring_capacity(order.size(), config), config.horizon());
+  Matcher matcher{order, ids, ring, 0, {}};
   std::size_t start_index = 0;
   util::VTime next_send = 0;
   // Rate-limit signal feed: track the transport counter so each drain
@@ -188,26 +291,19 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     auto cursor = sink.cursor();
     ScanRecord record;
     while (cursor.next(record))
-      by_source.emplace(record.target,
-                        SourceEntry{index++, std::move(record.engine_id)});
-    sent_at.reserve(reserve_n);
-    for (const auto& [address, time] : config.resume->sent_at)
-      sent_at.emplace(address, time);
-    if (config.sent_horizon > 0) {
-      // Rebuild the pruning log in the snapshot's (time, address) order so
-      // a resumed run forgets entries on exactly the same probes an
-      // uninterrupted run would (the snapshot is already sorted that way).
-      for (const auto& [address, time] : config.resume->sent_at)
-        send_log.emplace_back(time, address);
-    }
+      matcher.by_source.emplace(
+          record.target, SourceEntry{index++, std::move(record.engine_id)});
+    ring.restore(config.resume->send_window);
   } else {
     result.label = config.label;
     result.targets_probed = order.size();
     transport_.run_until(start_time);
     result.start_time = transport_.now();
     next_send = transport_.now() + config.send_offset;
-    by_source.reserve(reserve_n / 4);
-    sent_at.reserve(reserve_n);
+    // Generated sweeps can cover billions of positions; pre-sizing must
+    // follow the expected working set, not the sweep length.
+    matcher.by_source.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(order.size(), 65536) / 4));
   }
   result.store = sink_owner;
   const auto update_status = [&](std::size_t targets_sent, bool complete) {
@@ -223,21 +319,9 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   for (std::size_t i = start_index; i < order.size(); ++i) {
     const net::IpAddress target = order.at(i);
     transport_.run_until(next_send);
-    // Draw order matters for bit-compatibility with historical runs:
-    // request_id consumed the first draw when both ids were drawn inside
-    // the make_discovery_request call (right-to-left argument evaluation).
-    const std::int32_t request_id = two_byte_id(rng);
-    const std::int32_t msg_id = two_byte_id(rng);
+    const auto [msg_id, request_id] = ids.encode(i);
     const util::VTime send_time = transport_.now();
-    sent_at.emplace(target, send_time);
-    if (config.sent_horizon > 0) {
-      send_log.emplace_back(send_time, target);
-      const util::VTime cutoff = send_time - config.sent_horizon;
-      while (!send_log.empty() && send_log.front().first < cutoff) {
-        sent_at.erase(send_log.front().second);
-        send_log.pop_front();
-      }
-    }
+    if (ring.record(i, send_time)) ++result.send_ring_overruns;
     // Zero-copy frame path first: a batching transport hands out a
     // preallocated kernel-bound frame and the template stamps straight
     // into it — no scratch buffer, no copy between here and sendmmsg. The
@@ -271,8 +355,9 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       full_encodes.add();
     }
     next_send = pacer.on_probe_sent(send_time);
+    matcher.sent = i + 1;
     const std::size_t drained =
-        drain(result, sink, by_source, sent_at, wire, telemetry);
+        drain(transport_, result, sink, matcher, wire, telemetry);
     const auto rate_limit_now = transport_.rate_limit_signals();
     const auto rate_limit_delta =
         static_cast<std::size_t>(rate_limit_now - rate_limit_seen);
@@ -307,8 +392,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       state.pacer = pacer.state();
       state.partial = result;  // scalars; the records ride in the manifest
       state.store_manifest = sink.manifest();
-      state.sent_at.assign(sent_at.begin(), sent_at.end());
-      std::sort(state.sent_at.begin(), state.sent_at.end());
+      state.send_window = ring.window(i + 1);
       telemetry.flight.record(obs::FlightEventKind::kCheckpoint,
                               transport_.now(),
                               static_cast<std::int64_t>(i + 1));
@@ -317,7 +401,8 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     }
   }
   transport_.run_until(next_send + config.response_timeout);
-  drain(result, sink, by_source, sent_at, wire, telemetry);
+  matcher.sent = order.size();
+  drain(transport_, result, sink, matcher, wire, telemetry);
   pacer.on_rate_limit_signals(static_cast<std::size_t>(
       transport_.rate_limit_signals() - rate_limit_seen));
   sink.seal();

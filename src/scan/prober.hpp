@@ -1,9 +1,16 @@
 // The SNMPv3 discovery prober (the paper's ZMap role, §3.2).
 //
 // Sends one well-formed unauthenticated discovery packet per target at a
-// paced rate in randomized order, captures REPORT responses, and matches
-// them to targets by source address. Works against any net::Transport —
-// the simulated fabric or (for small target lists) a real UDP socket.
+// paced rate in randomized order and captures the REPORT responses.
+// Like ZMap it keeps no per-probe state for matching: probe `seq` of the
+// shard's slice carries ids derived from `seq` (scan/probe_ids.hpp), the
+// agent echoes them, and a response is accepted only when its ids decode
+// to a probe already sent AND its source is that probe's target. Anything
+// else is counted (ScanResult::unverified_responses / off_target_responses)
+// and never becomes a record. The one piece of per-probe state is a flat
+// ring of send times covering the response horizon, which stamps each
+// record's send_time. Works against any net::Transport — the simulated
+// fabric or (for small target lists) a real UDP socket.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +18,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -42,11 +48,11 @@ struct ProbeConfig {
   // is a real clock.
   PacerConfig pacer;
   // Checkpoint hook: after every `checkpoint_every_n_targets` probes the
-  // prober snapshots its state (cursor, RNG, pacer, store manifest,
-  // outstanding send times — the transport/fabric part is the caller's to
-  // add) and invokes `on_checkpoint`. Returning false aborts the run (a
-  // simulated kill); the partial return value is then superseded by the
-  // captured state.
+  // prober snapshots its state (cursor, RNG, pacer, store manifest, the
+  // send window — the transport/fabric part is the caller's to add) and
+  // invokes `on_checkpoint`. Returning false aborts the run (a simulated
+  // kill); the partial return value is then superseded by the captured
+  // state.
   std::size_t checkpoint_every_n_targets = 0;
   std::function<bool(ShardScanState&)> on_checkpoint;
   // Resume from a prior shard snapshot. The caller must have restored the
@@ -81,16 +87,27 @@ struct ProbeConfig {
   // (a couple of null checks per probe); everything behind them is
   // execution-only by the obs contract.
   obs::ShardTelemetry telemetry;
-  // Outstanding-probe horizon: when nonzero, send times older than this are
-  // forgotten (no response can still be matched to them). Bounds the
-  // sent_at working set to rate x horizon entries — constant over the sweep
-  // size — which streaming (generator-fed) census campaigns need; 0 keeps
-  // the historical retain-everything behavior bit-identically. Responses
-  // arriving later than the horizon after their probe lose only their RTT
-  // annotation (send_time stays 0), so size it past the transport's
-  // worst-case round trip.
+  // Send-time horizon: a first response gets its probe's send time only
+  // while that probe was sent no more than this long before the latest
+  // send. 0 means `response_timeout`. The send ring holds rate x horizon
+  // entries (send_ring_capacity), constant over the sweep size. Responses
+  // arriving later than the horizon after their probe still verify and
+  // still become records; they lose only their RTT annotation (send_time
+  // stays 0), so size it past the transport's worst-case round trip.
   util::VTime sent_horizon = 0;
+
+  util::VTime horizon() const {
+    return sent_horizon > 0 ? sent_horizon : response_timeout;
+  }
 };
+
+// Slots in the prober's send ring for a slice of `slice_length` probes:
+// every probe the pacer can release within one horizon — horizon / gap at
+// the target rate, plus the burst credit, plus one — and never more than
+// the slice. A probe that overwrites a slot still inside the horizon
+// counts as ScanResult::send_ring_overruns.
+std::size_t send_ring_capacity(std::uint64_t slice_length,
+                               const ProbeConfig& config);
 
 class Prober {
  public:
@@ -111,34 +128,9 @@ class Prober {
                  util::VTime start_time);
 
  private:
-  // A responsive source we already hold a record for: its index in the
-  // store plus a copy of its primary engine ID (sealed store records are
-  // not random-access, so the duplicate-engine comparison needs the copy).
-  struct SourceEntry {
-    std::size_t index = 0;
-    snmp::EngineId engine;
-  };
-
-  // Response-path decode state for one run: the fast-path switch plus the
-  // path counters (copied out of ProbeConfig so drain can bump them).
-  struct WireState {
-    bool enabled = true;
-    obs::Counter fast_parses;
-    obs::Counter fallbacks;
-  };
-
-  // Drains matured responses into `result` and its store; returns the
-  // number of NEW records (first responses), the signal the adaptive
-  // pacer watches.
-  std::size_t drain(
-      ScanResult& result, store::RecordStore& sink,
-      std::unordered_map<net::IpAddress, SourceEntry>& by_source,
-      const std::unordered_map<net::IpAddress, util::VTime>& sent_at,
-      WireState& wire, obs::ShardTelemetry& telemetry);
-
   // Shared probe loop. `rng` belongs to the caller because the span
-  // overload's shuffle must consume draws from the same stream that later
-  // produces the message ids (bit-compatibility with historical runs).
+  // overload's shuffle draws from the same stream the pacer's backoff
+  // jitter continues (bit-compatibility with historical runs).
   ScanResult run_impl(const TargetSequence& order, const ProbeConfig& config,
                       util::VTime start_time, util::Rng& rng);
 

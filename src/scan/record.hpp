@@ -56,6 +56,15 @@ struct ScanResult {
   // events (scan/pacer.hpp). Both zero on a clean fixed-rate scan.
   std::size_t undecodable_responses = 0;
   std::size_t pacer_backoffs = 0;
+  // Probe validation (scan/prober.hpp): decodable REPORTs whose echoed ids
+  // name no probe this scan sent, and ones whose ids name a probe whose
+  // target is not the responding address. Neither creates or touches a
+  // record. Sends that overwrote a send-ring slot still inside the
+  // prober's horizon (its capacity bounds every clean schedule, so this
+  // stays 0). All three are zero on a clean scan.
+  std::size_t unverified_responses = 0;
+  std::size_t off_target_responses = 0;
+  std::size_t send_ring_overruns = 0;
   // Responsive targets only, in the store's order: receive order straight
   // out of a prober, (send_time, target) order once a campaign has merged
   // its shards. Never null once a scan has run (a default-constructed or

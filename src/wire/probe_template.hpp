@@ -21,8 +21,8 @@
 
 namespace snmpv3fp::wire {
 
-// Ids whose INTEGER content is exactly two bytes — the range the prober
-// draws from (scan/prober.cpp two_byte_id).
+// Ids whose INTEGER content is exactly two bytes — the range the prober's
+// probe ids live in (scan/probe_ids.hpp).
 inline constexpr std::int32_t kMinTwoByteId = 128;
 inline constexpr std::int32_t kMaxTwoByteId = 32767;
 

@@ -37,6 +37,9 @@ inline void expect_same_scan(const scan::ScanResult& a,
   EXPECT_EQ(a.probe_bytes, b.probe_bytes);
   EXPECT_EQ(a.undecodable_responses, b.undecodable_responses);
   EXPECT_EQ(a.pacer_backoffs, b.pacer_backoffs);
+  EXPECT_EQ(a.unverified_responses, b.unverified_responses);
+  EXPECT_EQ(a.off_target_responses, b.off_target_responses);
+  EXPECT_EQ(a.send_ring_overruns, b.send_ring_overruns);
   expect_same_records(a.materialize_records(), b.materialize_records());
 }
 

@@ -8,12 +8,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "result_equal.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
+#include "scan/prober.hpp"
+#include "sim/fabric.hpp"
 #include "topo/generator.hpp"
 
 namespace snmpv3fp::scan {
@@ -86,6 +89,9 @@ CampaignCheckpoint sample_checkpoint() {
   scan1.probe_bytes = 60;
   scan1.undecodable_responses = 2;
   scan1.pacer_backoffs = 1;
+  scan1.unverified_responses = 4;
+  scan1.off_target_responses = 5;
+  scan1.send_ring_overruns = 6;
   checkpoint.scan1 = scan1;
   checkpoint.scan1_manifest.name = "scan1_merged";
   checkpoint.scan1_manifest.committed_records = 1024;
@@ -119,8 +125,8 @@ CampaignCheckpoint sample_checkpoint() {
   patch.extra_engines.push_back(
       snmp::EngineId(util::Bytes{0x80, 0x00, 0x1f, 0x88, 0x05}));
   shard.store_manifest.patches.emplace_back(7, patch);
-  shard.sent_at.emplace_back(net::IpAddress(net::Ipv4(203, 0, 113, 10)),
-                             12 * util::kSecond);
+  shard.send_window = {{3, 12 * util::kSecond},
+                       {16, 12 * util::kSecond + 3 * util::kMillisecond}};
 
   shard.fabric.clock = 42 * util::kSecond;
   shard.fabric.rng = rng.save_state();
@@ -208,7 +214,7 @@ TEST(CheckpointCodec, JsonRoundTripIsExact) {
   EXPECT_EQ(a.pacer.backoff_wait, b.pacer.backoff_wait);
   expect_same_scan(a.partial, b.partial);
   expect_same_manifest(a.store_manifest, b.store_manifest);
-  EXPECT_EQ(a.sent_at, b.sent_at);
+  EXPECT_EQ(a.send_window, b.send_window);
   expect_same_fabric_state(a.fabric, b.fabric);
   ASSERT_EQ(parsed->scan_boundary_fabrics.size(), 1u);
   expect_same_fabric_state(parsed->scan_boundary_fabrics[0],
@@ -234,6 +240,140 @@ TEST(CheckpointCodec, GarbageFileIsRejected) {
   std::fclose(file);
   EXPECT_FALSE(load_checkpoint(path).has_value());
   remove_checkpoint(path);
+}
+
+// Rewrites the first send-window entry of the first shard state in a
+// rendered checkpoint.
+std::string with_first_window_entry(const std::string& json,
+                                    const std::string& entry) {
+  const std::string key = "\"send_window\":[";
+  const auto begin = json.find(key);
+  EXPECT_NE(begin, std::string::npos);
+  const auto first = begin + key.size();
+  const auto end = json.find(']', first);
+  return json.substr(0, first) + entry + json.substr(end + 1);
+}
+
+TEST(CheckpointCodec, MalformedSendWindowFailsClosed) {
+  // The sample's shard: cursor 17, window [[3, t], [16, t']].
+  const std::string json = sample_checkpoint().to_json();
+  ASSERT_TRUE(CampaignCheckpoint::from_json(json).has_value());
+  ASSERT_TRUE(CampaignCheckpoint::from_json(
+                  with_first_window_entry(json, "[2,5]"))
+                  .has_value());
+  for (const std::string bad :
+       {"[17,5]",       // seq at the cursor: a probe not yet sent
+        "[16,5]",       // repeats the next entry's seq
+        "[3.5,5]",      // non-integer seq
+        "[3,5.25]",     // non-integer time
+        "[-1,5]",       // negative seq
+        "[\"3\",5]",  // string seq
+        "[3]",          // missing time
+        "[3,5,7]",      // extra field
+        "{\"seq\":3,\"time\":5}"})
+    EXPECT_FALSE(CampaignCheckpoint::from_json(
+                     with_first_window_entry(json, bad))
+                     .has_value())
+        << bad;
+  // Out of order: the larger seq first.
+  EXPECT_FALSE(CampaignCheckpoint::from_json(
+                   with_first_window_entry(json, "[16,5],[3,5]"))
+                   .has_value());
+  // A schema-3 shard state without the window at all.
+  std::string missing = json;
+  const auto at = missing.find("\"send_window\"");
+  missing.replace(at, std::string("\"send_window\"").size(),
+                  "\"sent_window\"");
+  EXPECT_FALSE(CampaignCheckpoint::from_json(missing).has_value());
+}
+
+// ---- send window ----------------------------------------------------------
+
+TEST(SendWindow, ListModeWindowHoldsAtMostRingCapacity) {
+  const auto world = topo::generate_world(topo::WorldConfig::tiny());
+  const auto targets = world.addresses(net::Family::kIpv4);
+  ProbeConfig config;
+  config.seed = 5;
+  config.rate_pps = 1000.0;                            // 1 ms gap
+  config.response_timeout = 500 * util::kMillisecond;  // past the max RTT
+  config.checkpoint_every_n_targets = 50;
+  // 500 gaps + burst 1 + 1: far fewer slots than the slice has probes.
+  const std::size_t capacity = send_ring_capacity(targets.size(), config);
+  ASSERT_EQ(capacity, 502u);
+  ASSERT_GT(targets.size(), 4 * capacity);
+
+  std::size_t boundaries = 0;
+  config.on_checkpoint = [&](ShardScanState& state) {
+    ++boundaries;
+    const auto& window = state.send_window;
+    EXPECT_LE(window.size(), capacity) << "cursor " << state.cursor;
+    // Exactly the probes sent within the horizon of the latest one.
+    EXPECT_EQ(window.size(), std::min<std::size_t>(state.cursor, 501));
+    EXPECT_EQ(window.back().seq + 1, state.cursor);
+    for (std::size_t i = 1; i < window.size(); ++i)
+      EXPECT_LT(window[i - 1].seq, window[i].seq);
+    return true;
+  };
+  sim::Fabric fabric(world, sim::FabricConfig{});
+  const net::Endpoint source{net::Ipv4(198, 51, 100, 7), 4444};
+  const ScanResult bounded = Prober(fabric, source).run(targets, config, 0);
+  EXPECT_EQ(boundaries, targets.size() / 50);
+  EXPECT_EQ(bounded.send_ring_overruns, 0u);
+  ASSERT_GT(bounded.responsive(), 0u);
+
+  // The bound costs nothing: a horizon covering the whole slice stamps
+  // the same send times.
+  ProbeConfig unbounded = config;
+  unbounded.on_checkpoint = nullptr;
+  unbounded.sent_horizon = 3600 * util::kSecond;
+  ASSERT_EQ(send_ring_capacity(targets.size(), unbounded), targets.size());
+  sim::Fabric other(world, sim::FabricConfig{});
+  expect_same_scan(bounded, Prober(other, source).run(targets, unbounded, 0));
+}
+
+TEST(SendWindow, ResumeFromAWrappedRingIsBitIdentical) {
+  // The ring has wrapped several times by the kill, so the resumed run
+  // stamps late responses only from the restored window.
+  const auto world = topo::generate_world(topo::WorldConfig::tiny());
+  const auto targets = world.addresses(net::Family::kIpv4);
+  const net::Endpoint source{net::Ipv4(198, 51, 100, 7), 4444};
+  ProbeConfig config;
+  config.seed = 6;
+  config.rate_pps = 1000.0;
+  config.response_timeout = 500 * util::kMillisecond;
+  ASSERT_GT(targets.size(), 4 * send_ring_capacity(targets.size(), config));
+  sim::Fabric reference_fabric(world, sim::FabricConfig{});
+  const ScanResult reference =
+      Prober(reference_fabric, source).run(targets, config, 0);
+
+  store::StoreOptions store_options;
+  store_options.dir = temp_path("send_window_resume");
+  std::filesystem::remove_all(store_options.dir);
+  std::optional<ShardScanState> saved;
+  ProbeConfig killed = config;
+  killed.checkpoint_every_n_targets = 2000;
+  killed.sink = std::make_shared<store::RecordStore>(store_options, "shard");
+  sim::Fabric fabric(world, sim::FabricConfig{});
+  killed.on_checkpoint = [&](ShardScanState& state) {
+    state.fabric = fabric.snapshot();
+    saved = state;
+    return false;
+  };
+  (void)Prober(fabric, source).run(targets, killed, 0);
+  ASSERT_TRUE(saved.has_value());
+  EXPECT_EQ(saved->send_window.size(), 501u);
+
+  ProbeConfig resumed = killed;
+  resumed.on_checkpoint = [](ShardScanState&) { return true; };
+  resumed.resume = &*saved;
+  resumed.sink = store::RecordStore::restore(store_options,
+                                             saved->store_manifest);
+  ASSERT_NE(resumed.sink, nullptr);
+  sim::Fabric resumed_fabric(world, sim::FabricConfig{});
+  resumed_fabric.restore(saved->fabric);
+  expect_same_scan(reference,
+                   Prober(resumed_fabric, source).run(targets, resumed, 0));
+  std::filesystem::remove_all(store_options.dir);
 }
 
 // ---- kill + resume --------------------------------------------------------
@@ -435,6 +575,39 @@ TEST_F(CheckpointCampaignTest, AdaptiveShapeChangeStartsFresh) {
   resume_options.checkpoint_every_n_targets = 256;
   topo::World world = fresh_world();
   const auto result = run_two_scan_campaign(world, resume_options);
+  EXPECT_FALSE(result.interrupted);
+  expect_same_scan(reference.scan1, result.scan1);
+  expect_same_scan(reference.scan2, result.scan2);
+  EXPECT_FALSE(load_checkpoint(path).has_value());
+}
+
+TEST_F(CheckpointCampaignTest, CorruptedSendWindowStartsFresh) {
+  topo::World reference_world = fresh_world();
+  const auto reference =
+      run_two_scan_campaign(reference_world, base_options());
+
+  const auto path = temp_path("ckpt_bad_window.json");
+  remove_checkpoint(path);
+  CampaignOptions options = base_options();
+  options.checkpoint_path = path;
+  options.checkpoint_every_n_targets = 256;
+  options.abort_after_checkpoints = 1;
+  topo::World killed_world = fresh_world();
+  ASSERT_TRUE(run_two_scan_campaign(killed_world, options).interrupted);
+  auto checkpoint = load_checkpoint(path);
+  ASSERT_TRUE(checkpoint.has_value());
+  ASSERT_FALSE(checkpoint->shard_states.empty());
+
+  // One repeated window entry in one shard poisons the whole file.
+  auto& window = checkpoint->shard_states.front().send_window;
+  ASSERT_FALSE(window.empty());
+  window.push_back(window.back());
+  ASSERT_TRUE(save_checkpoint(*checkpoint, path));
+  EXPECT_FALSE(load_checkpoint(path).has_value());
+
+  options.abort_after_checkpoints = 0;
+  topo::World world = fresh_world();
+  const auto result = run_two_scan_campaign(world, options);
   EXPECT_FALSE(result.interrupted);
   expect_same_scan(reference.scan1, result.scan1);
   expect_same_scan(reference.scan2, result.scan2);

@@ -384,6 +384,14 @@ TEST(ObsContract, RunReportJsonMatchesPipelineAccounting) {
     EXPECT_EQ(sent, delivered + probe_drops);
     for (const auto& [name, value] : drops->members())
       total_drops += static_cast<std::uint64_t>(value.as_number());
+    // Probe validation: a clean world's every response verifies, and the
+    // send ring never overruns.
+    for (const char* counter : {"unverified_responses", "off_target_responses",
+                                "send_ring_overruns"}) {
+      const auto* value = campaign.find(counter);
+      ASSERT_NE(value, nullptr) << counter;
+      EXPECT_EQ(value->as_number(), 0.0) << counter;
+    }
   }
   EXPECT_GT(total_drops, 0u);
 

@@ -186,11 +186,6 @@ int main(int argc, char** argv) {
   options.store.dir = store_dir;
   options.store.max_resident_bytes = max_resident_mb * std::size_t{1} << 20;
   const auto r = core::run_full_pipeline(options);
-  if (r.interrupted) {
-    std::cerr << "campaign interrupted; rerun to resume from "
-              << checkpoint_dir << "\n";
-    return 3;
-  }
 
   std::ostringstream md;
   md << "# SNMPv3 census report (simulated)\n\n";

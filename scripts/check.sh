@@ -12,7 +12,10 @@
 #      spec-mode campaigns over the lazy per-fabric device cache — and
 #      test_store's campaign and pipeline suites, since every campaign
 #      sorts its shard record stores on the worker threads and merges
-#      them after the barrier.
+#      them after the barrier. It also runs the crash harness
+#      (test_crash, ctest label crash_harness): children spawned from the
+#      test binary, SIGKILLed mid-campaign, resumed in-process on another
+#      thread count.
 #   3. Focused memory/UB check: ASan+UBSan build in build-asan/ running the
 #      hostile-input corpus plus the decode-path suites (test_hostile,
 #      test_asn1, test_snmp_message, test_checkpoint, test_store,
@@ -21,7 +24,9 @@
 #      send-window codec, bound and wrapped-ring resume tests), the filter
 #      funnel's oracle suite (test_columnar's ColumnarFilterTest) and the whole pacer suite (test_pacer's unit
 #      tests on a caller clock, burst 1 and wall-clock bursts, plus
-#      test_checkpoint's campaign-level Pacer test), and test_topo's Churn
+#      test_checkpoint's campaign-level Pacer test), the crash harness
+#      (test_crash: spawn -> SIGKILL -> resume over torn checkpoint and
+#      store files), and test_topo's Churn
 #      suite, whose patched address index erases and re-inserts hash-map
 #      nodes through iterators on every rebind — >=10k corrupted
 #      payloads must decode-reject with zero memory errors or UB; the
@@ -96,17 +101,21 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DSNMPFP_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
       --target test_parallel test_obs test_telemetry test_columnar test_worlds \
-               test_store
+               test_store test_crash
   # Only the focused binaries are built; select their gtest suites by
-  # name (unbuilt targets register _NOT_BUILT placeholders ctest must skip).
+  # name (unbuilt targets register _NOT_BUILT placeholders ctest must skip)
+  # and the crash harness by its label, which the name run excludes since
+  # the harness reuses some of the suite names.
   # The columnar suites drive the overlapped join+filter stages and the
   # radix alias grouping at 8 threads — the paths with real cross-thread
   # queue handoffs. The worlds suites run the procedural-vs-materialized
-  # pipeline equivalence and the spec-mode kill/resume at 8 threads over
-  # the per-fabric lazy device caches. The store suites sort and merge
-  # shard record stores across worker threads, resident and spilled.
-  (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
+  # pipeline equivalence over the per-fabric lazy device caches. The
+  # store suites sort and merge shard record stores across worker
+  # threads, resident and spilled. The crash harness resumes killed
+  # campaigns and pipelines on 1, 4 and 8 threads.
+  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
       -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest)\.")
+  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
@@ -117,9 +126,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
                test_pacer test_store test_wire test_columnar test_topo \
-               test_probe_validation
-  (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|CheckpointCampaignTest|CheckpointPipeline|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn)\.")
+               test_probe_validation test_crash
+  (cd build-asan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn)\.")
+  (cd build-asan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 
 echo "==> record-store check (bench_store --quick: checkpoint bound, schema)"

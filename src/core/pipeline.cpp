@@ -119,17 +119,12 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     if (!options.checkpoint_dir.empty()) {
       v6.checkpoint_path = options.checkpoint_dir + "/campaign_v6.json";
       v6.checkpoint_every_n_targets = options.checkpoint_every_n_targets;
-      v6.abort_after_checkpoints = options.abort_after_checkpoints;
     }
     if (!options.store.dir.empty()) {
       v6.store = options.store;
       v6.store.dir = options.store.dir + "/v6";
     }
     result.v6_campaign = scan::run_two_scan_campaign(model, v6);
-    if (result.v6_campaign.interrupted) {
-      result.interrupted = true;
-      return result;
-    }
     if (!result.v6_campaign.net_error.empty()) {
       result.v4_campaign.net_error = result.v6_campaign.net_error;
       return result;
@@ -158,17 +153,12 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     if (!options.checkpoint_dir.empty()) {
       v4.checkpoint_path = options.checkpoint_dir + "/campaign_v4.json";
       v4.checkpoint_every_n_targets = options.checkpoint_every_n_targets;
-      v4.abort_after_checkpoints = options.abort_after_checkpoints;
     }
     if (!options.store.dir.empty()) {
       v4.store = options.store;
       v4.store.dir = options.store.dir + "/v4";
     }
     result.v4_campaign = scan::run_two_scan_campaign(model, v4);
-    if (result.v4_campaign.interrupted) {
-      result.interrupted = true;
-      return result;
-    }
     if (!result.v4_campaign.net_error.empty()) return result;
     span.set_virtual_duration(result.v4_campaign.scan2.end_time -
                               result.v4_campaign.scan1.start_time);

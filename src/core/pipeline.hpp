@@ -53,12 +53,9 @@ struct PipelineOptions {
   // probes per shard — and a rerun with identical options resumes from the
   // files bit-identically. `pacer` enables adaptive rate backoff (an
   // experiment-configuration knob: it moves probe send times).
-  // `abort_after_checkpoints` simulates a kill for tests (see
-  // scan::CampaignOptions::abort_after_checkpoints).
   scan::PacerConfig pacer;
   std::string checkpoint_dir;
   std::size_t checkpoint_every_n_targets = 0;
-  std::size_t abort_after_checkpoints = 0;
   // Wire fast path (src/wire): template-stamped probes and the single-pass
   // REPORT scanner with full-codec fallback. Execution-only knob —
   // PipelineResult is bit-identical on or off at any thread count
@@ -104,9 +101,10 @@ struct PipelineOptions {
 struct PipelineResult {
   topo::World world;  // ground truth (address state: final epoch)
   net::AsTable as_table;
-  // True when a simulated kill interrupted a campaign: the results below
-  // the interrupted campaign are empty/partial and the checkpoint files
-  // hold the resumable state. Re-running with the same options resumes.
+  // Never set: a killed pipeline leaves its checkpoint files behind and a
+  // rerun with the same options resumes from them. Still declared only
+  // because perfbench/workload.cpp reads it; it goes with the next
+  // benchmark change.
   bool interrupted = false;
 
   // Third-party-style datasets, exported before any scan ran.

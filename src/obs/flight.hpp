@@ -9,7 +9,8 @@
 // (a) whenever the campaign hits a checkpoint boundary, (b) when the
 // fault counter crosses a surge threshold (a burst of undecodable or
 // fallback events usually means the interesting part just happened), and
-// (c) at campaign exit — including interrupted exits.
+// (c) at campaign exit. A killed process leaves the dump of its last
+// checkpoint.
 //
 // Concurrency: rings live in a deque (stable addresses); new rings are
 // created only from the orchestrating thread between parallel regions,

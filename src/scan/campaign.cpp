@@ -78,17 +78,17 @@ ScanResult merge_shard_results(const std::vector<ScanResult>& shards,
 }
 
 // Shared mutable checkpoint state for one campaign run. Shard workers
-// update their own slot under the mutex and persist the whole store; the
-// final on-disk file after a simulated kill is deterministic because every
-// shard settles at its own boundary regardless of scheduling.
+// update their own slot under the mutex and persist the whole file with
+// an atomic rename, so a process killed at any instant leaves the last
+// complete file on disk: every shard at its latest boundary (or complete)
+// as of that write.
 class CheckpointStore {
  public:
   CheckpointStore(std::string path, std::uint64_t config_digest,
-                  std::size_t shard_count, std::size_t abort_after)
-      : path_(std::move(path)), abort_after_(abort_after) {
+                  std::size_t shard_count)
+      : path_(std::move(path)) {
     data_.config_digest = config_digest;
     slots_.resize(shard_count);
-    boundaries_crossed_.resize(shard_count, 0);
   }
 
   bool enabled() const { return !path_.empty(); }
@@ -110,17 +110,11 @@ class CheckpointStore {
       if (state.shard < slots_.size()) slots_[state.shard] = state;
   }
 
-  // A shard crossed a checkpoint boundary: record its snapshot, persist,
-  // and decide whether the simulated kill stops it here.
-  bool record_boundary(std::size_t shard, ShardScanState state) {
+  // A shard crossed a checkpoint boundary: record its snapshot and persist.
+  void record_boundary(std::size_t shard, ShardScanState state) {
     std::lock_guard<std::mutex> lock(mutex_);
     slots_[shard] = std::move(state);
-    ++boundaries_crossed_[shard];
-    const bool keep_running =
-        abort_after_ == 0 || boundaries_crossed_[shard] < abort_after_;
-    if (!keep_running) aborted_ = true;
     persist_locked();
-    return keep_running;
   }
 
   // A shard finished its slice and sorted its store: persist the sorted
@@ -153,16 +147,6 @@ class CheckpointStore {
     persist_locked();
   }
 
-  void persist() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    persist_locked();
-  }
-
-  bool aborted() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return aborted_;
-  }
-
   const sim::FabricState* boundary_fabric(std::size_t shard) const {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shard >= data_.scan_boundary_fabrics.size()) return nullptr;
@@ -179,13 +163,18 @@ class CheckpointStore {
   }
 
   const std::string path_;
-  const std::size_t abort_after_;
   mutable std::mutex mutex_;
   CampaignCheckpoint data_;
   std::vector<std::optional<ShardScanState>> slots_;
-  std::vector<std::size_t> boundaries_crossed_;
-  bool aborted_ = false;
 };
+
+// Names of a shard's record store while it probes, and once sorted.
+std::string shard_store_name(const std::string& label, std::size_t shard) {
+  return label + "_shard" + std::to_string(shard);
+}
+std::string sorted_store_name(const std::string& label, std::size_t shard) {
+  return shard_store_name(label, shard) + "_sorted";
+}
 
 std::uint64_t digest_config(const CampaignOptions& options,
                             const std::vector<net::IpAddress>& targets,
@@ -362,8 +351,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       options.checkpoint_path.empty()
           ? 0
           : digest_config(options, targets, shard_count);
-  CheckpointStore store(options.checkpoint_path, digest, shard_count,
-                        options.abort_after_checkpoints);
+  CheckpointStore store(options.checkpoint_path, digest, shard_count);
 
   // Resume: a checkpoint from the same configuration continues where the
   // previous process stopped; anything else is ignored with a warning. The
@@ -418,13 +406,11 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
                                std::max(options.rate_pps, 1.0));
 
   // Runs one sharded scan; `resume_slots[shard]` (when non-null) continues
-  // that shard from its snapshot. Returns nullopt when a simulated kill
-  // interrupted the scan (the checkpoint file then holds the state).
+  // that shard from its snapshot.
   const auto run_sharded_scan =
       [&](const std::string& label, std::uint64_t scan_seed, util::VTime start,
           std::size_t scan_index,
-          const std::vector<const ShardScanState*>& resume_slots)
-      -> std::optional<ScanResult> {
+          const std::vector<const ShardScanState*>& resume_slots) {
     obs::Span scan_span(options.obs.trace(), options.obs.scoped(label));
     if (store.enabled() && !resuming) store.begin_scan(scan_index);
 
@@ -544,6 +530,10 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
           shard_results[shard].store = shard_store;
           store.mark_complete(shard, shard_results[shard],
                               resume_state->fabric);
+          // A kill between marking the shard complete and deleting its
+          // unsorted store leaves those files; nothing names them now.
+          store::RecordStore::remove_files(my_store_options,
+                                           shard_store_name(label, shard));
           shard_spans[shard] = shard_span.finish_record();
           return;
         }
@@ -556,7 +546,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       }
       if (shard_store == nullptr)
         shard_store = std::make_shared<store::RecordStore>(
-            my_store_options, label + "_shard" + std::to_string(shard));
+            my_store_options, shard_store_name(label, shard));
 
       const std::size_t begin = shard * base + std::min(shard, extra);
       const std::size_t end = begin + base + (shard < extra ? 1 : 0);
@@ -612,46 +602,34 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         probe.on_checkpoint = [&, shard](ShardScanState& state) {
           state.shard = shard;
           if (!net_mode) state.fabric = fabrics[shard]->snapshot();
-          const bool keep_running =
-              store.record_boundary(shard, std::move(state));
+          store.record_boundary(shard, std::move(state));
           // The flight trail lands on disk beside every checkpoint, so a
           // crash right after the boundary still leaves a diagnosable dump.
           if (obs::FlightRecorder* flight = options.obs.flight();
               flight != nullptr && flight->enabled())
             flight->dump("checkpoint");
-          return keep_running;
         };
       }
       Prober prober(*transports[shard], prober_source);
       ScanResult result = prober.run(*slice, probe, start);
-      // A shard that ran to the end is complete even if a sibling already
-      // aborted — the final persisted file must not re-probe it on resume.
-      // end_time is only set after the final drain, never on an abort.
-      if (result.end_time != 0) {
-        // Each shard sorts its own store here, inside the parallel region,
-        // so the post-barrier merge is one k-way pass. The sorted store is
-        // what a resume re-adopts for a completed shard; mid-scan
-        // snapshots name the unsorted one, whose files go once the sorted
-        // manifest is persisted.
-        const std::string name =
-            label + "_shard" + std::to_string(shard) + "_sorted";
-        result.store = store::sort_stores(
-            {shard_store.get()}, store::SortKey::kSendTimeTarget,
-            my_store_options, name,
-            store::sort_chunk_records(my_store_options));
-        if (result.store == nullptr)  // damaged spilled store, logged
-          result.store = resident_schedule_copy({shard_store.get()}, name);
-        if (store.enabled())
-          store.mark_complete(shard, result,
-                              net_mode ? sim::FabricState{}
-                                       : fabrics[shard]->snapshot());
-        shard_store->remove_files();
-      }
-      const bool ran_to_end = result.end_time != 0;
+      // Each shard sorts its own store here, inside the parallel region, so
+      // the post-barrier merge is one k-way pass. The sorted store is what
+      // a resume re-adopts for a completed shard; mid-scan snapshots name
+      // the unsorted one, whose files go once the sorted manifest is
+      // persisted.
+      const std::string name = sorted_store_name(label, shard);
+      result.store = store::sort_stores(
+          {shard_store.get()}, store::SortKey::kSendTimeTarget,
+          my_store_options, name, store::sort_chunk_records(my_store_options));
+      if (result.store == nullptr)  // damaged spilled store, logged
+        result.store = resident_schedule_copy({shard_store.get()}, name);
+      if (store.enabled())
+        store.mark_complete(shard, result,
+                            net_mode ? sim::FabricState{}
+                                     : fabrics[shard]->snapshot());
+      shard_store->remove_files();
+      shard_span.set_virtual_duration(result.end_time - result.start_time);
       shard_results[shard] = std::move(result);
-      if (ran_to_end)
-        shard_span.set_virtual_duration(shard_results[shard].end_time -
-                                        shard_results[shard].start_time);
       shard_spans[shard] = shard_span.finish_record();
       shard_wall_ms[shard] = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - t0)
@@ -660,8 +638,7 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
 
     if (options.obs.enabled()) {
       // Record the detached worker spans in shard order — the observer
-      // sequence never depends on worker scheduling — and before the abort
-      // check, so an interrupted run still carries its shard spans.
+      // sequence never depends on worker scheduling.
       const std::uint32_t shard_depth = scan_span.depth() + 1;
       for (std::size_t shard = 0; shard < shard_count; ++shard) {
         obs::SpanRecord record = std::move(shard_spans[shard]);
@@ -669,19 +646,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         record.depth = shard_depth;
         options.obs.trace()->record(std::move(record));
       }
-    }
-
-    if (store.aborted()) {
-      // Settle the file with every shard at its final (deterministic)
-      // boundary-or-complete state before reporting the interruption.
-      store.persist();
-      obs::log_info("campaign interrupted at checkpoint",
-                    {{"scan", options.obs.scoped(label)},
-                     {"path", options.checkpoint_path}});
-      return std::nullopt;
-    }
-
-    if (options.obs.enabled()) {
       for (std::size_t shard = 0; shard < shard_count; ++shard)
         options.obs.observer->add_shard_progress(
             {stage, shard, shard_results[shard].targets_probed,
@@ -717,17 +681,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     return merged;
   };
 
-  // Final telemetry flush: the flight trail and status surface always land
-  // on disk once more at campaign exit, interrupted or not.
-  const auto flush_telemetry = [&](bool interrupted) {
-    if (obs::FlightRecorder* flight = options.obs.flight();
-        flight != nullptr && flight->enabled())
-      flight->dump(interrupted ? "interrupted" : "exit");
-    if (obs::StatusBoard* board = options.obs.status_board();
-        board != nullptr && board->enabled())
-      board->write_now();
-  };
-
   // Per-shard resume slots for the scan the checkpoint interrupted.
   std::vector<const ShardScanState*> no_resume(shard_count, nullptr);
   const auto slots_for_scan =
@@ -739,35 +692,23 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       };
 
   CampaignPair out;
-  // Lazy-device cache telemetry survives every exit, interrupted or not
-  // (a census bench wants the hit rate even when it kills the run).
-  const auto collect_cache_stats = [&] {
-    for (const auto& fabric : fabrics)
-      out.responder_cache += fabric->cache_stats();
-    for (const auto& engine : engines) out.net_io += engine->stats();
-    // Ring blocks/drops/parse rejections are per-ring, not per-engine:
-    // fold the group's aggregate in exactly once.
-    if (ring_group != nullptr) out.net_io += ring_group->stats();
-  };
   if (resuming && resume_scan_index == 2) {
     // Scan 1 finished in a previous process: take its merged result (the
     // records come back through the re-adopted store).
     out.scan1 = resumed->scan1.value_or(ScanResult{});
     out.scan1.store = scan1_store;
+    // Its shard stores were retired once the scan-boundary file was
+    // written; a kill before their deletion leaves their files behind.
+    for (std::size_t shard = 0; shard < shard_count; ++shard)
+      store::RecordStore::remove_files(store_options,
+                                       sorted_store_name("scan1", shard));
   } else {
     const auto slots = (resuming && resume_scan_index == 1)
                            ? slots_for_scan(*resumed)
                            : no_resume;
-    auto scan1 = run_sharded_scan("scan1", options.seed * 2 + 1,
-                                  options.first_scan_start, 1, slots);
+    out.scan1 = run_sharded_scan("scan1", options.seed * 2 + 1,
+                                 options.first_scan_start, 1, slots);
     resuming = false;  // past the resume point either way
-    if (!scan1.has_value()) {
-      out.interrupted = true;
-      collect_cache_stats();
-      flush_telemetry(true);
-      return out;
-    }
-    out.scan1 = std::move(*scan1);
     if (store.enabled()) {
       std::vector<sim::FabricState> boundary;
       boundary.reserve(shard_count);
@@ -786,21 +727,20 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     const auto slots = (resuming && resume_scan_index == 2)
                            ? slots_for_scan(*resumed)
                            : no_resume;
-    auto scan2 =
+    out.scan2 =
         run_sharded_scan("scan2", options.seed * 2 + 2,
                          options.first_scan_start + options.scan_gap, 2, slots);
     resuming = false;
-    if (!scan2.has_value()) {
-      out.interrupted = true;
-      collect_cache_stats();
-      flush_telemetry(true);
-      return out;
-    }
-    out.scan2 = std::move(*scan2);
   }
 
-  for (const auto& fabric : fabrics) out.fabric_stats += fabric->stats();
-  collect_cache_stats();
+  for (const auto& fabric : fabrics) {
+    out.fabric_stats += fabric->stats();
+    out.responder_cache += fabric->cache_stats();
+  }
+  for (const auto& engine : engines) out.net_io += engine->stats();
+  // Ring blocks/drops/parse rejections are per-ring, not per-engine: fold
+  // the group's aggregate in exactly once.
+  if (ring_group != nullptr) out.net_io += ring_group->stats();
   if (store.enabled()) remove_checkpoint(options.checkpoint_path);
   remove_retired_stores();
   if (derived_store_dir) {
@@ -820,7 +760,14 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     std::error_code ec;
     std::filesystem::remove_all(store_options.dir, ec);
   }
-  flush_telemetry(false);
+  // Final telemetry flush: the flight trail and status surface land on
+  // disk once more at campaign exit.
+  if (obs::FlightRecorder* flight = options.obs.flight();
+      flight != nullptr && flight->enabled())
+    flight->dump("exit");
+  if (obs::StatusBoard* board = options.obs.status_board();
+      board != nullptr && board->enabled())
+    board->write_now();
   return out;
 }
 

@@ -111,11 +111,6 @@ struct CampaignOptions {
   // matches ProbeConfig's and the historical schedule bit for bit; wall
   // campaigns shorten it so the tail wait is real seconds, not virtual.
   util::VTime response_timeout = 5 * util::kSecond;
-  // Failure-injection hook for tests/benches: simulate a kill by stopping
-  // each shard once it has crossed N checkpoint boundaries (counted across
-  // both scans). 0 = never. The campaign then returns with `interrupted`
-  // set and the checkpoint written.
-  std::size_t abort_after_checkpoints = 0;
 };
 
 struct CampaignPair {
@@ -127,8 +122,9 @@ struct CampaignPair {
   // telemetry: hit rates vary with thread interleaving-independent shard
   // structure only, but play no part in any scan output.
   topo::WorldCacheStats responder_cache;
-  // True when a simulated kill stopped the campaign; scan results are
-  // partial and the checkpoint file holds the resumable state.
+  // Never set: a campaign either completes or its process dies, and the
+  // rerun resumes from the checkpoint. Still declared only because
+  // perfbench/workload.cpp reads it; it goes with the next benchmark change.
   bool interrupted = false;
   // Net-engine campaigns only: kernel I/O counters summed over every
   // shard engine (all zeros in fabric mode), and the open() failure that

@@ -8,8 +8,9 @@
 // fabric state (virtual clock, in-flight datagrams, stats) — to a JSON
 // file via obs::json. Resuming from any checkpoint reproduces the
 // uninterrupted campaign bit-for-bit at any thread count, because every
-// shard's state is self-contained and thread scheduling never touches it
-// (tests/test_checkpoint.cpp enforces this at 1/2/8 threads).
+// shard's state is self-contained and thread scheduling never touches it.
+// tests/test_crash.cpp enforces this against real SIGKILLs of a child
+// process, resuming at a thread count other than the child's.
 //
 // Records never travel in the JSON: they live in the stores' own
 // append-only segment files (store/record_store.hpp), and the file holds

@@ -396,8 +396,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       telemetry.flight.record(obs::FlightEventKind::kCheckpoint,
                               transport_.now(),
                               static_cast<std::int64_t>(i + 1));
-      if (!config.on_checkpoint(state))
-        return result;  // simulated kill; the snapshot supersedes this
+      config.on_checkpoint(state);
     }
   }
   transport_.run_until(next_send + config.response_timeout);

@@ -50,11 +50,10 @@ struct ProbeConfig {
   // Checkpoint hook: after every `checkpoint_every_n_targets` probes the
   // prober snapshots its state (cursor, RNG, pacer, store manifest, the
   // send window — the transport/fabric part is the caller's to add) and
-  // invokes `on_checkpoint`. Returning false aborts the run (a simulated
-  // kill); the partial return value is then superseded by the captured
-  // state.
+  // hands it to `on_checkpoint`, then carries on. A process killed at any
+  // instant resumes from the last snapshot the hook persisted.
   std::size_t checkpoint_every_n_targets = 0;
-  std::function<bool(ShardScanState&)> on_checkpoint;
+  std::function<void(ShardScanState&)> on_checkpoint;
   // Resume from a prior shard snapshot. The caller must have restored the
   // transport (sim::Fabric::restore) to the snapshot's fabric state; the
   // prober restores everything else and continues bit-identically.

@@ -495,10 +495,15 @@ void RecordStore::remove_files() {
     std::fclose(idx_);
     idx_ = nullptr;
   }
-  if (options_.dir.empty()) return;
+  remove_files(options_, name_);
+}
+
+void RecordStore::remove_files(const StoreOptions& options,
+                               const std::string& name) {
+  if (options.dir.empty()) return;
   std::error_code ec;
-  fs::remove(seg_path(), ec);
-  fs::remove(idx_path(), ec);
+  fs::remove(options.dir + "/" + name + ".seg", ec);
+  fs::remove(options.dir + "/" + name + ".idx", ec);
 }
 
 // ---- external merge sort ----

@@ -214,6 +214,9 @@ class RecordStore {
 
   // Closes and deletes the store's files (campaign cleanup).
   void remove_files();
+  // Deletes the files of the store `name` under `options.dir`, for a store
+  // no live object holds (one a killed process left behind).
+  static void remove_files(const StoreOptions& options, const std::string& name);
 
  private:
   struct Block {

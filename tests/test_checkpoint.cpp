@@ -1,9 +1,7 @@
-// Checkpoint/resume tests, plus the adaptive pacer at campaign level (its
-// unit tests live in test_pacer.cpp).
-//
-// The load-bearing guarantee: a campaign killed at any checkpoint boundary
-// and resumed in a fresh process produces the SAME ScanResults, bit for
-// bit, as one that never stopped — at any thread count, in either scan.
+// Checkpoint codec and prober-level snapshot/resume tests, plus the
+// adaptive pacer at campaign level (its unit tests live in test_pacer.cpp).
+// Campaigns and pipelines killed by a real SIGKILL and resumed are
+// tests/test_crash.cpp's.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,8 +9,7 @@
 #include <optional>
 
 #include "result_equal.hpp"
-#include "core/pipeline.hpp"
-#include "obs/json.hpp"
+#include "unique_dir.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
 #include "scan/prober.hpp"
@@ -23,10 +20,6 @@ namespace snmpv3fp::scan {
 namespace {
 
 using result_equal::expect_same_scan;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
 
 // ---- RNG state ------------------------------------------------------------
 
@@ -222,7 +215,8 @@ TEST(CheckpointCodec, JsonRoundTripIsExact) {
 }
 
 TEST(CheckpointCodec, SaveLoadRemoveLifecycle) {
-  const auto path = temp_path("ckpt_lifecycle.json");
+  const testing_util::UniqueDir dir("ckpt_lifecycle");
+  const auto path = dir / "campaign.json";
   const auto checkpoint = sample_checkpoint();
   ASSERT_TRUE(save_checkpoint(checkpoint, path));
   const auto loaded = load_checkpoint(path);
@@ -233,13 +227,13 @@ TEST(CheckpointCodec, SaveLoadRemoveLifecycle) {
 }
 
 TEST(CheckpointCodec, GarbageFileIsRejected) {
-  const auto path = temp_path("ckpt_garbage.json");
+  const testing_util::UniqueDir dir("ckpt_garbage");
+  const auto path = dir / "campaign.json";
   std::FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
   std::fputs("{\"schema\": \"not a checkpoint\"", file);
   std::fclose(file);
   EXPECT_FALSE(load_checkpoint(path).has_value());
-  remove_checkpoint(path);
 }
 
 // Rewrites the first send-window entry of the first shard state in a
@@ -312,7 +306,6 @@ TEST(SendWindow, ListModeWindowHoldsAtMostRingCapacity) {
     EXPECT_EQ(window.back().seq + 1, state.cursor);
     for (std::size_t i = 1; i < window.size(); ++i)
       EXPECT_LT(window[i - 1].seq, window[i].seq);
-    return true;
   };
   sim::Fabric fabric(world, sim::FabricConfig{});
   const net::Endpoint source{net::Ipv4(198, 51, 100, 7), 4444};
@@ -332,8 +325,8 @@ TEST(SendWindow, ListModeWindowHoldsAtMostRingCapacity) {
 }
 
 TEST(SendWindow, ResumeFromAWrappedRingIsBitIdentical) {
-  // The ring has wrapped several times by the kill, so the resumed run
-  // stamps late responses only from the restored window.
+  // The ring has wrapped several times by the first snapshot, so a run
+  // resumed from it stamps late responses only from the restored window.
   const auto world = topo::generate_world(topo::WorldConfig::tiny());
   const auto targets = world.addresses(net::Family::kIpv4);
   const net::Endpoint source{net::Ipv4(198, 51, 100, 7), 4444};
@@ -346,25 +339,29 @@ TEST(SendWindow, ResumeFromAWrappedRingIsBitIdentical) {
   const ScanResult reference =
       Prober(reference_fabric, source).run(targets, config, 0);
 
+  const testing_util::UniqueDir dir("send_window");
   store::StoreOptions store_options;
-  store_options.dir = temp_path("send_window_resume");
-  std::filesystem::remove_all(store_options.dir);
+  store_options.dir = dir.path();
+  // Keep only the first snapshot; the run goes on past it, and restoring
+  // the store truncates what it appended afterwards.
   std::optional<ShardScanState> saved;
-  ProbeConfig killed = config;
-  killed.checkpoint_every_n_targets = 2000;
-  killed.sink = std::make_shared<store::RecordStore>(store_options, "shard");
+  ProbeConfig snapshotted = config;
+  snapshotted.checkpoint_every_n_targets = 2000;
+  snapshotted.sink =
+      std::make_shared<store::RecordStore>(store_options, "shard");
   sim::Fabric fabric(world, sim::FabricConfig{});
-  killed.on_checkpoint = [&](ShardScanState& state) {
+  snapshotted.on_checkpoint = [&](ShardScanState& state) {
+    if (saved.has_value()) return;
     state.fabric = fabric.snapshot();
     saved = state;
-    return false;
   };
-  (void)Prober(fabric, source).run(targets, killed, 0);
+  (void)Prober(fabric, source).run(targets, snapshotted, 0);
   ASSERT_TRUE(saved.has_value());
   EXPECT_EQ(saved->send_window.size(), 501u);
+  snapshotted.sink.reset();
 
-  ProbeConfig resumed = killed;
-  resumed.on_checkpoint = [](ShardScanState&) { return true; };
+  ProbeConfig resumed = snapshotted;
+  resumed.on_checkpoint = [](ShardScanState&) {};
   resumed.resume = &*saved;
   resumed.sink = store::RecordStore::restore(store_options,
                                              saved->store_manifest);
@@ -373,336 +370,7 @@ TEST(SendWindow, ResumeFromAWrappedRingIsBitIdentical) {
   resumed_fabric.restore(saved->fabric);
   expect_same_scan(reference,
                    Prober(resumed_fabric, source).run(targets, resumed, 0));
-  std::filesystem::remove_all(store_options.dir);
-}
-
-// ---- kill + resume --------------------------------------------------------
-
-class CheckpointCampaignTest : public ::testing::Test {
- protected:
-  static CampaignOptions base_options() {
-    CampaignOptions options;
-    options.seed = 77;
-    options.shards = 4;
-    options.fabric.probe_loss = 0.02;
-    options.fabric.response_loss = 0.02;
-    return options;
   }
-
-  static topo::World fresh_world() {
-    return topo::generate_world(topo::WorldConfig::tiny());
-  }
-};
-
-TEST_F(CheckpointCampaignTest, KillAtBoundaryThenResumeBitIdentical) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      run_two_scan_campaign(reference_world, base_options());
-  ASSERT_FALSE(reference.interrupted);
-  ASSERT_GT(reference.scan1.responsive(), 0u);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto path =
-        temp_path("ckpt_resume_t" + std::to_string(threads) + ".json");
-    remove_checkpoint(path);
-
-    // Phase 1: simulated kill after each shard's first checkpoint.
-    CampaignOptions killed_options = base_options();
-    killed_options.parallel.threads = threads;
-    killed_options.checkpoint_path = path;
-    killed_options.checkpoint_every_n_targets = 16;
-    killed_options.abort_after_checkpoints = 1;
-    topo::World killed_world = fresh_world();
-    const auto killed = run_two_scan_campaign(killed_world, killed_options);
-    EXPECT_TRUE(killed.interrupted) << threads << " threads";
-    ASSERT_TRUE(load_checkpoint(path).has_value());
-    // No store.dir: the shard stores spilled under the derived directory.
-    ASSERT_TRUE(std::filesystem::exists(path + ".store"));
-    EXPECT_FALSE(std::filesystem::is_empty(path + ".store"));
-
-    // Phase 2: a fresh process (fresh pre-churn world) resumes the file.
-    CampaignOptions resume_options = killed_options;
-    resume_options.abort_after_checkpoints = 0;
-    topo::World resume_world = fresh_world();
-    const auto resumed = run_two_scan_campaign(resume_world, resume_options);
-    EXPECT_FALSE(resumed.interrupted);
-
-    expect_same_scan(reference.scan1, resumed.scan1);
-    expect_same_scan(reference.scan2, resumed.scan2);
-    // Completion removes the file and the derived store directory; the
-    // results come back RAM-only.
-    EXPECT_FALSE(load_checkpoint(path).has_value());
-    EXPECT_FALSE(std::filesystem::exists(path + ".store"));
-    EXPECT_FALSE(resumed.scan1.store->spills());
-  }
-}
-
-TEST_F(CheckpointCampaignTest, KillInsideScanTwoResumesBitIdentical) {
-  topo::World reference_world = fresh_world();
-  auto options = base_options();
-  options.shards = 2;
-  const auto reference = run_two_scan_campaign(reference_world, options);
-
-  // Place the kill inside scan 2: each shard crosses its slice/every
-  // boundaries per scan, so max_boundaries+1 can only be reached there.
-  const std::size_t every = 8;
-  const std::size_t n = reference.scan1.targets_probed;
-  const std::size_t base = n / options.shards;
-  const std::size_t max_boundaries = (base + 1) / every;
-  ASSERT_GE(max_boundaries, 1u) << "tiny world too small for this test";
-
-  const auto path = temp_path("ckpt_scan2_kill.json");
-  remove_checkpoint(path);
-  CampaignOptions killed_options = options;
-  killed_options.parallel.threads = 2;
-  killed_options.checkpoint_path = path;
-  killed_options.checkpoint_every_n_targets = every;
-  killed_options.abort_after_checkpoints = max_boundaries + 1;
-  topo::World killed_world = fresh_world();
-  const auto killed = run_two_scan_campaign(killed_world, killed_options);
-  EXPECT_TRUE(killed.interrupted);
-
-  const auto file = load_checkpoint(path);
-  ASSERT_TRUE(file.has_value());
-  EXPECT_EQ(file->scan_index, 2u);  // the kill landed in scan 2
-  ASSERT_TRUE(file->scan1.has_value());
-  {
-    // Scan 1's records sit in its merged store under the derived dir.
-    ScanResult scan1 = *file->scan1;
-    store::StoreOptions derived;
-    derived.dir = path + ".store";
-    scan1.store = store::RecordStore::restore(derived, file->scan1_manifest);
-    ASSERT_NE(scan1.store, nullptr);
-    expect_same_scan(reference.scan1, scan1);
-  }
-
-  CampaignOptions resume_options = killed_options;
-  resume_options.abort_after_checkpoints = 0;
-  topo::World resume_world = fresh_world();
-  const auto resumed = run_two_scan_campaign(resume_world, resume_options);
-  EXPECT_FALSE(resumed.interrupted);
-  expect_same_scan(reference.scan1, resumed.scan1);
-  expect_same_scan(reference.scan2, resumed.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-}
-
-TEST_F(CheckpointCampaignTest, ScanBoundaryOnlyCheckpointStillResumes) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      run_two_scan_campaign(reference_world, base_options());
-
-  // checkpoint_every = 0: the only checkpoint is the scan-1/scan-2
-  // boundary. Simulate the kill by just planting that file's state: run
-  // with checkpointing on, no abort, then verify the boundary file from a
-  // mid-campaign write resumes — here the proxy is that a full
-  // checkpointed run equals the reference and cleans up after itself.
-  const auto path = temp_path("ckpt_boundary_only.json");
-  remove_checkpoint(path);
-  CampaignOptions options = base_options();
-  options.checkpoint_path = path;
-  options.checkpoint_every_n_targets = 0;
-  topo::World world = fresh_world();
-  const auto checkpointed = run_two_scan_campaign(world, options);
-  EXPECT_FALSE(checkpointed.interrupted);
-  expect_same_scan(reference.scan1, checkpointed.scan1);
-  expect_same_scan(reference.scan2, checkpointed.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-}
-
-TEST_F(CheckpointCampaignTest, MismatchedConfigCheckpointIsIgnored) {
-  const auto path = temp_path("ckpt_mismatch.json");
-  remove_checkpoint(path);
-
-  // Leave a checkpoint behind with seed 77.
-  CampaignOptions killed_options = base_options();
-  killed_options.checkpoint_path = path;
-  killed_options.checkpoint_every_n_targets = 16;
-  killed_options.abort_after_checkpoints = 1;
-  topo::World killed_world = fresh_world();
-  const auto killed = run_two_scan_campaign(killed_world, killed_options);
-  ASSERT_TRUE(killed.interrupted);
-  ASSERT_TRUE(load_checkpoint(path).has_value());
-
-  // A different experiment (seed 78) must ignore it and run fresh.
-  CampaignOptions other_options = base_options();
-  other_options.seed = 78;
-  topo::World reference_world = fresh_world();
-  const auto reference = run_two_scan_campaign(reference_world, other_options);
-
-  other_options.checkpoint_path = path;
-  topo::World world = fresh_world();
-  const auto result = run_two_scan_campaign(world, other_options);
-  EXPECT_FALSE(result.interrupted);
-  expect_same_scan(reference.scan1, result.scan1);
-  expect_same_scan(reference.scan2, result.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-}
-
-TEST_F(CheckpointCampaignTest, AdaptiveShapeChangeStartsFresh) {
-  // A rate-limiting fabric makes the adaptive pacer back off, so its
-  // window length moves send times.
-  const auto adaptive_options = [](std::size_t window_probes) {
-    CampaignOptions options = base_options();
-    options.rate_pps = 20000.0;
-    options.fabric.device_rate_limit_pps = 1;
-    options.pacer.adaptive = true;
-    options.pacer.window_probes = window_probes;
-    return options;
-  };
-  const auto path = temp_path("ckpt_pacer_shape.json");
-  remove_checkpoint(path);
-
-  CampaignOptions killed_options = adaptive_options(32);
-  killed_options.checkpoint_path = path;
-  killed_options.checkpoint_every_n_targets = 256;
-  killed_options.abort_after_checkpoints = 1;
-  topo::World killed_world = fresh_world();
-  ASSERT_TRUE(run_two_scan_campaign(killed_world, killed_options).interrupted);
-  ASSERT_TRUE(load_checkpoint(path).has_value());
-
-  topo::World old_world = fresh_world();
-  const auto old_shape = run_two_scan_campaign(old_world, adaptive_options(32));
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      run_two_scan_campaign(reference_world, adaptive_options(8));
-  ASSERT_GT(reference.scan1.pacer_backoffs, 0u);
-  ASSERT_NE(reference.scan1.end_time, old_shape.scan1.end_time)
-      << "the window change must move the schedule for this test to bite";
-
-  // Resuming under the new window must not adopt the old-shape snapshot.
-  CampaignOptions resume_options = adaptive_options(8);
-  resume_options.checkpoint_path = path;
-  resume_options.checkpoint_every_n_targets = 256;
-  topo::World world = fresh_world();
-  const auto result = run_two_scan_campaign(world, resume_options);
-  EXPECT_FALSE(result.interrupted);
-  expect_same_scan(reference.scan1, result.scan1);
-  expect_same_scan(reference.scan2, result.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-}
-
-TEST_F(CheckpointCampaignTest, CorruptedSendWindowStartsFresh) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      run_two_scan_campaign(reference_world, base_options());
-
-  const auto path = temp_path("ckpt_bad_window.json");
-  remove_checkpoint(path);
-  CampaignOptions options = base_options();
-  options.checkpoint_path = path;
-  options.checkpoint_every_n_targets = 256;
-  options.abort_after_checkpoints = 1;
-  topo::World killed_world = fresh_world();
-  ASSERT_TRUE(run_two_scan_campaign(killed_world, options).interrupted);
-  auto checkpoint = load_checkpoint(path);
-  ASSERT_TRUE(checkpoint.has_value());
-  ASSERT_FALSE(checkpoint->shard_states.empty());
-
-  // One repeated window entry in one shard poisons the whole file.
-  auto& window = checkpoint->shard_states.front().send_window;
-  ASSERT_FALSE(window.empty());
-  window.push_back(window.back());
-  ASSERT_TRUE(save_checkpoint(*checkpoint, path));
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  options.abort_after_checkpoints = 0;
-  topo::World world = fresh_world();
-  const auto result = run_two_scan_campaign(world, options);
-  EXPECT_FALSE(result.interrupted);
-  expect_same_scan(reference.scan1, result.scan1);
-  expect_same_scan(reference.scan2, result.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-}
-
-TEST_F(CheckpointCampaignTest, OldEmbeddedRecordsFormatStartsFresh) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      run_two_scan_campaign(reference_world, base_options());
-
-  // A current-format kill yields this configuration's digest.
-  const auto path = temp_path("ckpt_old_format.json");
-  remove_checkpoint(path);
-  CampaignOptions options = base_options();
-  options.checkpoint_path = path;
-  options.checkpoint_every_n_targets = 16;
-  options.abort_after_checkpoints = 1;
-  topo::World killed_world = fresh_world();
-  ASSERT_TRUE(run_two_scan_campaign(killed_world, options).interrupted);
-  const auto current = load_checkpoint(path);
-  ASSERT_TRUE(current.has_value());
-
-  // The retired schema-1 format, same digest, claiming a finished scan 1
-  // whose one embedded record exists nowhere in the reference: adopting
-  // it would change scan 1.
-  const std::string old_format =
-      R"({"schema":1,"config_digest":")" +
-      obs::u64_hex(current->config_digest) +
-      R"(","scan_index":2,"scan1":{"label":"scan1","start_time":0,)"
-      R"("end_time":1,"targets_probed":1,"probe_bytes":60,"records":[)"
-      R"({"target":"203.0.113.9","engine_id":"80001f8804","boots":1,)"
-      R"("engine_time":5,"send_time":0,"receive_time":1,)"
-      R"("response_count":1,"response_bytes":100}]},)"
-      R"("shard_states":[],"scan_boundary_fabrics":[]})";
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr);
-  std::fputs(old_format.c_str(), file);
-  std::fclose(file);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-
-  options.abort_after_checkpoints = 0;
-  topo::World world = fresh_world();
-  const auto result = run_two_scan_campaign(world, options);
-  EXPECT_FALSE(result.interrupted);
-  expect_same_scan(reference.scan1, result.scan1);
-  expect_same_scan(reference.scan2, result.scan2);
-  EXPECT_FALSE(load_checkpoint(path).has_value());
-  EXPECT_FALSE(std::filesystem::exists(path + ".store"));
-}
-
-// ---- full pipeline --------------------------------------------------------
-
-TEST(CheckpointPipeline, InterruptedPipelineResumesToIdenticalResult) {
-  core::PipelineOptions options;
-  options.world = topo::WorldConfig::tiny();
-  options.scan_shards = 4;
-  const auto reference = core::run_full_pipeline(options);
-  ASSERT_FALSE(reference.interrupted);
-
-  core::PipelineOptions killed_options = options;
-  killed_options.checkpoint_dir = ::testing::TempDir();
-  killed_options.checkpoint_every_n_targets = 16;
-  killed_options.abort_after_checkpoints = 1;
-  remove_checkpoint(killed_options.checkpoint_dir + "/campaign_v4.json");
-  remove_checkpoint(killed_options.checkpoint_dir + "/campaign_v6.json");
-  const auto killed = core::run_full_pipeline(killed_options);
-  EXPECT_TRUE(killed.interrupted);
-
-  core::PipelineOptions resume_options = killed_options;
-  resume_options.abort_after_checkpoints = 0;
-  const auto resumed = core::run_full_pipeline(resume_options);
-  EXPECT_FALSE(resumed.interrupted);
-
-  expect_same_scan(reference.v4_campaign.scan1, resumed.v4_campaign.scan1);
-  expect_same_scan(reference.v4_campaign.scan2, resumed.v4_campaign.scan2);
-  expect_same_scan(reference.v6_campaign.scan1, resumed.v6_campaign.scan1);
-  expect_same_scan(reference.v6_campaign.scan2, resumed.v6_campaign.scan2);
-  ASSERT_EQ(reference.devices.size(), resumed.devices.size());
-  for (std::size_t i = 0; i < reference.devices.size(); ++i) {
-    EXPECT_EQ(reference.devices[i].set->addresses,
-              resumed.devices[i].set->addresses);
-    EXPECT_EQ(reference.devices[i].fingerprint.vendor,
-              resumed.devices[i].fingerprint.vendor);
-  }
-  // Both campaign files are gone after the completed resume.
-  EXPECT_FALSE(
-      load_checkpoint(killed_options.checkpoint_dir + "/campaign_v4.json")
-          .has_value());
-  EXPECT_FALSE(
-      load_checkpoint(killed_options.checkpoint_dir + "/campaign_v6.json")
-          .has_value());
-  EXPECT_FALSE(std::filesystem::exists(killed_options.checkpoint_dir +
-                                       "/campaign_v4.json.store"));
-}
 
 }  // namespace
 }  // namespace snmpv3fp::scan

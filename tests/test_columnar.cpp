@@ -7,9 +7,9 @@
 // overlays; (2) the radix-hash alias grouping reproduces the canonical
 // map-based grouping bit for bit at any thread count; (3) the columnar
 // filter funnel agrees with the sequential reference funnel
-// (filter_oracle.hpp) at 1/2/8 threads, fed whole or in uneven slices; and
-// (4) a store-backed pipeline killed at a checkpoint resumes through the
-// overlapped join+filter to the uninterrupted in-RAM result.
+// (filter_oracle.hpp) at 1/2/8 threads, fed whole or in uneven slices. A
+// store-backed pipeline killed mid-campaign and resumed through the
+// overlapped join+filter is tests/test_crash.cpp's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,6 @@
 namespace snmpv3fp {
 namespace {
 
-using result_equal::expect_same_pipeline_result;
 
 using store::ColumnarBlock;
 using store::EngineDictionary;
@@ -649,48 +648,6 @@ TEST(ColumnarAliasTest, MultiSpanMatchesConcatenation) {
   for (std::size_t i = 0; i < split.sets.size(); ++i) {
     EXPECT_EQ(split.sets[i].addresses, joined.sets[i].addresses);
     EXPECT_EQ(split.sets[i].engine_id, joined.sets[i].engine_id);
-  }
-}
-
-// ---- full pipeline --------------------------------------------------------
-
-core::PipelineOptions tiny_pipeline_options() {
-  core::PipelineOptions options;
-  options.world = topo::WorldConfig::tiny();
-  options.seed = 20210413;
-  return options;
-}
-
-// A store-backed run killed at a checkpoint resumes to a result
-// bit-identical to an uninterrupted in-RAM run, at several thread counts:
-// the resumed campaigns reach the overlapped join+filter with the same
-// records the uninterrupted run joined.
-TEST(ColumnarPipelineTest, StoreBackedKillResumeBitIdenticalAnyThreads) {
-  const auto reference = core::run_full_pipeline(tiny_pipeline_options());
-  ASSERT_FALSE(reference.interrupted);
-  ASSERT_GT(reference.v4_records.size(), 0u);
-  ASSERT_GT(reference.devices.size(), 0u);
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    auto killed_options = tiny_pipeline_options();
-    killed_options.parallel.threads = threads;
-    killed_options.checkpoint_dir =
-        temp_dir("columnar_ckpt_t" + std::to_string(threads));
-    std::filesystem::create_directories(killed_options.checkpoint_dir);
-    killed_options.checkpoint_every_n_targets = 16;
-    killed_options.abort_after_checkpoints = 1;
-    killed_options.store.dir =
-        temp_dir("columnar_ckpt_store_t" + std::to_string(threads));
-    killed_options.store.records_per_block = 8;
-    const auto killed = core::run_full_pipeline(killed_options);
-    ASSERT_TRUE(killed.interrupted) << threads << " threads";
-
-    auto resume_options = killed_options;
-    resume_options.abort_after_checkpoints = 0;
-    const auto resumed = core::run_full_pipeline(resume_options);
-    ASSERT_FALSE(resumed.interrupted) << threads << " threads";
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_same_pipeline_result(resumed, reference);
   }
 }
 

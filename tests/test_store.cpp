@@ -4,8 +4,8 @@
 // any damaged input — the sim/faults mutation corpus never makes decode
 // throw or silently accept corrupted records; (2) a campaign and pipeline
 // whose stores spill to disk are bit-identical to the default resident
-// (RAM-only) ones at any thread count, including through a kill/resume
-// cycle whose checkpoints carry only per-shard store deltas.
+// (RAM-only) ones at any thread count. Their kill/resume cycle, whose
+// checkpoints carry only per-shard store deltas, is tests/test_crash.cpp's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "scan/campaign.hpp"
-#include "scan/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "store/codec.hpp"
 #include "store/record_store.hpp"
@@ -513,80 +512,6 @@ TEST_F(StoreCampaignTest, StoreBackedCampaignBitIdenticalAtAnyThreadCount) {
     expect_same_scan(pair.scan1, reference.scan1);
     expect_same_scan(pair.scan2, reference.scan2);
   }
-}
-
-TEST_F(StoreCampaignTest, KillResumeThroughStoreCheckpointsBitIdentical) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      scan::run_two_scan_campaign(reference_world, base_options());
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto tag = "store_resume_t" + std::to_string(threads);
-    const auto path = ::testing::TempDir() + tag + ".json";
-    scan::remove_checkpoint(path);
-
-    auto killed_options = base_options();
-    killed_options.parallel.threads = threads;
-    killed_options.checkpoint_path = path;
-    killed_options.checkpoint_every_n_targets = 16;
-    killed_options.abort_after_checkpoints = 1;
-    killed_options.store.dir = temp_dir(tag);
-    killed_options.store.records_per_block = 8;
-    topo::World killed_world = fresh_world();
-    const auto killed = scan::run_two_scan_campaign(killed_world, killed_options);
-    EXPECT_TRUE(killed.interrupted) << threads << " threads";
-    const auto checkpoint = scan::load_checkpoint(path);
-    ASSERT_TRUE(checkpoint.has_value());
-    // The mid-scan checkpoint names each shard's store by its manifest.
-    ASSERT_FALSE(checkpoint->shard_states.empty());
-    for (const auto& shard : checkpoint->shard_states)
-      EXPECT_FALSE(shard.store_manifest.name.empty());
-
-    auto resume_options = killed_options;
-    resume_options.abort_after_checkpoints = 0;
-    topo::World resume_world = fresh_world();
-    const auto resumed =
-        scan::run_two_scan_campaign(resume_world, resume_options);
-    EXPECT_FALSE(resumed.interrupted);
-    expect_same_scan(resumed.scan1, reference.scan1);
-    expect_same_scan(resumed.scan2, reference.scan2);
-    EXPECT_FALSE(scan::load_checkpoint(path).has_value());
-  }
-}
-
-TEST_F(StoreCampaignTest, DamagedStoreFilesStillResumeBitIdentically) {
-  topo::World reference_world = fresh_world();
-  const auto reference =
-      scan::run_two_scan_campaign(reference_world, base_options());
-
-  const auto tag = std::string("store_resume_damaged");
-  const auto path = ::testing::TempDir() + tag + ".json";
-  scan::remove_checkpoint(path);
-  auto killed_options = base_options();
-  killed_options.checkpoint_path = path;
-  killed_options.checkpoint_every_n_targets = 16;
-  killed_options.abort_after_checkpoints = 1;
-  killed_options.store.dir = temp_dir(tag);
-  killed_options.store.records_per_block = 8;
-  topo::World killed_world = fresh_world();
-  const auto killed = scan::run_two_scan_campaign(killed_world, killed_options);
-  EXPECT_TRUE(killed.interrupted);
-
-  // Corrupt every store file the kill left behind; the resume falls back
-  // to re-running those shards from scratch — same bits, just slower.
-  for (const auto& entry :
-       std::filesystem::directory_iterator(killed_options.store.dir)) {
-    std::ofstream file(entry.path(), std::ios::binary | std::ios::trunc);
-    file << "garbage";
-  }
-  auto resume_options = killed_options;
-  resume_options.abort_after_checkpoints = 0;
-  topo::World resume_world = fresh_world();
-  const auto resumed =
-      scan::run_two_scan_campaign(resume_world, resume_options);
-  EXPECT_FALSE(resumed.interrupted);
-  expect_same_scan(resumed.scan1, reference.scan1);
-  expect_same_scan(resumed.scan2, reference.scan2);
 }
 
 // ---- full pipeline --------------------------------------------------------

@@ -1,7 +1,7 @@
 #include "core/join.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -11,44 +11,6 @@
 namespace snmpv3fp::core {
 
 namespace {
-
-// Hash-join of two record vectors. Chunks probe the shared
-// (read-only) index and concatenate in chunk order — identical to the
-// sequential left-to-right join — then the final sort fixes one
-// deterministic order regardless of hash-map iteration.
-std::vector<JoinedRecord> join_vectors(
-    const std::vector<scan::ScanRecord>& first,
-    const std::vector<scan::ScanRecord>& second,
-    const std::unordered_map<net::IpAddress, std::size_t>& second_index,
-    const util::ParallelOptions& parallel) {
-  const std::size_t n = first.size();
-  std::vector<std::vector<JoinedRecord>> parts(
-      std::max<std::size_t>(parallel.resolved_threads(), 1));
-  util::parallel_for_chunks(
-      0, n, parallel,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto& local = parts[chunk];
-        local.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& record = first[i];
-          const auto it = second_index.find(record.target);
-          if (it == second_index.end()) continue;
-          local.push_back({record.target, record, second[it->second]});
-        }
-      });
-
-  std::size_t matched = 0;
-  for (const auto& part : parts) matched += part.size();
-  std::vector<JoinedRecord> joined;
-  joined.reserve(matched);
-  for (auto& part : parts)
-    std::move(part.begin(), part.end(), std::back_inserter(joined));
-  std::sort(joined.begin(), joined.end(),
-            [](const JoinedRecord& a, const JoinedRecord& b) {
-              return a.address < b.address;
-            });
-  return joined;
-}
 
 // One side of the columnar merge join: a columnar block cursor plus the
 // in-block position. Advancing past the last row loads the next block.
@@ -76,8 +38,8 @@ struct BlockStream {
 
 // Spilled path: external-sort both stores by address (bounded RAM),
 // then a two-cursor columnar merge join. Addresses are unique within a
-// scan, so the address-ordered match sequence is exactly the hash join's
-// output after its final sort.
+// scan, so the address-ordered match sequence is exactly the resident
+// join's output.
 bool join_stores_blocked(
     const scan::ScanResult& first, const scan::ScanResult& second,
     std::size_t block_rows,
@@ -138,19 +100,81 @@ bool join_stores_blocked(
 
 namespace {
 
-// Resident path: materialize both scans, index the second and hash-join
-// the vectors. Materialize fails closed per block, so on a damaged store
-// anything that reads back clean still joins.
+// A record's address as fixed-width integers plus its row: ordering by
+// (family, hi, lo) is IpAddress order — every IPv4 address before every
+// IPv6 one, each family by value. IPv4 keeps its value in `lo`; IPv6
+// keys are its big-endian halves.
+struct JoinKey {
+  net::Family family = net::Family::kIpv4;
+  std::uint32_t row = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+
+  bool operator<(const JoinKey& other) const {
+    if (family != other.family) return family < other.family;
+    if (hi != other.hi) return hi < other.hi;
+    return lo < other.lo;
+  }
+};
+
+std::vector<JoinKey> sorted_keys(const std::vector<scan::ScanRecord>& records) {
+  std::vector<JoinKey> keys;
+  keys.reserve(records.size());
+  for (std::size_t row = 0; row < records.size(); ++row) {
+    const net::IpAddress& address = records[row].target;
+    JoinKey key;
+    key.family = address.family();
+    key.row = static_cast<std::uint32_t>(row);
+    if (address.is_v4()) {
+      key.lo = address.v4().value();
+    } else {
+      key.hi = address.v6().high64();
+      key.lo = address.v6().low64();
+    }
+    keys.push_back(key);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Resident path: materialize both scans and sort their address keys
+// concurrently, merge the two key runs, then move each matched pair of
+// records into its JoinedRecord. Addresses are unique within a scan, so
+// the merge emits the matches in address order. Materialize fails closed
+// per block, so on a damaged store anything that reads back clean still
+// joins.
 std::vector<JoinedRecord> join_materialized(
     const scan::ScanResult& first, const scan::ScanResult& second,
     const util::ParallelOptions& parallel) {
-  const auto records1 = first.materialize_records();
-  const auto records2 = second.materialize_records();
-  std::unordered_map<net::IpAddress, std::size_t> index2;
-  index2.reserve(records2.size());
-  for (std::size_t i = 0; i < records2.size(); ++i)
-    index2.emplace(records2[i].target, i);
-  return join_vectors(records1, records2, index2, parallel);
+  std::vector<scan::ScanRecord> records1, records2;
+  std::vector<JoinKey> keys1, keys2;
+  util::run_overlapped({[&] {
+                          records1 = first.materialize_records();
+                          keys1 = sorted_keys(records1);
+                        },
+                        [&] {
+                          records2 = second.materialize_records();
+                          keys2 = sorted_keys(records2);
+                        }});
+
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> matches;
+  matches.reserve(std::min(keys1.size(), keys2.size()));
+  for (std::size_t i = 0, j = 0; i < keys1.size() && j < keys2.size();) {
+    if (keys1[i] < keys2[j]) {
+      ++i;
+    } else if (keys2[j] < keys1[i]) {
+      ++j;
+    } else {
+      matches.emplace_back(keys1[i++].row, keys2[j++].row);
+    }
+  }
+  return util::parallel_map<JoinedRecord>(
+      matches.size(), parallel, [&](std::size_t i) {
+        scan::ScanRecord& a = records1[matches[i].first];
+        scan::ScanRecord& b = records2[matches[i].second];
+        const net::IpAddress address = a.target;
+        return JoinedRecord{address, std::move(a), std::move(b)};
+      });
 }
 
 }  // namespace

@@ -44,12 +44,14 @@ bool stores_spill(const scan::ScanResult& first,
                   const scan::ScanResult& second);
 
 // Inner-joins the scans by target address; records responsive in only one
-// scan are dropped (counted in stats). Output and stats are identical at
-// any thread count and in either shape. Resident stores are materialized
-// and hash-joined in contiguous chunks merged in chunk order. Spilled
-// stores (stores_spill) never come into RAM whole: both are
-// external-sorted by address and merge-joined through streaming cursors,
-// falling back to the materializing join on a damaged block.
+// scan are dropped (counted in stats). The output is in address order,
+// identical at any thread count and in either shape. Resident stores are
+// materialized on two threads, one per scan, each sorting fixed-width
+// address keys; one linear merge of the key runs pairs the rows, and each
+// matched record is moved into its JoinedRecord. Spilled stores
+// (stores_spill) never come into RAM whole: both are external-sorted by
+// address and merge-joined through streaming cursors, falling back to the
+// materializing join on a damaged block.
 std::vector<JoinedRecord> join_scans(
     const scan::ScanResult& first, const scan::ScanResult& second,
     JoinStats* stats = nullptr,

@@ -168,7 +168,7 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
   // from where the records live: when both scans' stores spill to disk the
   // streaming join overlaps the funnel's verdict pass (core/overlap.hpp);
   // resident stores — and the fallback on store damage — go through
-  // join_scans' hash join and apply_columnar.
+  // join_scans' resident merge join and apply_columnar.
   const FilterPipeline pipeline(options.filter);
   const auto join_filter_family =
       [&](const scan::CampaignPair& campaign, JoinStats& stats,

@@ -62,8 +62,21 @@ class Ipv6 {
   static Result<Ipv6> from_bytes(ByteView bytes);
   // Convenience builder from eight 16-bit groups.
   static Ipv6 from_groups(const std::array<std::uint16_t, 8>& groups);
+  // From the two big-endian 64-bit halves that high64/low64 return.
+  static Ipv6 from_halves(std::uint64_t high, std::uint64_t low) {
+    Ipv6 out;
+    for (int i = 0; i < 8; ++i) {
+      out.bytes_[i] = static_cast<std::uint8_t>(high >> (56 - 8 * i));
+      out.bytes_[8 + i] = static_cast<std::uint8_t>(low >> (56 - 8 * i));
+    }
+    return out;
+  }
 
   const std::array<std::uint8_t, 16>& bytes() const { return bytes_; }
+  // The address as two big-endian 64-bit halves (the /64 network part and
+  // the interface identifier): fixed-width keys that order like bytes().
+  std::uint64_t high64() const { return half64(0); }
+  std::uint64_t low64() const { return half64(8); }
   std::uint16_t group(int i) const {
     return static_cast<std::uint16_t>((bytes_[2 * i] << 8) | bytes_[2 * i + 1]);
   }
@@ -76,6 +89,12 @@ class Ipv6 {
   auto operator<=>(const Ipv6&) const = default;
 
  private:
+  std::uint64_t half64(int offset) const {
+    std::uint64_t half = 0;
+    for (int i = offset; i < offset + 8; ++i) half = (half << 8) | bytes_[i];
+    return half;
+  }
+
   std::array<std::uint8_t, 16> bytes_{};
 };
 

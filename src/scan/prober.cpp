@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
+#include "net/address_map.hpp"
 #include "obs/log.hpp"
 #include "scan/probe_ids.hpp"
 #include "snmp/message.hpp"
@@ -109,7 +109,7 @@ struct Matcher {
   const ProbeIds& ids;
   const SendRing& ring;
   std::uint64_t sent = 0;
-  std::unordered_map<net::IpAddress, SourceEntry> by_source;
+  net::AddressMap<SourceEntry> by_source;
 };
 
 // Drains matured responses into `result` and its store; returns the
@@ -181,8 +181,8 @@ std::size_t drain(net::Transport& transport, ScanResult& result,
                      : std::move(full->usm.authoritative_engine_id);
     };
 
-    const auto it = matcher.by_source.find(source);
-    if (it == matcher.by_source.end()) {
+    SourceEntry* const known = matcher.by_source.find(source);
+    if (known == nullptr) {
       // First response from this address.
       ScanRecord record;
       record.target = source;
@@ -200,15 +200,15 @@ std::size_t drain(net::Transport& transport, ScanResult& result,
       record.response_count = 1;
       record.response_bytes = datagram->payload.size();
       const std::size_t index = sink.append(record);
-      matcher.by_source.emplace(
+      matcher.by_source.try_emplace(
           source, SourceEntry{index, std::move(record.engine_id)});
       ++new_records;
-    } else if (util::equal(engine_view, it->second.engine.raw())) {
+    } else if (util::equal(engine_view, known->engine.raw())) {
       // The store's patch overlay reaches records in sealed blocks too.
-      sink.note_duplicate(it->second.index, nullptr);
+      sink.note_duplicate(known->index, nullptr);
     } else {
       const snmp::EngineId engine = materialize_engine();
-      sink.note_duplicate(it->second.index, &engine);
+      sink.note_duplicate(known->index, &engine);
     }
   }
   return new_records;
@@ -291,7 +291,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     auto cursor = sink.cursor();
     ScanRecord record;
     while (cursor.next(record))
-      matcher.by_source.emplace(
+      matcher.by_source.try_emplace(
           record.target, SourceEntry{index++, std::move(record.engine_id)});
     ring.restore(config.resume->send_window);
   } else {
@@ -301,9 +301,16 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     result.start_time = transport_.now();
     next_send = transport_.now() + config.send_offset;
     // Generated sweeps can cover billions of positions; pre-sizing must
-    // follow the expected working set, not the sweep length.
-    matcher.by_source.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(order.size(), 65536) / 4));
+    // follow the expected working set, not the sweep length. A flat slot
+    // (40 bytes here) costs five node-map bucket pointers, so the cap is
+    // 4096 positions where the node map's was 65536; a busier shard
+    // doubles the table as it fills. A scan probes one family: only the
+    // first target's table is sized.
+    if (order.size() > 0)
+      matcher.by_source.reserve(
+          order.at(0).family(),
+          static_cast<std::size_t>(
+              std::min<std::uint64_t>(order.size(), 4096) / 4));
   }
   result.store = sink_owner;
   const auto update_status = [&](std::size_t targets_sent, bool complete) {

@@ -204,7 +204,7 @@ class RecordStore {
       const std::function<void(const scan::ScanRecord&, std::size_t)>& fn)
       const;
 
-  // Reads the whole store back into a vector (the resident hash join,
+  // Reads the whole store back into a vector (the resident merge join,
   // tests, small-scale callers).
   std::vector<scan::ScanRecord> materialize() const;
 

@@ -49,12 +49,11 @@ const Device* World::device_at(const net::IpAddress& address) const {
 }
 
 std::uint64_t World::v6_prefix64(const net::Ipv6& address) {
-  return util::read_be(util::ByteView(address.bytes()).first(8));
+  return address.high64();
 }
 
 DeviceIndex World::device_index_at(const net::IpAddress& address) const {
-  const auto it = address_map_.find(address);
-  if (it != address_map_.end()) return it->second;
+  if (const DeviceIndex* device = address_map_.find(address)) return *device;
   // Aliased /64s answer on every interface identifier.
   if (address.is_v6()) {
     const auto aliased =
@@ -182,9 +181,9 @@ void World::rebind_churning_devices(std::uint64_t epoch_seed) {
     for (const auto& lease : leases) {
       auto& address = devices[lease.device].interfaces[lease.interface].*field;
       if (patch) {
-        const auto it = address_map_.find(net::IpAddress(*address));
-        patch = it != address_map_.end() && it->second == lease.device;
-        if (patch) address_map_.erase(it);
+        const DeviceIndex* holder = address_map_.find(*address);
+        patch = holder != nullptr && *holder == lease.device;
+        if (patch) address_map_.erase(*address);
       }
       address = lease.address;
     }
@@ -192,8 +191,7 @@ void World::rebind_churning_devices(std::uint64_t epoch_seed) {
   const auto bind = [&](const auto& leases) {
     for (const auto& lease : leases)
       if (patch)
-        patch = address_map_.try_emplace(net::IpAddress(lease.address),
-                                         lease.device).second;
+        patch = address_map_.try_emplace(lease.address, lease.device).second;
   };
   unbind(plan.v4, &Interface::v4);
   unbind(plan.v6, &Interface::v6);
@@ -218,21 +216,29 @@ std::vector<net::IpAddress> World::churn_leases(std::uint64_t epoch_seed,
 
 void World::reindex() {
   address_map_.clear();
+  std::size_t v4_interfaces = 0;
+  std::size_t v6_interfaces = 0;
+  for (const auto& device : devices) {
+    v4_interfaces += device.v4_count();
+    v6_interfaces += device.v6_count();
+  }
+  address_map_.reserve(net::Family::kIpv4, v4_interfaces);
+  address_map_.reserve(net::Family::kIpv6, v6_interfaces);
   if (v4_cursor.size() < ases.size()) v4_cursor.resize(ases.size(), 0);
   aliased_v6_prefixes_.clear();
   unique_holders_ = true;
-  const auto bind = [&](const net::IpAddress& address, DeviceIndex device) {
-    const auto [it, inserted] = address_map_.try_emplace(address, device);
+  const auto bind = [&](const auto& address, DeviceIndex device) {
+    const auto [held, inserted] = address_map_.try_emplace(address, device);
     if (!inserted) {
-      it->second = device;
+      *held = device;
       unique_holders_ = false;
     }
   };
   for (const auto& device : devices) {
     for (const auto& itf : device.interfaces) {
-      if (itf.v4) bind(net::IpAddress(*itf.v4), device.index);
+      if (itf.v4) bind(*itf.v4, device.index);
       if (itf.v6) {
-        bind(net::IpAddress(*itf.v6), device.index);
+        bind(*itf.v6, device.index);
         if (device.answers_whole_v6_prefix)
           aliased_v6_prefixes_[v6_prefix64(*itf.v6)] = device.index;
       }
@@ -264,9 +270,7 @@ std::size_t World::router_count() const {
 }
 
 std::size_t World::address_count(net::Family family) const {
-  std::size_t n = 0;
-  for (const auto& [addr, index] : address_map_) n += addr.family() == family;
-  return n;
+  return address_map_.size(family);
 }
 
 }  // namespace snmpv3fp::topo

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/address_map.hpp"
 #include "net/ip.hpp"
 #include "net/mac.hpp"
 #include "snmp/engine_id.hpp"
@@ -144,10 +145,11 @@ class World {
                                            net::Family family) const;
 
   // Rebuilds the IP -> device maps from the interface lists (last writer
-  // wins on a shared address) and records whether every assigned address
-  // has exactly one holder, which lets rebind_churning_devices patch the
-  // maps instead of rebuilding them. Must be called after construction or
-  // any address mutation made outside rebind_churning_devices.
+  // wins on a shared address), sized up front from the interface counts,
+  // and records whether every assigned address has exactly one holder,
+  // which lets rebind_churning_devices patch the maps instead of
+  // rebuilding them. Must be called after construction or any address
+  // mutation made outside rebind_churning_devices.
   void reindex();
 
   // --- ground truth --------------------------------------------------------
@@ -184,7 +186,7 @@ class World {
   ChurnPlan plan_churn(std::uint64_t epoch_seed,
                        std::vector<std::uint64_t>& cursor) const;
 
-  std::unordered_map<net::IpAddress, DeviceIndex> address_map_;
+  net::AddressMap<DeviceIndex> address_map_;
   // /64s on which one device answers every interface identifier.
   std::unordered_map<std::uint64_t, DeviceIndex> aliased_v6_prefixes_;
   // Set by reindex(): no address is held by two interfaces.

@@ -86,8 +86,11 @@ class AnomalyTest : public ::testing::Test {
   }
 
   AnomalyReport classify() {
-    sim::Fabric fabric(world_, {.seed = 5, .probe_loss = 0.0,
-                                .response_loss = 0.0});
+    sim::Fabric fabric(world_, {.seed = 5,
+                                .probe_loss = 0.0,
+                                .response_loss = 0.0,
+                                .faults = {},
+                                .agent = {}});
     fabric.clock().advance(20 * util::kDay);
     return classify_anomalies(pair_.scan1, pair_.scan2, fabric,
                               {net::Ipv4(198, 51, 100, 7), 4444}, as_table_);

@@ -88,7 +88,9 @@ TEST_F(BaselineWorld, MidarPrecisionIsHigh) {
   const auto metrics = pair_metrics(
       result.alias_sets,
       [&](const net::IpAddress& a) { return truth_of(a); }, targets);
-  if (metrics.inferred_pairs > 0) EXPECT_GT(metrics.precision(), 0.9);
+  if (metrics.inferred_pairs > 0) {
+    EXPECT_GT(metrics.precision(), 0.9);
+  }
   // Random/fast/filtered counters mean recall is far below 1 — the paper's
   // core argument for SNMPv3.
   EXPECT_LT(metrics.recall(), 0.8);
@@ -102,7 +104,9 @@ TEST_F(BaselineWorld, SpeedtrapPrecisionIsHigh) {
   const auto metrics = pair_metrics(
       result.alias_sets,
       [&](const net::IpAddress& a) { return truth_of(a); }, targets);
-  if (metrics.inferred_pairs > 0) EXPECT_GT(metrics.precision(), 0.85);
+  if (metrics.inferred_pairs > 0) {
+    EXPECT_GT(metrics.precision(), 0.85);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +167,9 @@ TEST_F(BaselineWorld, RouterNamesPrecisionOnWorld) {
   const auto metrics = pair_metrics(
       result.alias_sets,
       [&](const net::IpAddress& a) { return truth_of(a); }, universe);
-  if (metrics.inferred_pairs > 0) EXPECT_GT(metrics.precision(), 0.9);
+  if (metrics.inferred_pairs > 0) {
+    EXPECT_GT(metrics.precision(), 0.9);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "result_equal.hpp"
+#include "unique_dir.hpp"
 #include "core/columnar.hpp"
 #include "core/pipeline.hpp"
 #include "filter_oracle.hpp"
@@ -37,17 +38,12 @@
 namespace snmpv3fp {
 namespace {
 
+using testing_util::UniqueDir;
 
 using store::ColumnarBlock;
 using store::EngineDictionary;
 using store::RecordStore;
 using store::StoreOptions;
-
-std::string temp_dir(const std::string& name) {
-  const auto dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 // Same deliberately varied record shapes as test_store.cpp: v4/v6 mix,
 // missing / long / duplicate engine IDs, extra engines.
@@ -161,7 +157,9 @@ TEST(ColumnarBlockTest, FromRecordsRoundTripsEveryRow) {
     }
     // The dictionary actually deduplicates (make_record collapses IDs onto
     // ~16 shapes plus the empty ID and the long variants).
-    if (n == 512) EXPECT_LT(block.dictionary().size(), n / 4);
+    if (n == 512) {
+      EXPECT_LT(block.dictionary().size(), n / 4);
+    }
   }
 }
 
@@ -224,7 +222,8 @@ TEST(ColumnarBlockTest, FaultCorpusVerdictsMatchRowDecode) {
 
 TEST(ColumnarCursorTest, MatchesRowCursorOnPatchedSpilledStore) {
   StoreOptions options;
-  options.dir = temp_dir("columnar_cursor");
+  const UniqueDir dir("columnar_cursor");
+  options.dir = dir.path();
   options.records_per_block = 16;
   options.max_resident_bytes = 2048;  // force spill + eviction
   RecordStore store(options, "patched");
@@ -268,7 +267,8 @@ TEST(ColumnarCursorTest, MatchesRowCursorOnPatchedSpilledStore) {
 
 TEST(ColumnarCursorTest, FailsClosedOnDamagedSegment) {
   StoreOptions options;
-  options.dir = temp_dir("columnar_cursor_damage");
+  const UniqueDir dir("columnar_cursor_damage");
+  options.dir = dir.path();
   options.records_per_block = 16;
   options.max_resident_bytes = 1024;  // evict so reads go to disk
   store::StoreManifest manifest;

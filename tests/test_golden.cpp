@@ -9,13 +9,13 @@
 // apart on what "the output" means.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
+#include "unique_dir.hpp"
 #include "workload.hpp"
 
 namespace snmpv3fp {
@@ -47,10 +47,8 @@ TEST(GoldenDigest, Table1InRam) {
 }
 
 TEST(GoldenDigest, Table1StoreBacked) {
-  const auto dir = ::testing::TempDir() + "golden_table1_store";
-  std::filesystem::remove_all(dir);
-  expect_golden(perfbench::Workload::kTable1Store, dir);
-  std::filesystem::remove_all(dir);
+  const testing_util::UniqueDir dir("golden_table1_store");
+  expect_golden(perfbench::Workload::kTable1Store, dir.path());
 }
 
 }  // namespace

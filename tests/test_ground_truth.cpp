@@ -61,8 +61,9 @@ TEST_P(GroundTruth, DualStackSetsNeverMixDevices) {
     const auto first = r.world.device_index_at(set.addresses.front());
     for (const auto& address : set.addresses) {
       const auto device = r.world.device_index_at(address);
-      if (device != topo::kNoDevice && first != topo::kNoDevice)
+      if (device != topo::kNoDevice && first != topo::kNoDevice) {
         EXPECT_EQ(device, first) << "seed " << GetParam();
+      }
     }
   }
   EXPECT_GT(dual_sets, 0u);

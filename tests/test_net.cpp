@@ -132,6 +132,20 @@ TEST(Ipv6, Routability) {
   EXPECT_FALSE(Ipv6::parse("ff02::1").value().is_routable());
 }
 
+TEST(Ipv6, HalvesRoundTripAndOrderLikeBytes) {
+  const auto a = Ipv6::parse("2001:db8:1:2:ff00::7").value();
+  EXPECT_EQ(a.high64(), 0x20010db800010002ull);
+  EXPECT_EQ(a.low64(), 0xff00000000000007ull);
+  EXPECT_EQ(Ipv6::from_halves(a.high64(), a.low64()), a);
+  const auto b = Ipv6::parse("2001:db8:1:2:ff01::").value();
+  const auto c = Ipv6::parse("2001:db8:1:3::").value();
+  EXPECT_LT(a, b);
+  EXPECT_LT(a.low64(), b.low64());
+  EXPECT_LT(b, c);
+  EXPECT_LT(b.high64(), c.high64());
+  EXPECT_EQ(Ipv6::from_halves(0, 0), Ipv6());
+}
+
 TEST(IpAddress, MixedOrderingAndHash) {
   const IpAddress v4 = Ipv4(1, 2, 3, 4);
   const IpAddress v6 = Ipv6::parse("::1").value();

@@ -55,7 +55,9 @@ TEST_P(CfbRoundTrip, EncryptDecryptIdentity) {
   util::Aes128 cipher{ByteView(key)};
   const auto ciphertext = cipher.cfb_encrypt(iv, plaintext);
   EXPECT_EQ(ciphertext.size(), plaintext.size());  // CFB is length-preserving
-  if (!plaintext.empty()) EXPECT_NE(ciphertext, plaintext);
+  if (!plaintext.empty()) {
+    EXPECT_NE(ciphertext, plaintext);
+  }
   EXPECT_EQ(cipher.cfb_decrypt(iv, ciphertext), plaintext);
 }
 

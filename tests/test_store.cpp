@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "result_equal.hpp"
+#include "unique_dir.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -29,18 +30,14 @@
 namespace snmpv3fp {
 namespace {
 
+using testing_util::UniqueDir;
+
 using result_equal::expect_same_pipeline_result;
 using result_equal::expect_same_records;
 using result_equal::expect_same_scan;
 
 using store::RecordStore;
 using store::StoreOptions;
-
-std::string temp_dir(const std::string& name) {
-  const auto dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 // Deterministic, deliberately varied record shapes: v4/v6 mix, missing and
 // long engine IDs, extra engines, negative receive deltas never occur but
@@ -247,7 +244,8 @@ TEST(RecordStoreTest, DuplicatePatchesMatchInPlaceMutation) {
 
 TEST(RecordStoreTest, SpillsAndEvictsUnderResidentBudget) {
   StoreOptions options;
-  options.dir = temp_dir("store_spill");
+  const UniqueDir dir("store_spill");
+  options.dir = dir.path();
   options.max_resident_bytes = 4096;
   options.records_per_block = 32;
   const auto records = make_records(2000);
@@ -265,7 +263,8 @@ TEST(RecordStoreTest, SpillsAndEvictsUnderResidentBudget) {
 
 TEST(RecordStoreTest, RestoreContinuesBitIdentically) {
   StoreOptions options;
-  options.dir = temp_dir("store_restore");
+  const UniqueDir dir("store_restore");
+  options.dir = dir.path();
   options.records_per_block = 16;
   const auto records = make_records(150);
   const snmp::EngineId other(util::Bytes{0x80, 0x00, 0x00, 0x63, 0x02});
@@ -299,7 +298,8 @@ TEST(RecordStoreTest, RestoreContinuesBitIdentically) {
 
 TEST(RecordStoreTest, RestoreFailsClosedOnDamagedFiles) {
   StoreOptions options;
-  options.dir = temp_dir("store_damage");
+  const UniqueDir dir("store_damage");
+  options.dir = dir.path();
   options.records_per_block = 16;
   store::StoreManifest manifest;
   {
@@ -340,7 +340,8 @@ TEST(RecordStoreTest, RestoreFailsClosedOnDamagedFiles) {
 
 TEST(RecordStoreTest, ExternalSortMatchesInRamSort) {
   StoreOptions options;
-  options.dir = temp_dir("store_sort");
+  const UniqueDir dir("store_sort");
+  options.dir = dir.path();
   options.records_per_block = 16;
   auto records = make_records(500);
   // Shuffle deterministically so the sort has work to do.
@@ -378,7 +379,8 @@ std::vector<scan::ScanRecord> sorted_by_address(
 
 TEST(RecordStoreTest, MergeOfPreSortedSourcesInterleaves) {
   StoreOptions spilled;
-  spilled.dir = temp_dir("store_merge");
+  const UniqueDir dir("store_merge");
+  spilled.dir = dir.path();
   spilled.records_per_block = 16;
   spilled.max_resident_bytes = 1024;  // the spilled source reads from disk
   StoreOptions resident;
@@ -400,7 +402,8 @@ TEST(RecordStoreTest, MergeOfPreSortedSourcesInterleaves) {
 
 TEST(RecordStoreTest, SingleRunSortAppendsStraightIntoOutput) {
   StoreOptions options;
-  options.dir = temp_dir("store_single_run");
+  const UniqueDir dir("store_single_run");
+  options.dir = dir.path();
   options.records_per_block = 16;
   auto records = make_records(300);
   util::Rng rng(7);
@@ -424,7 +427,8 @@ TEST(RecordStoreTest, SingleRunSortAppendsStraightIntoOutput) {
 
 TEST(RecordStoreTest, MergeFailsClosedOnDamagedSource) {
   StoreOptions options;
-  options.dir = temp_dir("store_merge_damage");
+  const UniqueDir dir("store_merge_damage");
+  options.dir = dir.path();
   options.records_per_block = 16;
   options.max_resident_bytes = 1;  // evict all, so reads go to the segment
   const auto records = sorted_by_address(make_records(200));
@@ -502,7 +506,8 @@ TEST_F(StoreCampaignTest, StoreBackedCampaignBitIdenticalAtAnyThreadCount) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     auto options = base_options();
     options.parallel.threads = threads;
-    options.store.dir = temp_dir("campaign_t" + std::to_string(threads));
+    const UniqueDir dir("campaign_t" + std::to_string(threads));
+    options.store.dir = dir.path();
     options.store.records_per_block = 8;
     options.store.max_resident_bytes = 4096;
     topo::World world = fresh_world();
@@ -535,7 +540,8 @@ TEST_F(StorePipelineTest, StoreModePipelineBitIdenticalAtAnyThreadCount) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     auto options = base_options();
     options.parallel.threads = threads;
-    options.store.dir = temp_dir("pipeline_t" + std::to_string(threads));
+    const UniqueDir dir("pipeline_t" + std::to_string(threads));
+    options.store.dir = dir.path();
     options.store.records_per_block = 8;
     options.store.max_resident_bytes = 4096;
     const auto result = core::run_full_pipeline(options);

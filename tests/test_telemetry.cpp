@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -29,6 +28,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "unique_dir.hpp"
 #include "scan/campaign.hpp"
 #include "topo/generator.hpp"
 #include "util/parallel.hpp"
@@ -38,11 +38,7 @@
 namespace snmpv3fp {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  const auto path = ::testing::TempDir() + name;
-  std::filesystem::remove_all(path);
-  return path;
-}
+using testing_util::UniqueDir;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -120,6 +116,7 @@ struct TelemetryRun {
 TelemetryRun run_pipeline(std::size_t threads, bool telemetry,
                           const std::string& store_dir = {},
                           const std::string& tag = {}) {
+  const UniqueDir telemetry_dir("telemetry_" + tag);
   obs::RunObserver observer;
   core::PipelineOptions options;
   options.world = mid_size_world();
@@ -128,13 +125,11 @@ TelemetryRun run_pipeline(std::size_t threads, bool telemetry,
   TelemetryRun out;
   if (telemetry) {
     options.obs.observer = &observer;
-    const std::string dir = temp_path("telemetry_" + tag);
-    std::filesystem::create_directories(dir);
     obs::TelemetryOptions config;
     config.timeline.sample_every_virtual = 30 * util::kSecond;
-    config.flight.dump_path = dir + "/flight.json";
+    config.flight.dump_path = telemetry_dir / "flight.json";
     config.flight.ring_capacity = 64;
-    config.status.path = dir + "/status.json";
+    config.status.path = telemetry_dir / "status.json";
     config.status.every_n_targets = 64;
     config.status.min_write_interval_ms = 0.0;  // never skip a write
     observer.configure_telemetry(config);
@@ -161,9 +156,11 @@ TEST(TelemetryContract, BitIdenticalOnOffStoreOnOffAcrossThreads) {
   EXPECT_EQ(on8.digest, baseline.digest);
 
   // Store-backed records, telemetry off vs fully armed.
-  const auto store_off = run_pipeline(1, false, temp_path("tel_store_off"));
+  const UniqueDir store_off_dir("tel_store_off");
+  const UniqueDir store_on_dir("tel_store_on");
+  const auto store_off = run_pipeline(1, false, store_off_dir.path());
   const auto store_on =
-      run_pipeline(2, true, temp_path("tel_store_on"), "store_on");
+      run_pipeline(2, true, store_on_dir.path(), "store_on");
   EXPECT_EQ(store_off.digest, baseline.digest);
   EXPECT_EQ(store_on.digest, baseline.digest);
 
@@ -257,7 +254,8 @@ TEST(Timeline, JsonRoundTripsThroughParser) {
 // ---- status surface --------------------------------------------------------
 
 TEST(Status, JsonSchemaAndDashboardRoundTrip) {
-  const std::string path = temp_path("status_rt.json");
+  const UniqueDir dir("status_rt");
+  const std::string path = dir / "status.json";
   obs::StatusBoard board;
   obs::StatusConfig config;
   config.path = path;
@@ -358,7 +356,8 @@ TEST(TraceExport, ChromeTraceSchemaRoundTrips) {
 // ---- flight recorder -------------------------------------------------------
 
 TEST(Flight, RingWrapsAndDumpIsAtomicJson) {
-  const std::string path = temp_path("flight_rt.json");
+  const UniqueDir dir("flight_rt");
+  const std::string path = dir / "flight.json";
   obs::FlightRecorder flight;
   obs::FlightConfig config;
   config.ring_capacity = 4;
@@ -391,9 +390,8 @@ TEST(Flight, HostileCorpusTriggersFaultSurgeDumps) {
   auto world = topo::generate_world(topo::WorldConfig::tiny());
   obs::RunObserver observer;
   obs::TelemetryOptions telemetry;
-  const std::string dir = temp_path("flight_surge");
-  std::filesystem::create_directories(dir);
-  telemetry.flight.dump_path = dir + "/flight.json";
+  const UniqueDir dir("flight_surge");
+  telemetry.flight.dump_path = dir / "flight.json";
   telemetry.flight.ring_capacity = 32;
   telemetry.flight.fault_surge_threshold = 4;
   observer.configure_telemetry(telemetry);

@@ -99,7 +99,9 @@ TEST(Generator, AllAddressesAreRoutableAndMapped) {
         EXPECT_TRUE(itf.v4->is_routable()) << itf.v4->to_string();
         EXPECT_TRUE(world.ases[device.as_index].v4_prefix.contains(*itf.v4));
       }
-      if (itf.v6) EXPECT_TRUE(itf.v6->is_routable());
+      if (itf.v6) {
+        EXPECT_TRUE(itf.v6->is_routable());
+      }
     }
   }
   // Address map is consistent with interfaces.
@@ -141,8 +143,9 @@ TEST(Generator, VendorMixMatchesRegionPolicy) {
   // Huawei must not appear in NA routers (Figure 15's headline fact).
   for (const auto& device : world.devices) {
     if (device.kind != DeviceKind::kRouter || !device.itdk_eligible) continue;
-    if (world.ases[device.as_index].region == "NA")
+    if (world.ases[device.as_index].region == "NA") {
       EXPECT_NE(device.vendor->name, "Huawei");
+    }
   }
 }
 
@@ -189,7 +192,9 @@ TEST(Churn, RebindsOnlyChurningDevices) {
       changed += addrs != before[device.index];
     }
   }
-  if (churners > 10) EXPECT_GT(changed, churners * 8 / 10);
+  if (churners > 10) {
+    EXPECT_GT(changed, churners * 8 / 10);
+  }
 }
 
 TEST(Churn, RecyclesAddressesToOtherDevices) {
@@ -209,8 +214,9 @@ TEST(Churn, RecyclesAddressesToOtherDevices) {
   }
   // DHCP-style recycling: a solid share of old leases now belong to
   // somebody else (drives the paper's "inconsistent engine ID" filter).
-  if (old_owner.size() > 20)
+  if (old_owner.size() > 20) {
     EXPECT_GT(reused_by_other, old_owner.size() / 4);
+  }
 }
 
 // Tiny worlds over 20 generator seeds, for the churn identities below.

@@ -100,17 +100,6 @@ JsonRows& JsonRows::meta(std::string_view key, std::string_view value) {
   return *this;
 }
 
-JsonRows& JsonRows::meta(std::string_view key, double value) {
-  char buf[64];
-  if (std::isfinite(value)) {
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "null");
-  }
-  meta_.push_back({std::string(key), buf});
-  return *this;
-}
-
 JsonRows& JsonRows::meta(std::string_view key, std::int64_t value) {
   meta_.push_back({std::string(key), std::to_string(value)});
   return *this;

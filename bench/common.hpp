@@ -26,7 +26,6 @@ void print_header(const std::string& experiment, const std::string& title);
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
-  void reset() { start_ = Clock::now(); }
   double elapsed_ms() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
         .count();
@@ -56,7 +55,6 @@ class JsonRows {
   JsonRows& field(std::string_view key, std::int64_t value);
 
   JsonRows& meta(std::string_view key, std::string_view value);
-  JsonRows& meta(std::string_view key, double value);
   JsonRows& meta(std::string_view key, std::int64_t value);
 
   std::string render() const;

@@ -10,8 +10,8 @@
 // zero-allocation pipeline from wire::ProbeTemplate extends end-to-end
 // into the kernel's iovec array. Platforms or kernels without
 // sendmmsg/recvmmsg/GSO degrade at runtime to a per-datagram
-// sendto/recvfrom loop with identical semantics (bench/bench_net.cpp
-// measures both paths).
+// sendto/recvfrom loop with identical semantics (tests/test_hot_paths.cpp
+// gates the batched send at >= 2x that loop).
 //
 // Two clock modes:
 //  - kVirtual: now() is a virtual clock that jumps instantly, like

@@ -75,7 +75,7 @@ struct ProbeConfig {
   // responses the fast scanner handled vs deferred to the full decoder,
   // and how many probes were template-stamped vs fully encoded. A nonzero
   // fallback count on a clean corpus means the fast parser's accept set
-  // regressed (scripts/check.sh gates on it via bench_wire).
+  // regressed (WireCampaign.CleanCampaignHasZeroFallbacks gates on it).
   obs::Counter wire_fast_parses;
   obs::Counter wire_parse_fallbacks;
   obs::Counter wire_stamped_probes;

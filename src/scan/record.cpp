@@ -29,7 +29,12 @@ std::size_t ScanResult::unique_engine_ids() const {
   (void)for_each_record([&ids](const ScanRecord& r) {
     if (!r.engine_id.empty()) ids.push_back(r.engine_id);
   });
-  std::sort(ids.begin(), ids.end());
+  // Orders by the raw bytes: the same order as EngineId's defaulted <=>,
+  // which GCC 12 flags with a false -Wstringop-overread when inlined here.
+  std::sort(ids.begin(), ids.end(),
+            [](const snmp::EngineId& a, const snmp::EngineId& b) {
+              return a.raw() < b.raw();
+            });
   const auto end = std::unique(ids.begin(), ids.end());
   return static_cast<std::size_t>(end - ids.begin());
 }

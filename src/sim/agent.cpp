@@ -33,7 +33,6 @@ std::vector<util::Bytes> amplify(util::Bytes payload, int factor) {
 // what the offline brute-force example captures).
 std::vector<util::Bytes> handle_authenticated_v3(const topo::Device& device,
                                                  const V3Message& request,
-                                                 util::VTime now,
                                                  util::Rng& rng,
                                                  const AgentConfig& config) {
   constexpr auto kProto = snmp::AuthProtocol::kHmacSha1_96;
@@ -129,7 +128,7 @@ std::vector<util::Bytes> handle_v3(const topo::Device& device,
   if ((request.header.msg_flags & snmp::kFlagAuth) &&
       !device.usm_user.empty() && request.usm.user_name == device.usm_user &&
       request.usm.authoritative_engine_id == device.engine_id)
-    return handle_authenticated_v3(device, request, now, rng, config);
+    return handle_authenticated_v3(device, request, rng, config);
 
   // Only reportable requests elicit REPORTs (RFC 3412 §7.1).
   if (!(request.header.msg_flags & snmp::kFlagReportable)) return {};

@@ -50,21 +50,24 @@ std::vector<VarBind> build_mib(const topo::Device& device, util::VTime now) {
                  VarValue::integer(
                      static_cast<std::int64_t>(device.interfaces.size()))});
 
-  for (std::uint32_t i = 0; i < device.interfaces.size(); ++i) {
-    const auto& itf = device.interfaces[i];
-    const std::uint32_t index = i + 1;  // ifIndex is 1-based
-    mib.push_back({if_entry(1, index),
-                   VarValue::integer(static_cast<std::int64_t>(index))});
-    mib.push_back({if_entry(2, index),
-                   VarValue::string("eth" + std::to_string(i))});
-    mib.push_back({if_entry(6, index),  // ifPhysAddress
-                   VarValue::octets(itf.mac.to_bytes())});
-    mib.push_back({if_entry(8, index),  // ifOperStatus: up(1)
-                   VarValue::integer(1)});
-  }
-
-  std::sort(mib.begin(), mib.end(), [](const VarBind& a, const VarBind& b) {
-    return a.oid < b.oid;
+  // The ifTable one column at a time, each column in ifIndex order (1-based).
+  // After the system group above, that is already OID order, which
+  // mib_get and mib_next binary-search, so no sort pass is needed.
+  const auto add_column = [&](std::uint32_t column, auto value_of) {
+    for (std::uint32_t i = 0; i < device.interfaces.size(); ++i)
+      mib.push_back({if_entry(column, i + 1), value_of(i)});
+  };
+  add_column(1, [](std::uint32_t i) {
+    return VarValue::integer(static_cast<std::int64_t>(i + 1));
+  });
+  add_column(2, [](std::uint32_t i) {
+    return VarValue::string("eth" + std::to_string(i));
+  });
+  add_column(6, [&](std::uint32_t i) {  // ifPhysAddress
+    return VarValue::octets(device.interfaces[i].mac.to_bytes());
+  });
+  add_column(8, [](std::uint32_t) {  // ifOperStatus: up(1)
+    return VarValue::integer(1);
   });
   return mib;
 }

@@ -10,10 +10,12 @@
 
 #include "result_equal.hpp"
 #include "unique_dir.hpp"
+#include "net/registry.hpp"
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
 #include "scan/prober.hpp"
 #include "sim/fabric.hpp"
+#include "store/record_store.hpp"
 #include "topo/generator.hpp"
 
 namespace snmpv3fp::scan {
@@ -279,6 +281,55 @@ TEST(CheckpointCodec, MalformedSendWindowFailsClosed) {
   missing.replace(at, std::string("\"send_window\"").size(),
                   "\"sent_window\"");
   EXPECT_FALSE(CampaignCheckpoint::from_json(missing).has_value());
+}
+
+// A checkpoint persists only its store's manifest (open tail + patches),
+// so its size is O(records since the last sealed block), never O(N). The
+// open tail holds fewer than records_per_block (512) records, a few dozen
+// hex bytes each, so one fixed bound holds at every N.
+TEST(CheckpointCodec, MidScanStoreCheckpointStaysUnderFixedBound) {
+  constexpr std::size_t kCheckpointBoundBytes = 64 << 10;
+  // Deterministic records in both families, some without an engine ID,
+  // some duplicated or carrying an extra engine.
+  const auto make_record = [](std::uint64_t i) {
+    ScanRecord r;
+    if (i % 3 == 0)
+      r.target = net::Ipv6::from_groups(
+          {0x2001, 0xdb8, 0, 0, 0, 0, static_cast<std::uint16_t>(i >> 16),
+           static_cast<std::uint16_t>(i)});
+    else
+      r.target = net::Ipv4(0x0a000000u + static_cast<std::uint32_t>(i));
+    const auto cisco = [](std::uint64_t nic) {
+      return snmp::EngineId::make_mac(
+          net::kPenCisco,
+          net::MacAddress::from_oui(0x00000c, static_cast<std::uint32_t>(nic)));
+    };
+    if (i % 5 != 1) r.engine_id = cisco(i % 9973);
+    r.engine_boots = static_cast<std::uint32_t>(1 + i % 37);
+    r.engine_time = static_cast<std::uint32_t>(i % 100000);
+    r.send_time = static_cast<util::VTime>(i) * 40 * util::kMicrosecond;
+    r.receive_time = r.send_time + 18 * util::kMillisecond;
+    r.response_count = 1 + i % 2;
+    r.response_bytes = 90 + i % 40;
+    if (i % 11 == 0) r.extra_engines.push_back(cisco(i % 131));
+    return r;
+  };
+  // Counts off multiples of the block size, so every store has an open
+  // tail.
+  for (const std::size_t records : {1000u, 4000u, 16000u, 60000u}) {
+    const testing_util::UniqueDir dir("ckpt_bound");
+    store::StoreOptions options;
+    options.dir = dir.path();
+    store::RecordStore store(options, "ckpt");
+    for (std::size_t i = 0; i < records; ++i) store.append(make_record(i));
+    CampaignCheckpoint checkpoint;
+    auto& shard = checkpoint.shard_states.emplace_back();
+    shard.cursor = records;
+    shard.store_manifest = store.manifest();  // mid-scan: open tail
+    EXPECT_LE(checkpoint.to_json().size(), kCheckpointBoundBytes)
+        << records << " records";
+    store.remove_files();
+  }
 }
 
 // ---- send window ----------------------------------------------------------

@@ -109,6 +109,7 @@ struct TelemetryRun {
   obs::TimelineSnapshot timeline;
   std::uint64_t flight_dumps = 0;
   std::uint64_t status_writes = 0;
+  std::string trace_json, status_json, flight_json;  // the run's artifacts
 };
 
 // One pipeline run; `telemetry` (when set) arms every surface with file
@@ -140,8 +141,42 @@ TelemetryRun run_pipeline(std::size_t threads, bool telemetry,
     out.timeline = observer.timeline().snapshot();
     out.flight_dumps = observer.flight().dump_count();
     out.status_writes = observer.status().writes();
+    out.trace_json = obs::to_chrome_trace_json(observer.trace().snapshot(),
+                                               observer.flight().events());
+    out.status_json = slurp(telemetry_dir / "status.json");
+    out.flight_json = slurp(telemetry_dir / "flight.json");
   }
   return out;
+}
+
+// Parses `json` as an object holding every key in `keys`; adds a failure
+// and returns nullopt when it does not.
+std::optional<obs::JsonValue> parse_with_keys(
+    const std::string& json, std::initializer_list<const char*> keys) {
+  auto doc = obs::JsonValue::parse(json);
+  if (!doc.has_value() || !doc->is_object()) {
+    ADD_FAILURE() << "not a JSON object: " << json.substr(0, 200);
+    return std::nullopt;
+  }
+  for (const char* key : keys)
+    if (doc->find(key) == nullptr) {
+      ADD_FAILURE() << "missing key " << key;
+      return std::nullopt;
+    }
+  return doc;
+}
+
+// Every item of `doc[array_key]` is an object holding `keys`; returns
+// the item count.
+std::size_t expect_items_with_keys(const obs::JsonValue& doc,
+                                   const char* array_key,
+                                   std::initializer_list<const char*> keys) {
+  const auto* array = doc.find(array_key);
+  if (array == nullptr) return 0;
+  for (const auto& item : array->items())
+    for (const char* key : keys)
+      EXPECT_NE(item.find(key), nullptr) << array_key << "[i]." << key;
+  return array->items().size();
 }
 
 TEST(TelemetryContract, BitIdenticalOnOffStoreOnOffAcrossThreads) {
@@ -168,6 +203,37 @@ TEST(TelemetryContract, BitIdenticalOnOffStoreOnOffAcrossThreads) {
   EXPECT_FALSE(on1.timeline.series.empty());
   EXPECT_GT(on1.flight_dumps, 0u);
   EXPECT_GT(on1.status_writes, 0u);
+
+  // The armed run's artifacts hold their documented schemas: a chrome
+  // trace with events, a status.json marked complete, a flight dump and
+  // a timeline section with virtual points.
+  if (const auto trace = parse_with_keys(
+          on1.trace_json, {"displayTimeUnit", "traceEvents"})) {
+    EXPECT_GT(
+        expect_items_with_keys(*trace, "traceEvents", {"ph", "pid", "tid"}),
+        0u);
+  }
+  if (const auto status = parse_with_keys(
+          on1.status_json, {"schema", "complete", "totals", "shards"})) {
+    EXPECT_TRUE(status->find("complete")->as_bool());
+    expect_items_with_keys(*status, "shards",
+                           {"stage", "shard", "targets_total", "targets_sent",
+                            "response_rate", "eta_s", "complete"});
+  }
+  if (const auto flight =
+          parse_with_keys(on1.flight_json, {"schema", "reason", "events"}))
+    expect_items_with_keys(
+        *flight, "events",
+        {"kind", "stage", "shard", "virtual_s", "value", "seq"});
+  if (const auto timeline = parse_with_keys(
+          on1.timeline.to_json(), {"virtual_interval_s", "virtual", "wall"})) {
+    expect_items_with_keys(*timeline, "virtual", {"stage", "shard", "points"});
+    std::size_t points = 0;
+    for (const auto& series : timeline->find("virtual")->items())
+      if (const auto* track = series.find("points"))
+        points += track->items().size();
+    EXPECT_GT(points, 0u);
+  }
 
   // Virtual timeline samples are deterministic: identical series (stages,
   // shards, boundary times AND channel values) at every thread count, and

@@ -125,6 +125,7 @@ std::vector<EngineId> engine_zoo() {
       EngineId::make_mac(9, net::MacAddress::from_oui(0x00000c, 0x31db80)),
       EngineId::make_ipv4(2636, net::Ipv4(198, 51, 100, 7)),
       EngineId::make_text(8072, "router-7.example"),
+      EngineId::make_text(8072, "core-router-17.example.net"),
       EngineId::make_netsnmp(0x1122334455667788ull),
       EngineId::make_nonconforming(Bytes{0x01, 0x02, 0x03}),
   };

@@ -22,7 +22,9 @@
 #      sorts its shard record stores on the worker threads and merges
 #      them after the barrier, and test_join's JoinOrder suite, whose
 #      resident join materializes and key-sorts both scans on two
-#      threads. It also runs the crash harness
+#      threads, and test_net_engine's pipeline and campaign suites, whose
+#      loopback reflector workers read the world model that the campaign
+#      thread churns between scans. It also runs the crash harness
 #      (test_crash, ctest label crash_harness): children spawned from the
 #      test binary, SIGKILLed mid-campaign, resumed in-process on another
 #      thread count.
@@ -104,7 +106,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DSNMPFP_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
       --target test_parallel test_obs test_telemetry test_columnar test_worlds \
-               test_store test_join test_crash
+               test_store test_join test_crash test_net_engine
   # Only the focused binaries are built; select their gtest suites by
   # name (unbuilt targets register _NOT_BUILT placeholders ctest must skip)
   # and the crash harness by its label, which the name run excludes since
@@ -116,10 +118,12 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # suites run the procedural-vs-materialized pipeline equivalence over
   # the per-fabric lazy device caches. The
   # store suites sort and merge shard record stores across worker
-  # threads, resident and spilled. The crash harness resumes killed
-  # campaigns and pipelines on 1, 4 and 8 threads.
+  # threads, resident and spilled. The net-engine suites run 1 to 8
+  # reflector workers against campaign threads that churn the model
+  # between scans. The crash harness resumes killed campaigns and
+  # pipelines on 1, 4 and 8 threads.
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
-      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest|JoinOrder)\.")
+      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest|JoinOrder|NetEnginePipeline|NetEngineCampaign)\.")
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 

@@ -1,5 +1,8 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "core/overlap.hpp"
 #include "obs/log.hpp"
 #include "sim/reflector.hpp"
@@ -74,7 +77,11 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
   // Real-socket mode: one loopback reflector serves both campaigns (the
   // SimFrame header carries each probe's logical family, so v4 and v6
   // targets share the v4 wire). It must outlive every shard engine's
-  // linger drain, i.e. both campaigns.
+  // linger drain, i.e. both campaigns. It runs one worker per campaign
+  // thread that can be sending at once, so no shard waits on another
+  // shard's answers; each engine lingers only until its own probes are
+  // answered, which is also what keeps the workers off the model while
+  // the campaign churns it between scans.
   std::unique_ptr<sim::LoopbackReflector> reflector;
   std::optional<net::EngineConfig> engine_config = options.net_engine;
   if (engine_config.has_value()) {
@@ -84,7 +91,10 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     // Ring receive taps the wire with AF_PACKET; segmentation offload on
     // the captured path must be off or the ring sees merged datagrams.
     reflector_config.gso = !options.net_ring_receive;
-    auto started = sim::LoopbackReflector::start(model, reflector_config);
+    const std::size_t workers =
+        std::min(options.parallel.resolved_threads(), options.scan_shards);
+    auto started =
+        sim::LoopbackReflector::start(model, reflector_config, workers);
     if (!started.ok()) {
       // No sockets here (sandboxed CI): surface the reason on both
       // campaigns and return the pre-scan products.
@@ -162,6 +172,18 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     if (!result.v4_campaign.net_error.empty()) return result;
     span.set_virtual_duration(result.v4_campaign.scan2.end_time -
                               result.v4_campaign.scan1.start_time);
+  }
+  if (reflector != nullptr) {
+    // Done with the wire; the log shows how the workers split the load.
+    reflector->stop();
+    if (obs::Logger::global().enabled(obs::LogLevel::kInfo)) {
+      const auto workers = reflector->worker_stats();
+      std::string frames;
+      for (const auto& worker : workers)
+        frames += (frames.empty() ? "" : "/") + std::to_string(worker.frames);
+      obs::log_info("loopback reflector stopped",
+                    {{"workers", workers.size()}, {"frames", frames}});
+    }
   }
 
   // Join + filter. Two execution shapes, one bit-identical output, picked

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #if defined(__linux__)
+#include <linux/filter.h>
 #include <netinet/udp.h>
 #ifndef UDP_SEGMENT
 #define UDP_SEGMENT 103  // UDP GSO cmsg (linux >= 4.18); absent in old uapi
@@ -65,6 +66,40 @@ void set_socket_buffer(int fd, int option, int force_option, int bytes) {
   ::setsockopt(fd, SOL_SOCKET, option, &bytes, sizeof bytes);
 }
 
+// Attaches a classic-BPF program to a SO_REUSEPORT group that picks the
+// member by the SimFrame header's logical address: the four address words
+// XOR-folded, modulo `members`. All frames about one target land on one
+// member, and a group's load spreads evenly however few flows feed it
+// (the kernel's default flow hash can put most flows on one member).
+// Offsets are into the UDP payload; a datagram shorter than the header
+// makes the program return 0, i.e. the first member. Best effort: on
+// kernels without SO_ATTACH_REUSEPORT_CBPF the flow hash stays in charge.
+void steer_by_sim_address(int fd, std::size_t members) {
+#if defined(__linux__) && defined(SO_ATTACH_REUSEPORT_CBPF)
+  sock_filter program[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, 2),
+      BPF_STMT(BPF_MISC | BPF_TAX, 0),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, 6),
+      BPF_STMT(BPF_ALU | BPF_XOR | BPF_X, 0),
+      BPF_STMT(BPF_MISC | BPF_TAX, 0),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, 10),
+      BPF_STMT(BPF_ALU | BPF_XOR | BPF_X, 0),
+      BPF_STMT(BPF_MISC | BPF_TAX, 0),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, 14),
+      BPF_STMT(BPF_ALU | BPF_XOR | BPF_X, 0),
+      BPF_STMT(BPF_ALU | BPF_MOD | BPF_K,
+               static_cast<std::uint32_t>(members)),
+      BPF_STMT(BPF_RET | BPF_A, 0),
+  };
+  const sock_fprog fprog{static_cast<unsigned short>(std::size(program)),
+                         program};
+  ::setsockopt(fd, SOL_SOCKET, SO_ATTACH_REUSEPORT_CBPF, &fprog, sizeof fprog);
+#else
+  (void)fd;
+  (void)members;
+#endif
+}
+
 }  // namespace
 
 NetIoStats& NetIoStats::operator+=(const NetIoStats& other) {
@@ -114,7 +149,8 @@ void SimFrame::encode(std::span<std::uint8_t> out) const {
 
 std::optional<SimFrame> SimFrame::decode(util::ByteView in) {
   if (in.size() < kWireSize) return std::nullopt;
-  if (in[0] != kData && in[0] != kDrop) return std::nullopt;
+  if (in[0] != kData && in[0] != kDrop && in[0] != kDataMore)
+    return std::nullopt;
   SimFrame frame;
   frame.kind = in[0];
   if (in[1] == 4) {
@@ -194,7 +230,29 @@ BatchedUdpEngine::~BatchedUdpEngine() {
 }
 
 util::Result<std::unique_ptr<BatchedUdpEngine>> BatchedUdpEngine::open(
-    const EngineConfig& config_in) {
+    const EngineConfig& config) {
+  return open_socket(config, std::nullopt);
+}
+
+util::Result<std::vector<std::unique_ptr<BatchedUdpEngine>>>
+BatchedUdpEngine::open_group(const EngineConfig& config, std::size_t count) {
+  using R = util::Result<std::vector<std::unique_ptr<BatchedUdpEngine>>>;
+  if (count == 0 || !config.bind_loopback || config.sim_peer.has_value())
+    return R::failure("open_group: needs count >= 1, loopback, no sim_peer");
+  std::vector<std::unique_ptr<BatchedUdpEngine>> engines;
+  std::uint16_t port = 0;  // the first bind picks it; the rest join it
+  for (std::size_t i = 0; i < count; ++i) {
+    auto engine = open_socket(config, port);
+    if (!engine.ok()) return R::failure(engine.error());
+    engines.push_back(std::move(engine).value());
+    port = engines.front()->local_.port;
+  }
+  if (count > 1) steer_by_sim_address(engines.front()->fd_, count);
+  return R(std::move(engines));
+}
+
+util::Result<std::unique_ptr<BatchedUdpEngine>> BatchedUdpEngine::open_socket(
+    const EngineConfig& config_in, std::optional<std::uint16_t> reuse_port) {
   using R = util::Result<std::unique_ptr<BatchedUdpEngine>>;
   EngineConfig config = config_in;
   config.batch_size = std::clamp<std::size_t>(config.batch_size, 1, kMaxBatch);
@@ -232,12 +290,22 @@ util::Result<std::unique_ptr<BatchedUdpEngine>> BatchedUdpEngine::open(
 
   std::unique_ptr<BatchedUdpEngine> engine(new BatchedUdpEngine(config));
   engine->fd_ = fd;
+  if (reuse_port.has_value()) {
+#if defined(SO_REUSEPORT)
+    const int one = 1;
+    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) != 0)
+      return R::failure(std::string("SO_REUSEPORT: ") + std::strerror(errno));
+#else
+    return R::failure("SO_REUSEPORT unsupported");
+#endif
+  }
   if (config.bind_loopback) {
     Endpoint loopback;
     loopback.address = config.family == Family::kIpv4
                            ? IpAddress(Ipv4(127, 0, 0, 1))
                            : IpAddress(Ipv6::from_groups(
                                  {0, 0, 0, 0, 0, 0, 0, 1}));
+    loopback.port = reuse_port.value_or(0);
     sockaddr_storage addr{};
     const socklen_t len = detail::to_sockaddr(loopback, addr);
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), len) != 0)
@@ -289,7 +357,9 @@ bool BatchedUdpEngine::wait_readable(int timeout_ms) {
   }
   // EINTR retries inside re-arm with the remaining timeout only: a
   // signal (timer, SIGCHLD...) is not an arrival and not an error.
-  return poll_interruptible(pfds, nfds, timeout_ms) > 0;
+  if (poll_interruptible(pfds, nfds, timeout_ms) <= 0) return false;
+  rx_backoff_ = 0;  // data is known to be there: skip the idle throttle
+  return true;
 }
 
 bool BatchedUdpEngine::wait_writable(int timeout_ms) {
@@ -601,7 +671,9 @@ void BatchedUdpEngine::ingest(std::size_t offset, std::size_t len,
       ++stats_.recv_bad_frame;
       return;
     }
-    if (outstanding_ > 0) --outstanding_;
+    // One decrement per probe: on its final frame, never on a kDataMore.
+    if (frame->kind != SimFrame::kDataMore && outstanding_ > 0)
+      --outstanding_;
     if (frame->kind == SimFrame::kDrop) {
       ++stats_.drop_notices;
       return;
@@ -835,10 +907,20 @@ void BatchedUdpEngine::linger_drain() {
   for (;;) {
     const std::uint64_t before = stats_.datagrams_received;
     drain_to_inbox();
+    // Encap: every probe answered is the exact end of the linger.
+    if (encap_ && outstanding_ == 0) break;
     const util::VTime t = steady_us();
     if (stats_.datagrams_received > before) last_arrival = t;
     const util::VTime silent = t - last_arrival;
-    if (silent >= grace) break;
+    if (silent >= grace) {
+      if (encap_) {
+        // A frame (or its answer) was lost: give up on it, as flow_gate
+        // does, so the next scan starts from a clean count.
+        ++stats_.flow_stalls;
+        outstanding_ = 0;
+      }
+      break;
+    }
     wait_readable(
         static_cast<int>(std::max<util::VTime>((grace - silent) / 1000, 1)));
   }

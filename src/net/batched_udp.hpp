@@ -29,9 +29,12 @@
 // probe's logical destination and send time; inbound, the responding
 // target and virtual arrival time, which become the received datagram's
 // source/time (so receive_time is bit-identical to the fabric's). The
-// reflector answers every frame (drop notices for dead space), letting the
-// engine cap in-flight datagrams (`flow_window`) so a virtual-time sender
-// cannot overrun the peer's receive buffer.
+// reflector answers every probe with exactly one final frame (the last
+// response, or a drop notice for dead space); earlier frames of an
+// amplified answer are marked kDataMore. The engine therefore counts
+// probes in flight exactly: `flow_window` caps them so a virtual-time
+// sender cannot overrun the peer's receive buffer, and a linger ends the
+// moment the count reaches zero.
 //
 // Threading: an engine belongs to one thread (like a sim::Fabric shard);
 // distinct engines over distinct sockets may run on distinct threads.
@@ -81,21 +84,25 @@ struct EngineConfig {
   bool bind_loopback = true;
   int sndbuf_bytes = 0;  // 0 = kernel default (SO_SNDBUF, FORCE if root)
   int rcvbuf_bytes = 0;  // 0 = kernel default (SO_RCVBUF, FORCE if root)
-  // Virtual-time jump at or beyond this flushes pending sends and, with
-  // datagrams outstanding, lingers for arrivals (see linger_grace).
+  // Virtual-time jump at or beyond this flushes pending sends and lingers
+  // until every probe sent since the last linger is answered (encap) or
+  // the wire falls silent (see linger_grace).
   util::VTime flush_horizon = 100 * util::kMillisecond;
-  // Real-time silence the linger drain waits for before declaring all
-  // in-flight loopback datagrams arrived. The arrival timer resets on
-  // every arrival, so a busy reflector extends the linger, never loses to
-  // it.
+  // Real-time silence after which a linger gives up. Encap engines end a
+  // linger as soon as every probe is answered, so this is only the valve
+  // for a lost frame: the shortfall counts one `flow_stalls` and the count
+  // resets. Without encap there is nothing to count, and a linger ends
+  // after this much silence. The timer resets on every arrival, so a busy
+  // reflector extends the linger, never loses to it.
   util::VTime linger_grace = 100 * util::kMillisecond;
   // kWall only: run_until() really sleeps gaps up to this long; larger
   // gaps (scan boundaries) linger-drain and fast-forward the wall offset.
   util::VTime max_sleep = util::kSecond;
-  // Encap flow control: maximum datagrams sent but not yet answered (the
-  // reflector answers every frame). 0 = auto: 2 x batch_size for
-  // kVirtual encap (a virtual-time sender has no natural pacing and would
-  // overrun the peer's receive buffer), disabled otherwise.
+  // Encap flow control: maximum probes sent but not yet answered (the
+  // reflector ends every answer with one final frame). 0 = auto: 2 x
+  // batch_size for kVirtual encap (a virtual-time sender has no natural
+  // pacing and would overrun the peer's receive buffer), disabled
+  // otherwise.
   std::size_t flow_window = 0;
   // Allow UDP_SEGMENT send coalescing. Must be off for senders whose
   // traffic an AF_PACKET ring captures: loopback never segments the
@@ -112,6 +119,9 @@ struct SimFrame {
   static constexpr std::size_t kWireSize = 28;
   static constexpr std::uint8_t kData = 0xA7;  // payload follows the header
   static constexpr std::uint8_t kDrop = 0xA8;  // reflector drop notice
+  // A response frame that is not the last of its probe's answer: payload
+  // like kData, but the probe stays outstanding until its kData frame.
+  static constexpr std::uint8_t kDataMore = 0xA9;
 
   std::uint8_t kind = kData;
   Endpoint logical;       // probe destination out, responding target back
@@ -131,6 +141,13 @@ class BatchedUdpEngine final : public Transport {
   // visible SKIP, never a silent sim fallback.
   static util::Result<std::unique_ptr<BatchedUdpEngine>> open(
       const EngineConfig& config);
+  // Opens `count` engines bound to one loopback port with SO_REUSEPORT: a
+  // multi-worker SimFrame server behind one endpoint. The kernel steers
+  // each arriving frame by its header's logical address, so every frame
+  // about one target reaches the same engine and the load spreads evenly.
+  // `config` must bind loopback and have no sim_peer.
+  static util::Result<std::vector<std::unique_ptr<BatchedUdpEngine>>>
+  open_group(const EngineConfig& config, std::size_t count);
   ~BatchedUdpEngine() override;
 
   // Transport.
@@ -167,9 +184,14 @@ class BatchedUdpEngine final : public Transport {
   // Pushes all pending frames into the kernel now (batch boundary).
   // Invalidates any acquired-but-uncommitted frame.
   void flush();
-  // Flushes, then drains arrivals until `linger_grace` of real-time
-  // silence. No-op when nothing was sent since the last linger.
+  // Flushes, then drains arrivals until every probe is answered (encap)
+  // or `linger_grace` of real-time silence. No-op when nothing was sent
+  // since the last linger.
   void linger_drain();
+  // Blocks (really) until the socket is readable or `timeout_ms` passes;
+  // true when readable. A server loop calls it once it has served
+  // everything queued.
+  bool wait_readable(int timeout_ms);
 
   Endpoint local_endpoint() const { return local_; }
   const NetIoStats& stats() const { return stats_; }
@@ -183,6 +205,10 @@ class BatchedUdpEngine final : public Transport {
   struct MmsgArrays;  // Linux mmsghdr/iovec scratch, hidden from the header
 
   explicit BatchedUdpEngine(const EngineConfig& config);
+  // open() body; `reuse_port` set -> SO_REUSEPORT, bound to that loopback
+  // port (0 = kernel-assigned).
+  static util::Result<std::unique_ptr<BatchedUdpEngine>> open_socket(
+      const EngineConfig& config, std::optional<std::uint16_t> reuse_port);
 
   void send_oversize(const Endpoint& destination, util::ByteView payload,
                      util::VTime time);
@@ -208,7 +234,6 @@ class BatchedUdpEngine final : public Transport {
   void drain_to_inbox();
   // Blocks (really) until the flow window has room or a safety timeout.
   void flow_gate();
-  bool wait_readable(int timeout_ms);
   bool wait_writable(int timeout_ms);
 
   EngineConfig config_;
@@ -234,7 +259,7 @@ class BatchedUdpEngine final : public Transport {
   std::size_t acquired_len_ = 0;
   bool acquired_ = false;
   std::uint64_t sent_since_linger_ = 0;
-  std::int64_t outstanding_ = 0;  // encap frames sent minus frames answered
+  std::int64_t outstanding_ = 0;  // encap probes sent minus probes answered
 
   // RX: fixed-stride ring refilled by recvmmsg, plus an owned inbox for
   // arrivals collected while waiting (served first, order-preserving).

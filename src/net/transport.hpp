@@ -50,7 +50,7 @@ struct NetIoStats {
   std::uint64_t recv_bad_frame = 0;  // encap header failed to parse
   std::uint64_t recv_errors = 0;     // hard receive errors
   std::uint64_t drop_notices = 0;    // reflector dead/filtered notices
-  std::uint64_t flow_stalls = 0;     // flow-window waits that timed out
+  std::uint64_t flow_stalls = 0;     // flow-gate/linger waits timed out
 
   NetIoStats& operator+=(const NetIoStats& other);
   bool operator==(const NetIoStats&) const = default;

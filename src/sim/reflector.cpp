@@ -1,24 +1,71 @@
 #include "sim/reflector.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <mutex>
+#include <thread>
+
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace snmpv3fp::sim {
 
 namespace {
 using net::BatchedUdpEngine;
 using net::SimFrame;
+
+// How long an idle worker blocks in poll before it rechecks the stop flag:
+// bounds the reflector's shutdown latency, never a probe's.
+constexpr int kIdleWaitMs = 10;
+
+void respond_drop(BatchedUdpEngine& engine, const net::Endpoint& reply_to,
+                  const SimFrame& probe, util::VTime time) {
+  SimFrame notice;
+  notice.kind = SimFrame::kDrop;
+  notice.logical = probe.logical;
+  notice.time = time;
+  const auto span = engine.acquire_send_frame(SimFrame::kWireSize);
+  if (span.size() < SimFrame::kWireSize) return;
+  notice.encode(span);
+  engine.commit_send_frame({}, reply_to, SimFrame::kWireSize, time);
+}
+
 }  // namespace
 
-LoopbackReflector::LoopbackReflector(
-    const topo::WorldModel& model, const ReflectorConfig& config,
-    std::unique_ptr<net::BatchedUdpEngine> engine)
-    : config_(config),
-      view_(model.open_view()),
-      engine_(std::move(engine)),
-      rng_(config.seed) {}
+// One service worker: its socket, thread and agent state, touched only by
+// its own thread, plus the counters it publishes once per served batch.
+struct LoopbackReflector::Worker {
+  Worker(std::unique_ptr<BatchedUdpEngine> e,
+         std::unique_ptr<topo::DeviceView> v, std::uint64_t seed)
+      : engine(std::move(e)), view(std::move(v)), rng(seed) {}
+
+  std::unique_ptr<BatchedUdpEngine> engine;
+  std::unique_ptr<topo::DeviceView> view;
+  util::Rng rng;
+  ReflectorStats counts;
+  mutable std::mutex published_mutex;
+  ReflectorStats published;
+  std::thread thread;
+};
+
+ReflectorStats& ReflectorStats::operator+=(const ReflectorStats& other) {
+  frames += other.frames;
+  bad_frames += other.bad_frames;
+  dead += other.dead;
+  filtered += other.filtered;
+  delivered += other.delivered;
+  responses += other.responses;
+  return *this;
+}
+
+LoopbackReflector::LoopbackReflector(const ReflectorConfig& config)
+    : config_(config) {}
 
 util::Result<std::unique_ptr<LoopbackReflector>> LoopbackReflector::start(
-    const topo::WorldModel& model, ReflectorConfig config) {
+    const topo::WorldModel& model, ReflectorConfig config,
+    std::size_t workers) {
+  using R = util::Result<std::unique_ptr<LoopbackReflector>>;
   net::EngineConfig engine_config;
   engine_config.family = net::Family::kIpv4;  // wire family; logical
                                               // addresses ride the header
@@ -29,67 +76,69 @@ util::Result<std::unique_ptr<LoopbackReflector>> LoopbackReflector::start(
   engine_config.sndbuf_bytes = config.sndbuf_bytes;
   engine_config.rcvbuf_bytes = config.rcvbuf_bytes;
   engine_config.gso = config.gso;
-  auto engine = BatchedUdpEngine::open(engine_config);
-  if (!engine.ok())
-    return util::Result<std::unique_ptr<LoopbackReflector>>::failure(
-        engine.error());
-  std::unique_ptr<LoopbackReflector> reflector(new LoopbackReflector(
-      model, config, std::move(engine).value()));
-  reflector->thread_ = std::thread(&LoopbackReflector::loop, reflector.get());
-  return util::Result<std::unique_ptr<LoopbackReflector>>(
-      std::move(reflector));
+  auto engines = BatchedUdpEngine::open_group(
+      engine_config, std::max<std::size_t>(workers, 1));
+  if (!engines.ok()) return R::failure(engines.error());
+  std::unique_ptr<LoopbackReflector> reflector(new LoopbackReflector(config));
+  for (auto& engine : engines.value()) {
+    const std::size_t index = reflector->workers_.size();
+    reflector->workers_.push_back(std::make_unique<Worker>(
+        std::move(engine), model.open_view(),
+        index == 0 ? config.seed : util::hash_combine(config.seed, index)));
+  }
+  for (auto& worker : reflector->workers_)
+    worker->thread = std::thread(&LoopbackReflector::serve, reflector.get(),
+                                 std::ref(*worker));
+  return R(std::move(reflector));
 }
 
-LoopbackReflector::~LoopbackReflector() {
+LoopbackReflector::~LoopbackReflector() { stop(); }
+
+void LoopbackReflector::stop() {
   stop_.store(true, std::memory_order_relaxed);
-  if (thread_.joinable()) thread_.join();
+  for (auto& worker : workers_)
+    if (worker->thread.joinable()) worker->thread.join();
+}
+
+net::Endpoint LoopbackReflector::endpoint() const {
+  return workers_.front()->engine->local_endpoint();
+}
+
+std::vector<ReflectorStats> LoopbackReflector::worker_stats() const {
+  std::vector<ReflectorStats> out;
+  out.reserve(workers_.size());
+  for (const auto& worker : workers_) {
+    const std::lock_guard<std::mutex> lock(worker->published_mutex);
+    out.push_back(worker->published);
+  }
+  return out;
 }
 
 ReflectorStats LoopbackReflector::stats() const {
-  ReflectorStats stats;
-  stats.frames = frames_.load(std::memory_order_relaxed);
-  stats.bad_frames = bad_frames_.load(std::memory_order_relaxed);
-  stats.dead = dead_.load(std::memory_order_relaxed);
-  stats.filtered = filtered_.load(std::memory_order_relaxed);
-  stats.delivered = delivered_.load(std::memory_order_relaxed);
-  stats.responses = responses_.load(std::memory_order_relaxed);
-  return stats;
+  ReflectorStats total;
+  for (const auto& worker : worker_stats()) total += worker;
+  return total;
 }
 
-void LoopbackReflector::loop() {
+void LoopbackReflector::serve(Worker& worker) {
   while (!stop_.load(std::memory_order_relaxed)) {
-    // run_until really waits (wall clock), draining arrivals as they
-    // land; process() then serves everything queued.
-    engine_->run_until(engine_->now() + util::kMillisecond);
-    process();
+    if (!process(worker)) worker.engine->wait_readable(kIdleWaitMs);
   }
   // Final sweep so probes that raced the stop flag still get answers
   // before the socket closes.
-  process();
-  engine_->flush();
+  process(worker);
 }
 
-void LoopbackReflector::respond_drop(const net::Endpoint& reply_to,
-                                     const net::SimFrame& probe,
-                                     util::VTime time) {
-  SimFrame notice;
-  notice.kind = SimFrame::kDrop;
-  notice.logical = probe.logical;
-  notice.time = time;
-  const auto span = engine_->acquire_send_frame(SimFrame::kWireSize);
-  if (span.size() < SimFrame::kWireSize) return;
-  notice.encode(span);
-  engine_->commit_send_frame({}, reply_to, SimFrame::kWireSize, time);
-}
-
-bool LoopbackReflector::process() {
+bool LoopbackReflector::process(Worker& worker) {
+  BatchedUdpEngine& engine = *worker.engine;
+  ReflectorStats& counts = worker.counts;
   bool any = false;
-  while (const auto view = engine_->receive_view()) {
+  while (const auto view = engine.receive_view()) {
     any = true;
-    frames_.fetch_add(1, std::memory_order_relaxed);
+    ++counts.frames;
     const auto probe = SimFrame::decode(view->payload);
     if (!probe.has_value() || probe->kind != SimFrame::kData) {
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
+      ++counts.bad_frames;
       continue;
     }
     const util::ByteView payload =
@@ -98,51 +147,58 @@ bool LoopbackReflector::process() {
     // Same integer halving as sim::Fabric::deliver: at_device and arrival
     // must be bit-identical to the fabric's for the equality contract.
     const util::VTime at_device = probe->time + config_.rtt / 2;
-    const topo::Device* device = view_->device_at(probe->logical.address);
+    const topo::Device* device =
+        worker.view->device_at(probe->logical.address);
     if (device == nullptr) {
-      dead_.fetch_add(1, std::memory_order_relaxed);
-      respond_drop(reply_to, *probe, at_device);
+      ++counts.dead;
+      respond_drop(engine, reply_to, *probe, at_device);
       continue;
     }
     if (probe->logical.port != net::kSnmpPort) {
-      filtered_.fetch_add(1, std::memory_order_relaxed);
-      respond_drop(reply_to, *probe, at_device);
+      ++counts.filtered;
+      respond_drop(engine, reply_to, *probe, at_device);
       continue;
     }
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++counts.delivered;
     auto responses =
-        handle_udp(*device, payload, at_device, rng_, config_.agent);
+        handle_udp(*device, payload, at_device, worker.rng, config_.agent);
     if (responses.empty()) {
-      // The agent ignored the payload; the engine's flow window still
-      // needs an answer.
-      respond_drop(reply_to, *probe, at_device);
+      // The agent ignored the payload; the probe still needs its final
+      // frame.
+      respond_drop(engine, reply_to, *probe, at_device);
       continue;
     }
     const util::VTime arrival = at_device + config_.rtt / 2;
-    for (const auto& response : responses) {
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const util::Bytes& response = responses[i];
       SimFrame header;
-      header.kind = SimFrame::kData;
+      header.kind = i + 1 == responses.size() ? SimFrame::kData
+                                              : SimFrame::kDataMore;
       header.logical = probe->logical;  // agents reply from the probed IP
       header.time = arrival;
       const std::size_t wire_len = SimFrame::kWireSize + response.size();
-      const auto span = engine_->acquire_send_frame(wire_len);
+      const auto span = engine.acquire_send_frame(wire_len);
       if (span.size() >= wire_len) {
         header.encode(span);
         std::memcpy(span.data() + SimFrame::kWireSize, response.data(),
                     response.size());
-        engine_->commit_send_frame({}, reply_to, wire_len, arrival);
+        engine.commit_send_frame({}, reply_to, wire_len, arrival);
       } else {
         // Response outgrew the frame pool: allocating one-off send.
         util::Bytes wire(wire_len);
         header.encode({wire.data(), SimFrame::kWireSize});
         std::memcpy(wire.data() + SimFrame::kWireSize, response.data(),
                     response.size());
-        engine_->send_view({}, reply_to, wire, arrival);
+        engine.send_view({}, reply_to, wire, arrival);
       }
-      responses_.fetch_add(1, std::memory_order_relaxed);
+      ++counts.responses;
     }
   }
-  if (any) engine_->flush();
+  if (any) {
+    engine.flush();
+    const std::lock_guard<std::mutex> lock(worker.published_mutex);
+    worker.published = counts;
+  }
   return any;
 }
 

@@ -5,10 +5,13 @@
 //  1. Wire plumbing: the SimFrame encapsulation codec and the UdpSocket
 //     send-errno taxonomy (EAGAIN/ECONNREFUSED as distinct outcomes).
 //  2. BatchedUdpEngine over loopback sockets: batched vs per-datagram
-//     delivery, truncation accounting, ICMP refusal surfacing.
+//     delivery, truncation accounting, ICMP refusal surfacing, one port
+//     shared by a group, and a linger that counts probes, not frames.
 //  3. The pipeline contract: a full pipeline probing through real kernel
 //     sockets against a sim::LoopbackReflector produces a PipelineResult
-//     bit-identical to the sim-fabric run, at 1/2/8 threads.
+//     bit-identical to the sim-fabric run, at 1/2/8 threads (and as many
+//     reflector workers); campaigns against a reflector started directly
+//     check its frame kinds and its multi-worker accounting.
 //
 // Every socket-touching test probes availability first and GTEST_SKIPs
 // when the sandbox denies sockets — CI shows the skip, never a silent
@@ -17,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "result_equal.hpp"
 #include "core/pipeline.hpp"
@@ -25,6 +31,7 @@
 #include "net/udp_socket.hpp"
 #include "scan/campaign.hpp"
 #include "sim/reflector.hpp"
+#include "snmp/message.hpp"
 #include "topo/generator.hpp"
 #include "topo/world_model.hpp"
 
@@ -62,6 +69,15 @@ TEST(SimFrame, RoundTripsV4AndV6Endpoints) {
   EXPECT_EQ(back6->kind, net::SimFrame::kDrop);
   EXPECT_EQ(back6->logical, v6.logical);
   EXPECT_EQ(back6->time, v6.time);
+
+  // A non-final response frame keeps its kind: the engine must not count
+  // its probe answered.
+  v6.kind = net::SimFrame::kDataMore;
+  v6.encode(wire);
+  const auto more = net::SimFrame::decode({wire, sizeof wire});
+  ASSERT_TRUE(more.has_value());
+  EXPECT_EQ(more->kind, net::SimFrame::kDataMore);
+  EXPECT_EQ(more->logical, v6.logical);
 }
 
 TEST(SimFrame, RejectsShortAndGarbageInput) {
@@ -71,6 +87,15 @@ TEST(SimFrame, RejectsShortAndGarbageInput) {
   std::uint8_t garbage[net::SimFrame::kWireSize];
   std::memset(garbage, 0x5a, sizeof garbage);  // kind 0x5a: not a frame
   EXPECT_FALSE(net::SimFrame::decode({garbage, sizeof garbage}));
+  // Kinds next to the three real ones are unknown too.
+  net::SimFrame frame;
+  frame.logical = {net::IpAddress(net::Ipv4(192, 0, 2, 1)), 161};
+  frame.encode(garbage);
+  for (const std::uint8_t kind : {0xA6, 0xAA}) {
+    garbage[0] = kind;
+    EXPECT_FALSE(net::SimFrame::decode({garbage, sizeof garbage}))
+        << "kind " << int{kind};
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -184,6 +209,107 @@ TEST(BatchedUdpEngine, DeliversPerDatagramOverLoopback) {
   expect_loopback_delivery(net::BatchMode::kPerDatagram);
 }
 
+TEST(BatchedUdpEngine, OpenGroupSharesOneLoopbackPort) {
+  auto group = net::BatchedUdpEngine::open_group(
+      wall_engine_config(net::BatchMode::kAuto), 3);
+  if (!group.ok()) GTEST_SKIP() << "sockets unavailable: " << group.error();
+  ASSERT_EQ(group.value().size(), 3u);
+  const net::Endpoint shared = group.value().front()->local_endpoint();
+  EXPECT_NE(shared.port, 0);
+  for (const auto& engine : group.value())
+    EXPECT_EQ(engine->local_endpoint(), shared);
+
+  net::EngineConfig encap = wall_engine_config(net::BatchMode::kAuto);
+  encap.sim_peer = shared;
+  EXPECT_FALSE(net::BatchedUdpEngine::open_group(encap, 2).ok());
+  EXPECT_FALSE(net::BatchedUdpEngine::open_group(
+                   wall_engine_config(net::BatchMode::kAuto), 0)
+                   .ok());
+}
+
+// Wire bytes of one SimFrame: header then payload.
+util::Bytes sim_wire(std::uint8_t kind, const net::Endpoint& logical,
+                     util::ByteView payload) {
+  util::Bytes wire(net::SimFrame::kWireSize + payload.size());
+  net::SimFrame frame;
+  frame.kind = kind;
+  frame.logical = logical;
+  frame.encode({wire.data(), net::SimFrame::kWireSize});
+  std::memcpy(wire.data() + net::SimFrame::kWireSize, payload.data(),
+              payload.size());
+  return wire;
+}
+
+// Collects what arrives at `rx` within `wait` of real time.
+std::vector<util::Bytes> collect(net::BatchedUdpEngine& rx, std::size_t want,
+                                 util::VTime wait = 2 * util::kSecond) {
+  std::vector<util::Bytes> got;
+  const util::VTime deadline = rx.now() + wait;
+  while (got.size() < want && rx.now() < deadline) {
+    rx.run_until(rx.now() + 5 * util::kMillisecond);
+    while (const auto view = rx.receive_view())
+      got.emplace_back(view->payload.begin(), view->payload.end());
+  }
+  return got;
+}
+
+TEST(BatchedUdpEngine, EncapLingerCountsProbesNotFrames) {
+  auto peer_open =
+      net::BatchedUdpEngine::open(wall_engine_config(net::BatchMode::kAuto));
+  if (!peer_open.ok())
+    GTEST_SKIP() << "sockets unavailable: " << peer_open.error();
+  net::BatchedUdpEngine& peer = *peer_open.value();
+  net::EngineConfig config;
+  config.clock = net::EngineClock::kVirtual;
+  config.batch_size = 8;
+  config.sim_peer = peer.local_endpoint();
+  config.linger_grace = 300 * util::kMillisecond;
+  auto engine_open = net::BatchedUdpEngine::open(config);
+  ASSERT_TRUE(engine_open.ok()) << engine_open.error();
+  net::BatchedUdpEngine& engine = *engine_open.value();
+  const std::uint8_t probe[] = {0x30, 0x00};
+  const net::Endpoint first{net::IpAddress(net::Ipv4(192, 0, 2, 1)), 161};
+  const net::Endpoint second{net::IpAddress(net::Ipv4(192, 0, 2, 2)), 161};
+  const std::uint8_t body[] = {0x42, 0x43};
+
+  // Two probes; the peer answers the first with three frames and leaves
+  // the second unanswered. Three frames must count as one answer, so the
+  // linger waits out its grace and records the shortfall as a stall.
+  engine.send_view({}, first, probe, engine.now());
+  engine.send_view({}, second, probe, engine.now());
+  engine.flush();
+  ASSERT_EQ(collect(peer, 2).size(), 2u);
+  const net::Endpoint reply_to = engine.local_endpoint();
+  for (const std::uint8_t kind :
+       {net::SimFrame::kDataMore, net::SimFrame::kDataMore,
+        net::SimFrame::kData})
+    peer.send_view({}, reply_to, sim_wire(kind, first, body), 0);
+  peer.flush();
+  const auto started = std::chrono::steady_clock::now();
+  engine.linger_drain();
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(300));
+  EXPECT_EQ(engine.stats().flow_stalls, 1u);
+  std::size_t responses = 0;
+  while (engine.receive_view()) ++responses;
+  EXPECT_EQ(responses, 3u);
+
+  // One probe answered by two frames: the linger ends on the count, with
+  // no grace to wait out and no stall.
+  engine.send_view({}, first, probe, engine.now());
+  engine.flush();
+  ASSERT_EQ(collect(peer, 1).size(), 1u);
+  peer.send_view({}, reply_to, sim_wire(net::SimFrame::kDataMore, first, body),
+                 0);
+  peer.send_view({}, reply_to, sim_wire(net::SimFrame::kData, first, body), 0);
+  peer.flush();
+  engine.linger_drain();
+  EXPECT_EQ(engine.stats().flow_stalls, 1u);
+  responses = 0;
+  while (engine.receive_view()) ++responses;
+  EXPECT_EQ(responses, 2u);
+}
+
 TEST(BatchedUdpEngine, OversizedDatagramsCountAsTruncated) {
   auto sender = net::BatchedUdpEngine::open(
       wall_engine_config(net::BatchMode::kAuto));
@@ -240,7 +366,9 @@ sim::FabricConfig deterministic_fabric() {
   return fabric;
 }
 
-core::PipelineResult run_equality_pipeline(bool net, std::size_t threads) {
+core::PipelineResult run_equality_pipeline(
+    bool net, std::size_t threads,
+    util::VTime linger_grace = net::EngineConfig{}.linger_grace) {
   core::PipelineOptions options;
   options.world = deterministic_world();
   options.fabric = deterministic_fabric();
@@ -252,20 +380,26 @@ core::PipelineResult run_equality_pipeline(bool net, std::size_t threads) {
     // batch (flow window = 2x batch) keeps their combined in-flight
     // window far under it.
     engine.batch_size = 16;
+    engine.linger_grace = linger_grace;
     options.net_engine = engine;
     options.net_rtt = 20 * util::kMillisecond;
   }
   return core::run_full_pipeline(options);
 }
 
+bool sockets_available(std::string& why) {
+  net::EngineConfig probe;
+  auto available = net::BatchedUdpEngine::open(probe);
+  if (!available.ok()) why = available.error();
+  return available.ok();
+}
+
 TEST(NetEnginePipeline, BitIdenticalToSimFabricAcrossThreadCounts) {
-  {
-    net::EngineConfig probe;
-    auto available = net::BatchedUdpEngine::open(probe);
-    if (!available.ok())
-      GTEST_SKIP() << "sockets unavailable: " << available.error();
-  }
+  std::string why;
+  if (!sockets_available(why)) GTEST_SKIP() << "sockets unavailable: " << why;
   const core::PipelineResult sim_run = run_equality_pipeline(false, 1);
+  // The pipeline runs min(threads, 8 shards) reflector workers, so this
+  // also covers 1, 2 and 8 workers behind one endpoint.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -280,9 +414,130 @@ TEST(NetEnginePipeline, BitIdenticalToSimFabricAcrossThreadCounts) {
   }
 }
 
+TEST(NetEnginePipeline, LingerEndsOnTheAnswerCountNotOnSilence) {
+  std::string why;
+  if (!sockets_available(why)) GTEST_SKIP() << "sockets unavailable: " << why;
+  const core::PipelineResult sim_run = run_equality_pipeline(false, 1);
+  // Each of the 8 shards lingers at the end of each of 4 scans. Waiting
+  // for 10 s of silence would take over 5 minutes; ending on the count of
+  // answered probes takes well under one grace period in all.
+  const auto started = std::chrono::steady_clock::now();
+  const core::PipelineResult net_run =
+      run_equality_pipeline(true, 2, 10 * util::kSecond);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  if (!net_run.v4_campaign.net_error.empty())
+    GTEST_SKIP() << "net engine unavailable: " << net_run.v4_campaign.net_error;
+  expect_same_run(sim_run, net_run);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  EXPECT_EQ(net_run.v4_campaign.net_io.flow_stalls, 0u);
+  EXPECT_EQ(net_run.v6_campaign.net_io.flow_stalls, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Wall-clock campaign smoke test
+// Campaigns against a reflector started directly
 // ---------------------------------------------------------------------------
+
+TEST(NetEngineCampaign, ReflectorEndsEveryAnswerWithOneFinalFrame) {
+  topo::World world = topo::generate_world(deterministic_world());
+  const topo::Device* amplifier = nullptr;
+  for (const auto& device : world.devices) {
+    if (device.snmpv3_enabled && device.amplification >= 2 &&
+        !device.interfaces.empty() && device.interfaces.front().v4) {
+      amplifier = &device;
+      break;
+    }
+  }
+  ASSERT_NE(amplifier, nullptr) << "the test world has no v4 amplifier";
+  topo::MaterializedWorldModel model(world);
+  auto reflector = sim::LoopbackReflector::start(model);
+  if (!reflector.ok())
+    GTEST_SKIP() << "sockets unavailable: " << reflector.error();
+  auto client_open =
+      net::BatchedUdpEngine::open(wall_engine_config(net::BatchMode::kAuto));
+  ASSERT_TRUE(client_open.ok()) << client_open.error();
+  net::BatchedUdpEngine& client = *client_open.value();
+  const net::Endpoint server = reflector.value()->endpoint();
+
+  // An amplified answer: N-1 kDataMore frames, then one kData.
+  const util::Bytes request =
+      snmp::make_discovery_request(1, 1).encode();
+  const net::Endpoint target{
+      net::IpAddress(*amplifier->interfaces.front().v4), net::kSnmpPort};
+  client.send_view({}, server, sim_wire(net::SimFrame::kData, target, request),
+                   0);
+  client.flush();
+  const auto frames =
+      collect(client, static_cast<std::size_t>(amplifier->amplification));
+  ASSERT_EQ(frames.size(),
+            static_cast<std::size_t>(amplifier->amplification));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto header = net::SimFrame::decode(frames[i]);
+    ASSERT_TRUE(header.has_value());
+    EXPECT_EQ(header->kind, i + 1 == frames.size() ? net::SimFrame::kData
+                                                   : net::SimFrame::kDataMore)
+        << "frame " << i;
+    EXPECT_EQ(header->logical, target);
+  }
+
+  // Dead space: one drop notice, nothing else.
+  const net::Endpoint dead{net::IpAddress(net::Ipv4(192, 0, 2, 77)),
+                           net::kSnmpPort};
+  ASSERT_EQ(world.device_at(dead.address), nullptr);
+  client.send_view({}, server, sim_wire(net::SimFrame::kData, dead, request),
+                   0);
+  client.flush();
+  const auto notice = collect(client, 2, 300 * util::kMillisecond);
+  ASSERT_EQ(notice.size(), 1u);
+  EXPECT_EQ(net::SimFrame::decode(notice.front())->kind,
+            net::SimFrame::kDrop);
+}
+
+TEST(NetEngineCampaign, ThreeWorkersAnswerEveryProbeOfEightShards) {
+  topo::World world = topo::generate_world(deterministic_world());
+  topo::MaterializedWorldModel model(world);
+  sim::ReflectorConfig reflector_config;
+  auto reflector = sim::LoopbackReflector::start(model, reflector_config, 3);
+  if (!reflector.ok())
+    GTEST_SKIP() << "sockets unavailable: " << reflector.error();
+
+  scan::CampaignOptions options;
+  options.family = net::Family::kIpv4;
+  options.shards = 8;
+  options.parallel.threads = 3;
+  options.fabric = deterministic_fabric();
+  net::EngineConfig engine;
+  engine.clock = net::EngineClock::kVirtual;
+  engine.batch_size = 16;
+  engine.sim_peer = reflector.value()->endpoint();
+  options.net_engine = engine;
+
+  const scan::CampaignPair pair = scan::run_two_scan_campaign(model, options);
+  ASSERT_TRUE(pair.net_error.empty()) << pair.net_error;
+  reflector.value()->stop();
+  const sim::ReflectorStats stats = reflector.value()->stats();
+  const std::vector<sim::ReflectorStats> workers =
+      reflector.value()->worker_stats();
+  ASSERT_EQ(workers.size(), 3u);
+  std::string split;
+  for (const auto& worker : workers)
+    split += (split.empty() ? "" : "/") + std::to_string(worker.frames);
+  RecordProperty("worker_frames", split);
+
+  // Every probe reached a worker and every answer came back whole: the
+  // engines received exactly the responses plus one drop notice per probe
+  // no agent answered, and no linger or flow gate gave up on a frame.
+  EXPECT_GT(pair.scan1.responsive(), 0u);
+  EXPECT_EQ(stats.frames, pair.net_io.datagrams_sent);
+  EXPECT_EQ(stats.bad_frames, 0u);
+  EXPECT_EQ(pair.net_io.datagrams_received,
+            stats.responses + pair.net_io.drop_notices);
+  EXPECT_EQ(stats.frames, stats.dead + stats.filtered + stats.delivered);
+  EXPECT_EQ(pair.net_io.flow_stalls, 0u);
+  // Steering by target address spreads the probes of eight flows evenly;
+  // the kernel's flow hash alone often leaves one worker with most.
+  for (const auto& worker : workers)
+    EXPECT_GT(worker.frames * 5, stats.frames) << "frames per worker " << split;
+}
 
 TEST(NetEngineCampaign, WallClockCampaignCompletesAgainstTheReflector) {
   topo::World world = topo::generate_world(deterministic_world());

@@ -42,7 +42,11 @@
 #      address map's probe, wrap-around and backward-shift erase index
 #      arithmetic, with heap-owning values) and test_topo's Churn suite,
 #      whose patched world index erases and re-inserts leases in that
-#      flat map on every rebind — >=10k corrupted
+#      flat map on every rebind, and the batched spec-mode probe path's
+#      fixed stack arrays (a sparse block's responder offsets, the prober's
+#      64-probe target/id batch and the generator's walking lanes):
+#      test_worlds' TargetGenerator, ProceduralWorld and SpecModeCampaign
+#      suites and test_util's Rng suite — >=10k corrupted
 #      payloads must decode-reject with zero memory errors or UB; the
 #      store suites re-run the codec
 #      mutation corpus and the spill/restore paths under the sanitizers,
@@ -135,9 +139,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   cmake --build build-asan -j "$JOBS" \
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
                test_pacer test_store test_wire test_columnar test_topo \
-               test_probe_validation test_address_map test_crash
+               test_probe_validation test_address_map test_crash \
+               test_worlds test_util
   (cd build-asan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn|AddressMap)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn|AddressMap|TargetGenerator|ProceduralWorld|SpecModeCampaign|Rng)\.")
   (cd build-asan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 

@@ -1,6 +1,7 @@
 #include "scan/prober.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <optional>
 
@@ -15,6 +16,10 @@
 namespace snmpv3fp::scan {
 
 namespace {
+// Probes whose targets and ids are prepared together: batching lets a
+// generated sweep permute many positions side by side.
+constexpr std::size_t kProbeBatch = 64;
+
 // The shard's progress after `targets_sent` probes: the values a timeline
 // tick and a status row both report.
 obs::TimelinePoint progress(std::size_t targets_sent, const ScanResult& result,
@@ -323,10 +328,24 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     telemetry.status.update(row);
   };
 
+  // Batches start at the shard's own cursor, so a resume at any cursor
+  // prepares exactly the targets and ids an uninterrupted run sends.
+  std::array<net::IpAddress, kProbeBatch> batch_targets;
+  std::array<ProbeIds::Pair, kProbeBatch> batch_ids;
+  std::size_t batch_begin = start_index;
+  std::size_t batch_end = start_index;
   for (std::size_t i = start_index; i < order.size(); ++i) {
-    const net::IpAddress target = order.at(i);
+    if (i == batch_end) {
+      batch_begin = i;
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kProbeBatch, order.size() - i));
+      order.fill(i, std::span(batch_targets).first(n));
+      for (std::size_t j = 0; j < n; ++j) batch_ids[j] = ids.encode(i + j);
+      batch_end = i + n;
+    }
+    const net::IpAddress& target = batch_targets[i - batch_begin];
     transport_.run_until(next_send);
-    const auto [msg_id, request_id] = ids.encode(i);
+    const auto [msg_id, request_id] = batch_ids[i - batch_begin];
     const util::VTime send_time = transport_.now();
     if (ring.record(i, send_time)) ++result.send_ring_overruns;
     // Zero-copy frame path first: a batching transport hands out a

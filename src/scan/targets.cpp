@@ -1,6 +1,7 @@
 #include "scan/targets.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -35,22 +36,32 @@ TargetGenerator::TargetGenerator(const TargetSpec& spec, std::uint64_t seed)
   for (std::uint32_t i = 0; i < rounds; ++i) round_keys_.push_back(rng.next());
 }
 
-std::uint64_t TargetGenerator::permute(std::uint64_t value) const {
+void TargetGenerator::permute(std::span<std::uint64_t> values) const {
+  // Round by round over the whole span: the values' multiply chains are
+  // independent, so a batch keeps the CPU's multipliers busy where one
+  // value would leave them waiting on its own chain.
   const std::uint64_t mask = (std::uint64_t{1} << half_bits_) - 1;
-  std::uint64_t left = value >> half_bits_;
-  std::uint64_t right = value & mask;
   for (const std::uint64_t key : round_keys_) {
-    // splitmix64-style round function: cheap, full-avalanche within the
-    // half-domain, and stable across platforms.
-    std::uint64_t f = right + key + 0x9e3779b97f4a7c15ull;
-    f = (f ^ (f >> 30)) * 0xbf58476d1ce4e5b9ull;
-    f = (f ^ (f >> 27)) * 0x94d049bb133111ebull;
-    f ^= f >> 31;
-    const std::uint64_t next_right = left ^ (f & mask);
-    left = right;
-    right = next_right;
+    for (std::uint64_t& value : values) {
+      const std::uint64_t left = value >> half_bits_;
+      const std::uint64_t right = value & mask;
+      // splitmix64-style round function: cheap, full-avalanche within the
+      // half-domain, and stable across platforms.
+      std::uint64_t f = right + key + 0x9e3779b97f4a7c15ull;
+      f = (f ^ (f >> 30)) * 0xbf58476d1ce4e5b9ull;
+      f = (f ^ (f >> 27)) * 0x94d049bb133111ebull;
+      f ^= f >> 31;
+      value = (right << half_bits_) | (left ^ (f & mask));
+    }
   }
-  return (left << half_bits_) | right;
+}
+
+net::IpAddress TargetGenerator::address_of(std::uint64_t position) const {
+  const auto range =
+      std::upper_bound(cumulative_.begin(), cumulative_.end(), position) - 1;
+  const auto range_index =
+      static_cast<std::size_t>(range - cumulative_.begin());
+  return ranges_[range_index].at(position - *range);
 }
 
 net::IpAddress TargetGenerator::at(std::uint64_t index) const {
@@ -59,13 +70,44 @@ net::IpAddress TargetGenerator::at(std::uint64_t index) const {
   // terminates in < 4 expected steps (domain < 4 * total_).
   std::uint64_t position = index;
   do {
-    position = permute(position);
+    permute({&position, 1});
   } while (position >= total_);
-  const auto range =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), position) - 1;
-  const auto range_index =
-      static_cast<std::size_t>(range - cumulative_.begin());
-  return ranges_[range_index].at(position - *range);
+  return address_of(position);
+}
+
+void TargetGenerator::fill(std::uint64_t first,
+                           std::span<net::IpAddress> out) const {
+  // at()'s walk, a batch at a time: permute every position, then re-permute
+  // only the lanes still outside [0, total_), gathered into `walk` after
+  // each pass, so no lane waits on another's exit branch.
+  constexpr std::size_t kLanes = 64;
+  std::array<std::uint64_t, kLanes> position{};
+  std::array<std::uint64_t, kLanes> walk{};
+  std::array<std::uint8_t, kLanes> lane_of{};
+  for (std::size_t done = 0; done < out.size(); done += kLanes) {
+    const std::size_t n = std::min(kLanes, out.size() - done);
+    for (std::size_t j = 0; j < n; ++j) position[j] = first + done + j;
+    permute(std::span(position).first(n));
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      walk[count] = position[j];
+      lane_of[count] = static_cast<std::uint8_t>(j);
+      count += position[j] >= total_;
+    }
+    while (count > 0) {
+      permute(std::span(walk).first(count));
+      std::size_t still = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        position[lane_of[k]] = walk[k];
+        walk[still] = walk[k];
+        lane_of[still] = lane_of[k];
+        still += walk[k] >= total_;
+      }
+      count = still;
+    }
+    for (std::size_t j = 0; j < n; ++j)
+      out[done + j] = address_of(position[j]);
+  }
 }
 
 }  // namespace snmpv3fp::scan

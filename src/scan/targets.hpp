@@ -12,9 +12,12 @@
 //
 // TargetSequence is the read-only indexable view the Prober consumes; it
 // abstracts over materialized lists (SpanTargets) and generated sweeps
-// (GeneratorSlice) so both campaign modes share one probe loop.
+// (GeneratorSlice) so both campaign modes share one probe loop. The loop
+// fetches targets in batches (fill), which lets a generated sweep run the
+// permutation of a whole batch side by side instead of one chain at a time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -47,9 +50,16 @@ class TargetGenerator {
   // The i-th target of the permuted sweep, i in [0, size()).
   net::IpAddress at(std::uint64_t index) const;
 
+  // out[j] = at(first + j) for every j, without allocating.
+  void fill(std::uint64_t first, std::span<net::IpAddress> out) const;
+
  private:
-  // One balanced-Feistel pass over the 2*half_bits_ domain.
-  std::uint64_t permute(std::uint64_t value) const;
+  // One balanced-Feistel pass over the 2*half_bits_ domain, applied to
+  // each value in place.
+  void permute(std::span<std::uint64_t> values) const;
+  // The address at `position` of the concatenated ranges, position <
+  // size().
+  net::IpAddress address_of(std::uint64_t position) const;
 
   std::vector<net::Prefix4> ranges_;
   std::vector<std::uint64_t> cumulative_;  // exclusive prefix sums of sizes
@@ -64,6 +74,9 @@ class TargetSequence {
   virtual ~TargetSequence() = default;
   virtual std::uint64_t size() const = 0;
   virtual net::IpAddress at(std::uint64_t index) const = 0;
+  // out[j] = at(first + j) for j < out.size(); first + out.size() <= size().
+  virtual void fill(std::uint64_t first,
+                    std::span<net::IpAddress> out) const = 0;
 };
 
 // A materialized list (the classic campaign path).
@@ -74,6 +87,10 @@ class SpanTargets final : public TargetSequence {
   std::uint64_t size() const override { return targets_.size(); }
   net::IpAddress at(std::uint64_t index) const override {
     return targets_[index];
+  }
+  void fill(std::uint64_t first,
+            std::span<net::IpAddress> out) const override {
+    std::ranges::copy(targets_.subspan(first, out.size()), out.begin());
   }
 
  private:
@@ -89,6 +106,10 @@ class GeneratorSlice final : public TargetSequence {
   std::uint64_t size() const override { return end_ - begin_; }
   net::IpAddress at(std::uint64_t index) const override {
     return generator_.at(begin_ + index);
+  }
+  void fill(std::uint64_t first,
+            std::span<net::IpAddress> out) const override {
+    generator_.fill(begin_ + first, out);
   }
 
  private:

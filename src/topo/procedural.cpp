@@ -250,8 +250,11 @@ ProceduralWorld::ProceduralWorld(ProceduralConfig config)
               "block_bits must be in [1, prefix host bits]");
         const std::uint64_t block_size = std::uint64_t{1} << spec.block_bits;
         check(spec.responders_per_block >= 1 &&
+                  spec.responders_per_block <= kMaxRespondersPerBlock &&
                   std::uint64_t{spec.responders_per_block} * 2 <= block_size,
-              "responders_per_block must be in [1, block size / 2]");
+              "responders_per_block must be in [1, min(64, block size / 2)]");
+        info.block_seed =
+            hash_combine(hash_combine(config_.seed, kBlockSalt), i);
         info.device_count =
             (info.v4_size >> spec.block_bits) * spec.responders_per_block;
       } else if (spec.kind == ScenarioKind::kNatPool) {
@@ -322,21 +325,17 @@ ProceduralWorld::ProceduralWorld(ProceduralConfig config)
 // Address resolution (rank computation)
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint32_t> ProceduralWorld::block_offsets(
+ProceduralWorld::BlockOffsets ProceduralWorld::block_offsets(
     std::uint32_t region, std::uint64_t block) const {
-  const ScenarioRegion& spec = regions_[region].spec;
-  const std::uint64_t block_size = std::uint64_t{1} << spec.block_bits;
-  Rng rng(hash_combine(hash_combine(hash_combine(config_.seed, kBlockSalt),
-                                    region),
-                       block));
-  std::vector<std::uint32_t> offsets;
-  offsets.reserve(spec.responders_per_block);
-  while (offsets.size() < spec.responders_per_block) {
+  const RegionInfo& info = regions_[region];
+  const std::uint64_t block_size = std::uint64_t{1} << info.spec.block_bits;
+  Rng rng(hash_combine(info.block_seed, block));
+  BlockOffsets offsets;
+  while (offsets.count < info.spec.responders_per_block) {
     const auto candidate = static_cast<std::uint32_t>(rng.next_below(block_size));
     if (std::find(offsets.begin(), offsets.end(), candidate) == offsets.end())
-      offsets.push_back(candidate);
+      offsets.value[offsets.count++] = candidate;
   }
-  std::sort(offsets.begin(), offsets.end());
   return offsets;
 }
 
@@ -382,12 +381,15 @@ std::optional<ProceduralWorld::Resolved> ProceduralWorld::resolve(
         const std::uint64_t block = offset >> spec.block_bits;
         const auto within = static_cast<std::uint32_t>(
             offset & ((std::uint64_t{1} << spec.block_bits) - 1));
-        const auto offsets = block_offsets(region, block);
-        const auto pos =
-            std::lower_bound(offsets.begin(), offsets.end(), within);
-        if (pos == offsets.end() || *pos != within) return std::nullopt;
-        const auto rank =
-            static_cast<std::uint64_t>(pos - offsets.begin());
+        // The offsets are distinct, so the number below `within` is its
+        // rank in sorted order.
+        std::uint64_t rank = 0;
+        bool hit = false;
+        for (const std::uint32_t responder : block_offsets(region, block)) {
+          rank += responder < within;
+          hit |= responder == within;
+        }
+        if (!hit) return std::nullopt;
         return Resolved{region, block * spec.responders_per_block + rank};
       }
     }
@@ -418,8 +420,9 @@ net::IpAddress ProceduralWorld::primary_address(std::uint32_t region,
     default: {
       const std::uint64_t block = member / spec.responders_per_block;
       const std::uint64_t rank = member % spec.responders_per_block;
-      const auto offsets = block_offsets(region, block);
-      return spec.v4.at((block << spec.block_bits) + offsets[rank]);
+      auto offsets = block_offsets(region, block);
+      std::sort(offsets.begin(), offsets.end());
+      return spec.v4.at((block << spec.block_bits) + offsets.value[rank]);
     }
   }
 }
@@ -592,9 +595,12 @@ std::vector<net::IpAddress> ProceduralWorld::campaign_targets(
     if (family == net::Family::kIpv4 && is_v4_kind(spec.kind)) {
       if (is_sparse(spec.kind)) {
         const std::uint64_t blocks = info.v4_size >> spec.block_bits;
-        for (std::uint64_t block = 0; block < blocks; ++block)
-          for (const auto offset : block_offsets(region, block))
+        for (std::uint64_t block = 0; block < blocks; ++block) {
+          auto offsets = block_offsets(region, block);
+          std::sort(offsets.begin(), offsets.end());
+          for (const auto offset : offsets)
             out.emplace_back(spec.v4.at((block << spec.block_bits) + offset));
+        }
       } else {  // NAT pools and CGNAT assign the whole prefix
         for (std::uint64_t offset = 0; offset < info.v4_size; ++offset)
           out.emplace_back(spec.v4.at(offset));

@@ -32,6 +32,7 @@
 // twin (tests/test_worlds.cpp). docs/WORLDS.md walks the whole scheme.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -62,8 +63,9 @@ struct ScenarioRegion {
   // ---- v4 kinds ----
   net::Prefix4 v4{net::Ipv4(10, 0, 0, 0), 8};
   // Sparse kinds (kPlain/kLoadBalancer/kAnycast/kMiddlebox): exactly
-  // `responders_per_block` responders per 2^block_bits-address block, at
-  // hash-chosen offsets. Density = responders_per_block / 2^block_bits.
+  // `responders_per_block` (at most 64) responders per 2^block_bits-address
+  // block, at hash-chosen offsets. Density = responders_per_block /
+  // 2^block_bits.
   std::uint32_t block_bits = 8;
   std::uint32_t responders_per_block = 4;
   // kNatPool: pool size = 2^pool_bits addresses sharing one device.
@@ -143,6 +145,9 @@ class ProceduralWorld final : public WorldModel {
     // kAliasedPrefix: [v6_base64, v6_base64 + pool_count) in /64 units.
     std::uint64_t v6_base64 = 0;
     std::uint64_t pool_count = 0;
+    // Sparse kinds: h(h(seed, block salt), region), the key every block's
+    // offset draw starts from.
+    std::uint64_t block_seed = 0;
     // Vendor market resolved once: parallel weight/profile arrays.
     std::vector<double> vendor_weights;
     std::vector<const VendorProfile*> vendor_profiles;
@@ -153,11 +158,25 @@ class ProceduralWorld final : public WorldModel {
     std::uint64_t member = 0;  // device ordinal within the region
   };
 
+  // The cap on responders_per_block: a block's offsets fit a fixed array,
+  // so resolving an address never allocates.
+  static constexpr std::uint32_t kMaxRespondersPerBlock = 64;
+
+  // The hash-chosen responder offsets of one sparse block: distinct, in
+  // draw order (not sorted).
+  struct BlockOffsets {
+    // Only [0, count) is ever read. Left uninitialized: zeroing 256 bytes
+    // on every dead-space lookup costs as much as the rest of the lookup.
+    std::array<std::uint32_t, kMaxRespondersPerBlock> value;
+    std::uint32_t count = 0;
+
+    std::uint32_t* begin() { return value.data(); }
+    std::uint32_t* end() { return value.data() + count; }
+  };
+
   // Address -> (region, member); nullopt when nothing answers there.
   std::optional<Resolved> resolve(const net::IpAddress& address) const;
-  // The hash-chosen responder offsets of one block, sorted ascending.
-  std::vector<std::uint32_t> block_offsets(std::uint32_t region,
-                                           std::uint64_t block) const;
+  BlockOffsets block_offsets(std::uint32_t region, std::uint64_t block) const;
   // The enumerated (hitlist-visible) IIDs of one aliased /64 pool; the
   // first is the pool device's primary address.
   std::vector<net::Ipv6> pool_iids(std::uint32_t region,

@@ -202,11 +202,4 @@ void run_overlapped(const std::vector<std::function<void()>>& tasks) {
     if (error) std::rethrow_exception(error);
 }
 
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
-  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (value + 1);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace snmpv3fp::util

@@ -107,8 +107,14 @@ std::vector<T> parallel_map(std::size_t count, const ParallelOptions& options,
 
 // SplitMix64-style mixer for deriving independent per-shard seeds from a
 // campaign seed: hash_combine(seed, shard) never collides with the parent
-// stream in practice and is stable across platforms.
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
+// stream in practice and is stable across platforms. Inline: it keys
+// every per-probe derivation (probe ids, dead-space offsets).
+inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
+  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (value + 1);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // Optional instrumentation for a BoundedQueue (attach with
 // set_telemetry). Plain atomics so util stays independent of the obs

@@ -40,6 +40,9 @@ std::uint64_t Rng::next() {
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   assert(bound > 0);
+  // A power-of-two bound has threshold -bound % bound == 0: the loop below
+  // never rejects and returns r % bound, i.e. these low bits of one draw.
+  if ((bound & (bound - 1)) == 0) return next() & (bound - 1);
   // Rejection sampling on the top of the range to avoid modulo bias.
   const std::uint64_t threshold = -bound % bound;
   for (;;) {

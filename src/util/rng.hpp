@@ -41,8 +41,9 @@ class Rng {
 
   std::uint64_t next();
 
-  // Uniform in [0, bound). bound must be > 0. Uses Lemire's rejection-free
-  // multiply-shift with rejection for exactness.
+  // Uniform in [0, bound). bound must be > 0. Modulo with rejection for
+  // exactness; a power-of-two bound is one draw and a mask, the same value
+  // the rejection path returns.
   std::uint64_t next_below(std::uint64_t bound);
 
   // Uniform in [lo, hi] inclusive.

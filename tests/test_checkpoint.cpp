@@ -14,9 +14,11 @@
 #include "scan/campaign.hpp"
 #include "scan/checkpoint.hpp"
 #include "scan/prober.hpp"
+#include "scan/targets.hpp"
 #include "sim/fabric.hpp"
 #include "store/record_store.hpp"
 #include "topo/generator.hpp"
+#include "topo/procedural.hpp"
 
 namespace snmpv3fp::scan {
 namespace {
@@ -422,6 +424,62 @@ TEST(SendWindow, ResumeFromAWrappedRingIsBitIdentical) {
   expect_same_scan(reference,
                    Prober(resumed_fabric, source).run(targets, resumed, 0));
   }
+
+TEST(SendWindow, SpecModeResumeMidBatchIsBitIdentical) {
+  // The spec-mode twin: a generated sweep over a procedural world, whose
+  // probe loop prepares targets and ids 64 at a time. A snapshot every
+  // 1000 probes lands mid-batch, so the resumed run's batches start where
+  // the uninterrupted run's do not.
+  const topo::ProceduralWorld world(topo::ProceduralConfig::tiny());
+  TargetSpec spec;
+  for (const auto& region : world.config().regions)
+    if (region.kind != topo::ScenarioKind::kAliasedPrefix)
+      spec.ranges.push_back(region.v4);
+  const TargetGenerator generator(spec, 29);
+  const GeneratorSlice targets(generator, 0, generator.size());
+  const net::Endpoint source{net::Ipv4(198, 51, 100, 7), 4444};
+  ProbeConfig config;
+  config.seed = 6;
+  config.rate_pps = 1000.0;
+  config.response_timeout = 500 * util::kMillisecond;
+  ASSERT_GT(targets.size(), 4 * send_ring_capacity(targets.size(), config));
+  sim::Fabric reference_fabric(world, sim::FabricConfig{});
+  const ScanResult reference =
+      Prober(reference_fabric, source).run(targets, config, 0);
+  ASSERT_GT(reference.store->size(), 0u);
+
+  const testing_util::UniqueDir dir("spec_send_window");
+  store::StoreOptions store_options;
+  store_options.dir = dir.path();
+  std::optional<ShardScanState> saved;
+  ProbeConfig snapshotted = config;
+  snapshotted.checkpoint_every_n_targets = 1000;
+  snapshotted.sink =
+      std::make_shared<store::RecordStore>(store_options, "shard");
+  sim::Fabric fabric(world, sim::FabricConfig{});
+  snapshotted.on_checkpoint = [&](ShardScanState& state) {
+    if (saved.has_value()) return;
+    state.fabric = fabric.snapshot();
+    saved = state;
+  };
+  (void)Prober(fabric, source).run(targets, snapshotted, 0);
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->cursor, 1000u);
+  ASSERT_NE(saved->cursor % 64, 0u);
+  EXPECT_FALSE(saved->send_window.empty());
+  snapshotted.sink.reset();
+
+  ProbeConfig resumed = snapshotted;
+  resumed.on_checkpoint = [](ShardScanState&) {};
+  resumed.resume = &*saved;
+  resumed.sink = store::RecordStore::restore(store_options,
+                                             saved->store_manifest);
+  ASSERT_NE(resumed.sink, nullptr);
+  sim::Fabric resumed_fabric(world, sim::FabricConfig{});
+  resumed_fabric.restore(saved->fabric);
+  expect_same_scan(reference,
+                   Prober(resumed_fabric, source).run(targets, resumed, 0));
+}
 
 }  // namespace
 }  // namespace snmpv3fp::scan

@@ -11,12 +11,16 @@
 //    allocates nothing per probe and reaches >= 2x the per-datagram
 //    probes/s when sendmmsg really batches;
 //  - receive: the TPACKET_V3 ring drain allocates nothing per frame and
-//    reaches >= 2x the recvmmsg drain when CAP_NET_RAW grants rings.
+//    reaches >= 2x the recvmmsg drain when CAP_NET_RAW grants rings;
+//  - spec mode: dead-space device_at and batched target generation
+//    allocate nothing, and a census shard run allocates in proportion to
+//    its responses, not its probes.
 // The socket cases GTEST_SKIP with the reason when the sandbox denies
 // sockets, sendmmsg or CAP_NET_RAW.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -24,6 +28,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +38,11 @@
 #include "net/registry.hpp"
 #include "net/udp_socket.hpp"
 #include "obs/obs.hpp"
+#include "scan/prober.hpp"
+#include "scan/targets.hpp"
+#include "sim/fabric.hpp"
 #include "snmp/message.hpp"
+#include "topo/procedural.hpp"
 #include "wire/probe_template.hpp"
 #include "wire/report_codec.hpp"
 
@@ -204,6 +213,63 @@ TEST(HotPaths, DisabledTelemetryTickIsCheapAndAllocationFree) {
                            }) *
                            1e6 / static_cast<double>(kTicks);
   EXPECT_LE(ns_per_op, kMaxDisabledNsPerOp);
+}
+
+// ---- spec-mode probe path -------------------------------------------------
+
+TEST(HotPaths, SpecModeProbePathAllocatesOnlyPerResponse) {
+  // A census sweep: one responder per 16k addresses, so nearly every
+  // probe lands in dead space.
+  const topo::ProceduralWorld world(topo::ProceduralConfig::census(1 << 20));
+  scan::TargetSpec spec;
+  for (const auto& region : world.config().regions)
+    spec.ranges.push_back(region.v4);
+  const scan::TargetGenerator generator(spec, 77);
+  constexpr std::int64_t kOps = 100000;
+
+  // Dead-space resolution; the few live addresses hit the view's cache
+  // on the counted pass.
+  const auto view = world.open_view();
+  std::uint64_t dead = 0;
+  const auto lookup = [&](std::int64_t i) {
+    const auto address = generator.at(static_cast<std::uint64_t>(i));
+    dead += view->device_at(address) == nullptr;
+  };
+  EXPECT_EQ(steady_state_allocations(kOps, lookup), 0u) << "device_at";
+  // Over both passes: nearly every lookup was dead space.
+  EXPECT_GT(dead, 2 * static_cast<std::uint64_t>(kOps) * 99 / 100);
+
+  // Batched target generation at odd starts and lengths.
+  std::array<net::IpAddress, 64> batch;
+  const auto fill = [&](std::int64_t i) {
+    const auto first = static_cast<std::uint64_t>(i) * 64 + 1;
+    generator.fill(first, batch);
+    generator.fill(first + 3, std::span(batch).first(37));
+    consume(batch[5].v4().value());
+  };
+  EXPECT_EQ(steady_state_allocations(kOps / 64, fill), 0u)
+      << "TargetGenerator::fill";
+
+  // A whole shard run: what it allocates must follow the responses, not
+  // the 2^20 probes.
+  const net::Endpoint source{net::IpAddress(net::Ipv4(198, 51, 100, 7)), 4444};
+  scan::ProbeConfig config;
+  config.seed = 5;
+  const auto run = [&](std::uint64_t length) {
+    sim::Fabric fabric(world, sim::FabricConfig{});
+    const scan::GeneratorSlice slice(generator, 0, length);
+    (void)scan::Prober(fabric, source).run(slice, config, 0);
+    return fabric.stats().responses_generated;
+  };
+  (void)run(4096);  // warm-up: one-time registry and table set-up
+  const std::uint64_t before = allocations();
+  const std::uint64_t responses = run(generator.size());
+  const std::uint64_t used = allocations() - before;
+  ASSERT_GT(responses, 0u);
+  constexpr std::uint64_t kPerRun = 1000;
+  constexpr std::uint64_t kPerResponse = 64;
+  EXPECT_LE(used, kPerRun + kPerResponse * responses)
+      << generator.size() << " probes, " << responses << " responses";
 }
 
 // ---- kernel send and receive ----------------------------------------------

@@ -79,6 +79,39 @@ TEST(Rng, NextBelowInRange) {
   for (int i = 0; i < 10000; ++i) EXPECT_LT(rng.next_below(17), 17u);
 }
 
+// next_below's rejection algorithm as it ran for every bound, kept here
+// as the reference for the power-of-two fast path.
+std::uint64_t next_below_by_rejection(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = -bound % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, NextBelowPowerOfTwoMatchesRejectionPath) {
+  for (int exponent = 0; exponent < 64; ++exponent) {
+    const std::uint64_t bound = std::uint64_t{1} << exponent;
+    Rng fast(1000 + exponent), reference(1000 + exponent);
+    for (int i = 0; i < 256; ++i)
+      ASSERT_EQ(fast.next_below(bound),
+                next_below_by_rejection(reference, bound))
+          << "2^" << exponent << " draw " << i;
+    // Same stream position: both consumed exactly one draw per call.
+    EXPECT_EQ(fast.save_state(), reference.save_state()) << "2^" << exponent;
+  }
+  // Other bounds keep the rejection path.
+  for (const std::uint64_t bound :
+       {std::uint64_t{3}, std::uint64_t{17}, (std::uint64_t{1} << 63) + 1}) {
+    Rng fast(7), reference(7);
+    for (int i = 0; i < 256; ++i)
+      ASSERT_EQ(fast.next_below(bound),
+                next_below_by_rejection(reference, bound))
+          << bound << " draw " << i;
+    EXPECT_EQ(fast.save_state(), reference.save_state()) << bound;
+  }
+}
+
 TEST(Rng, Uniform01InRange) {
   Rng rng(9);
   double sum = 0.0;

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,55 @@ TEST(TargetGenerator, SameSeedSameOrderDifferentSeedDifferentOrder) {
   for (std::uint64_t i = 1; i < a.size() && !non_sequential; ++i)
     non_sequential = a.at(i) < a.at(i - 1);
   EXPECT_TRUE(non_sequential);
+}
+
+TEST(TargetGenerator, FillMatchesAtAcrossBatchBoundaries) {
+  std::vector<scan::TargetSpec> specs(3);
+  // Several ranges, so batches straddle range boundaries.
+  specs[0].ranges = {net::Prefix4(net::Ipv4(10, 1, 0, 0), 24),
+                     net::Prefix4(net::Ipv4(192, 168, 4, 0), 26),
+                     net::Prefix4(net::Ipv4(172, 16, 9, 4), 30)};
+  // Totals one above a power of 4: the padded domain is ~4x the sweep, so
+  // the cycle walks are the longest any spec produces.
+  specs[1].ranges = {net::Prefix4(net::Ipv4(10, 8, 0, 0), 20),
+                     net::Prefix4(net::Ipv4(10, 9, 0, 0), 32)};
+  specs[2].ranges = {net::Prefix4(net::Ipv4(10, 16, 0, 0), 16),
+                     net::Prefix4(net::Ipv4(10, 17, 0, 0), 32)};
+  const net::IpAddress sentinel(net::Ipv4(203, 0, 113, 9));
+  // Odd lengths, 0 and 1 among them; tiling the sweep with them gives odd
+  // starts too.
+  const std::uint64_t lengths[] = {1, 0, 3, 63, 64, 65, 127, 1, 129, 5};
+  for (const auto& spec : specs) {
+    const scan::TargetGenerator generator(spec, 1234);
+    const std::uint64_t total = generator.size();
+    SCOPED_TRACE(total);
+    std::vector<net::IpAddress> expected(total);
+    for (std::uint64_t i = 0; i < total; ++i) expected[i] = generator.at(i);
+
+    std::vector<net::IpAddress> whole(total);
+    generator.fill(0, whole);
+    EXPECT_EQ(whole, expected);
+
+    std::size_t step = 0;
+    for (std::uint64_t first = 0; first < total; ++step) {
+      const std::uint64_t length =
+          std::min(lengths[step % std::size(lengths)], total - first);
+      std::vector<net::IpAddress> batch(length + 1, sentinel);
+      generator.fill(first, std::span(batch).first(length));
+      for (std::uint64_t j = 0; j < length; ++j)
+        ASSERT_EQ(batch[j], expected[first + j]) << "first " << first;
+      ASSERT_EQ(batch[length], sentinel) << "fill wrote past its span";
+      first += length;
+    }
+    generator.fill(total, {});  // an empty batch at the end is a no-op
+
+    // A shard's slice offsets the same positions.
+    const scan::GeneratorSlice slice(generator, 7, total - 3);
+    std::vector<net::IpAddress> window(101);
+    slice.fill(31, window);
+    for (std::size_t j = 0; j < window.size(); ++j)
+      EXPECT_EQ(window[j], slice.at(31 + j)) << j;
+  }
 }
 
 // ---- lazy derivation vs materialize ----------------------------------------
@@ -276,6 +327,34 @@ topo::ProceduralConfig single_region_config(topo::ScenarioRegion region,
   config.zero_time_rate = 0.0;
   config.future_time_rate = 0.0;
   return config;
+}
+
+TEST(ProceduralWorld, SixtyFourRespondersPerBlockIsTheCap) {
+  // 64 of 128 per block: the cap, and every responder still resolves to
+  // its own rank.
+  topo::ScenarioRegion region;
+  region.kind = topo::ScenarioKind::kPlain;
+  region.v4 = net::Prefix4(net::Ipv4(10, 10, 0, 0), 20);
+  region.block_bits = 7;
+  region.responders_per_block = 64;
+  const topo::ProceduralWorld world(single_region_config(region, 64));
+  const auto targets = world.campaign_targets(net::Family::kIpv4, 0);
+  ASSERT_EQ(targets.size(), world.device_count());
+  std::set<std::uint64_t> indices;
+  for (const auto& address : targets) {
+    const auto device = world.derive(address);
+    ASSERT_TRUE(device.has_value()) << address.to_string();
+    indices.insert(device->index);
+  }
+  EXPECT_EQ(indices.size(), world.device_count());
+  EXPECT_EQ(*indices.rbegin(), world.device_count() - 1);
+
+  // 65 would overflow a block's fixed offset array even though the block
+  // (256 addresses) has room for it.
+  region.block_bits = 8;
+  region.responders_per_block = 65;
+  EXPECT_THROW(topo::ProceduralWorld(single_region_config(region, 65)),
+               std::invalid_argument);
 }
 
 TEST(ScenarioLayers, NatPoolSharesOneEngineAndResolvesAsAliasSet) {

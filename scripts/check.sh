@@ -7,8 +7,9 @@
 #      claim leaves its band, so this step gates the reproduction itself.
 #      It also holds the hot-path gates (test_hot_paths: zero allocations
 #      on the wire fast path, the disabled telemetry tick, the batched send
-#      and the ring drain; the tick's 100 ns/op budget; batched send and
-#      ring rx each >= 2x their per-datagram baseline) and the mid-scan
+#      and the recvmmsg drain, which must also take every burst frame; the
+#      tick's 100 ns/op budget; batched send >= 2x its per-datagram
+#      baseline) and the mid-scan
 #      checkpoint bound (test_checkpoint). The build must be warning-free:
 #      any `warning:` line the compiler prints fails the step, including
 #      those GCC reports inside system headers on behalf of our code. An
@@ -67,13 +68,10 @@
 #      schema-only run.
 #   6. Real-socket self-test: test_net_engine, the pipeline through
 #      actual kernel sockets, must be bit-identical to the sim-fabric run.
-#      It prints SKIP and passes when the sandbox denies sockets — visible,
-#      never silent.
-#   7. Ring-receive suite: test_packet_ring — the link-parser hostile
-#      corpus and EINTR regression tests always run; the live AF_PACKET
-#      suites (ring-vs-socket byte equality, fanout steering, pipeline
-#      bit-identity ring on/off across thread counts) GTEST_SKIP with a
-#      visible "SKIP (no CAP_NET_RAW)" line on unprivileged boxes.
+#      It also carries the receive-errno taxonomy and the EINTR
+#      regressions (an interrupting timer on a blocking receive and on an
+#      engine drain). It prints SKIP and passes when the sandbox denies
+#      sockets — visible, never silent.
 #
 # Usage: scripts/check.sh [--no-tsan] [--no-asan] [--quick-bench]
 set -euo pipefail
@@ -159,7 +157,7 @@ else
   ./build/bench/bench_micro_parallel --gate >/dev/null
 fi
 
-echo "==> real-socket loopback self-test (test_net_engine: pipeline bit-identity over kernel sockets)"
+echo "==> real-socket loopback self-test (test_net_engine: pipeline bit-identity over kernel sockets, EINTR regressions)"
 # The suite GTEST_SKIPs each socket test individually when the sandbox
 # denies sockets; surface those skip lines instead of hiding them, but
 # still fail on any real failure.
@@ -167,13 +165,5 @@ NET_TEST_OUT="$(cd build && ./tests/test_net_engine 2>&1)" || {
   echo "$NET_TEST_OUT" | tail -30; exit 1; }
 echo "$NET_TEST_OUT" | grep -E "^\[  SKIPPED|sockets unavailable" || true
 echo "$NET_TEST_OUT" | tail -1
-
-echo "==> ring-receive suite (test_packet_ring: parser corpus, EINTR regressions, live AF_PACKET rings)"
-# The AF_PACKET suites GTEST_SKIP individually without CAP_NET_RAW;
-# surface those skip lines instead of hiding them, fail on any failure.
-RING_TEST_OUT="$(cd build && ./tests/test_packet_ring 2>&1)" || {
-  echo "$RING_TEST_OUT" | tail -30; exit 1; }
-echo "$RING_TEST_OUT" | grep -E "^\[  SKIPPED|SKIP \(no CAP_NET_RAW\)" || true
-echo "$RING_TEST_OUT" | tail -1
 
 echo "==> all checks passed"

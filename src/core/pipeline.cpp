@@ -88,9 +88,6 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     sim::ReflectorConfig reflector_config;
     reflector_config.rtt = options.net_rtt;
     reflector_config.seed = options.seed ^ 0x5eaf1ec7;
-    // Ring receive taps the wire with AF_PACKET; segmentation offload on
-    // the captured path must be off or the ring sees merged datagrams.
-    reflector_config.gso = !options.net_ring_receive;
     const std::size_t workers =
         std::min(options.parallel.resolved_threads(), options.scan_shards);
     auto started =
@@ -125,7 +122,6 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     v6.wire_fast_path = options.wire_fast_path;
     v6.fabric = options.fabric;
     v6.net_engine = engine_config;
-    v6.ring_receive = options.net_ring_receive;
     if (!options.checkpoint_dir.empty()) {
       v6.checkpoint_path = options.checkpoint_dir + "/campaign_v6.json";
       v6.checkpoint_every_n_targets = options.checkpoint_every_n_targets;
@@ -159,7 +155,6 @@ PipelineResult run_pipeline_over_model(topo::WorldModel& model,
     v4.wire_fast_path = options.wire_fast_path;
     v4.fabric = options.fabric;
     v4.net_engine = engine_config;
-    v4.ring_receive = options.net_ring_receive;
     if (!options.checkpoint_dir.empty()) {
       v4.checkpoint_path = options.checkpoint_dir + "/campaign_v4.json";
       v4.checkpoint_every_n_targets = options.checkpoint_every_n_targets;

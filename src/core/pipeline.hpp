@@ -87,12 +87,6 @@ struct PipelineOptions {
   // the reflector's socket cannot open (sandboxed CI), the campaigns come
   // back empty with CampaignPair::net_error set — a skip, not a crash.
   std::optional<net::EngineConfig> net_engine;
-  // AF_PACKET TPACKET_V3 ring receive for net-engine campaigns
-  // (scan::CampaignOptions::ring_receive): per-shard fanout rings replace
-  // recvmmsg as the engines' receive half. Needs CAP_NET_RAW; falls back
-  // to recvmmsg with a logged warning otherwise. Execution-only — output
-  // bit-identical on or off.
-  bool net_ring_receive = false;
   // Reflector RTT when `net_engine` is set; must equal the fabric's fixed
   // rtt for equality runs.
   util::VTime net_rtt = 20 * util::kMillisecond;

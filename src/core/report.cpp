@@ -91,13 +91,6 @@ void write_net_io(obs::JsonWriter& json, const net::NetIoStats& net) {
   json.kv("sendto_calls", net.sendto_calls);
   json.kv("recvfrom_calls", net.recvfrom_calls);
   json.kv("gso_batches", net.gso_batches);
-  json.key("ring").begin_object();
-  json.kv("blocks", net.ring_blocks);
-  json.kv("frames", net.ring_frames);
-  json.kv("drops", net.ring_drops);
-  json.kv("non_udp", net.ring_non_udp);
-  json.kv("foreign_port", net.ring_foreign_port);
-  json.end_object();
   json.key("drops").begin_object();
   json.kv("send_pressure", net.send_pressure);
   json.kv("send_refused", net.send_refused);
@@ -308,27 +301,6 @@ std::string RunReport::to_table() const {
                          util::fmt_count(net.flow_stalls)});
     }
     out << net_table.render() << "\n";
-
-    // Packet-ring receive accounting, shown only when a ring was actually
-    // attached (ring_blocks ticks on every retired block, so an attached
-    // ring that saw any traffic is nonzero).
-    bool any_ring = false;
-    for (const auto& campaign : campaigns)
-      any_ring |= campaign.net_io.ring_blocks != 0 ||
-                  campaign.net_io.ring_frames != 0;
-    if (any_ring) {
-      util::TablePrinter ring_table({"Campaign", "RingBlocks", "RingFrames",
-                                     "RingDrops", "NonUdp", "ForeignPort"});
-      for (const auto& campaign : campaigns) {
-        const auto& net = campaign.net_io;
-        ring_table.add_row({campaign.family, util::fmt_count(net.ring_blocks),
-                            util::fmt_count(net.ring_frames),
-                            util::fmt_count(net.ring_drops),
-                            util::fmt_count(net.ring_non_udp),
-                            util::fmt_count(net.ring_foreign_port)});
-      }
-      out << ring_table.render() << "\n";
-    }
   }
 
   // Robustness counters only clutter the output when something actually

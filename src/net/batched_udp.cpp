@@ -23,7 +23,6 @@
 #include <cstring>
 #include <iterator>
 
-#include "net/packet_ring.hpp"
 #include "net/sockaddr_util.hpp"
 #include "net/udp_socket.hpp"
 
@@ -110,11 +109,6 @@ NetIoStats& NetIoStats::operator+=(const NetIoStats& other) {
   sendto_calls += other.sendto_calls;
   recvfrom_calls += other.recvfrom_calls;
   gso_batches += other.gso_batches;
-  ring_blocks += other.ring_blocks;
-  ring_frames += other.ring_frames;
-  ring_drops += other.ring_drops;
-  ring_non_udp += other.ring_non_udp;
-  ring_foreign_port += other.ring_foreign_port;
   send_pressure += other.send_pressure;
   send_refused += other.send_refused;
   send_errors += other.send_errors;
@@ -332,7 +326,7 @@ util::Result<std::unique_ptr<BatchedUdpEngine>> BatchedUdpEngine::open_socket(
 #if defined(__linux__)
   engine->use_mmsg_ =
       config.batch != BatchMode::kPerDatagram && config.batch_size > 1;
-  engine->use_gso_ = engine->use_mmsg_ && config.gso;
+  engine->use_gso_ = engine->use_mmsg_;
 #endif
   return R(std::move(engine));
 }
@@ -343,21 +337,10 @@ util::VTime BatchedUdpEngine::now() const {
 }
 
 bool BatchedUdpEngine::wait_readable(int timeout_ms) {
-  // With a ring attached, arrivals land in the fanout rings (possibly a
-  // sibling shard's — hash steering does not follow port ownership), so
-  // the wait watches every ring fd alongside the UDP socket.
-  pollfd pfds[1 + 16];
-  nfds_t nfds = 0;
-  pfds[nfds++] = {fd_, POLLIN, 0};
-  if (ring_view_ != nullptr) {
-    for (const int fd : ring_view_->fds()) {
-      if (nfds >= std::size(pfds)) break;
-      pfds[nfds++] = {fd, POLLIN, 0};
-    }
-  }
+  pollfd pfd{fd_, POLLIN, 0};
   // EINTR retries inside re-arm with the remaining timeout only: a
   // signal (timer, SIGCHLD...) is not an arrival and not an error.
-  if (poll_interruptible(pfds, nfds, timeout_ms) <= 0) return false;
+  if (poll_interruptible(&pfd, 1, timeout_ms) <= 0) return false;
   rx_backoff_ = 0;  // data is known to be there: skip the idle throttle
   return true;
 }
@@ -365,10 +348,6 @@ bool BatchedUdpEngine::wait_readable(int timeout_ms) {
 bool BatchedUdpEngine::wait_writable(int timeout_ms) {
   pollfd pfd{fd_, POLLOUT, 0};
   return poll_interruptible(&pfd, 1, timeout_ms) > 0;
-}
-
-void BatchedUdpEngine::attach_ring(ShardRingView* ring) {
-  ring_view_ = ring;
 }
 
 std::span<std::uint8_t> BatchedUdpEngine::acquire_send_frame(
@@ -659,8 +638,7 @@ std::size_t BatchedUdpEngine::flush_sendto(std::size_t start) {
 }
 
 void BatchedUdpEngine::ingest(std::size_t offset, std::size_t len,
-                              bool truncated, const void* source_storage,
-                              const Endpoint* source_endpoint) {
+                              bool truncated, const void* source_storage) {
   ++stats_.datagrams_received;
   if (truncated) ++stats_.recv_truncated;
   RxEntry entry;
@@ -683,40 +661,16 @@ void BatchedUdpEngine::ingest(std::size_t offset, std::size_t len,
     entry.offset = static_cast<std::uint32_t>(offset + SimFrame::kWireSize);
     entry.len = static_cast<std::uint32_t>(len - SimFrame::kWireSize);
   } else {
-    if (source_endpoint != nullptr)
-      entry.source = *source_endpoint;
-    else
-      entry.source =
-          source_storage != nullptr
-              ? detail::from_sockaddr(
-                    *static_cast<const sockaddr_storage*>(source_storage))
-              : (config_.sim_peer.has_value() ? *config_.sim_peer
-                                              : Endpoint{});
+    entry.source =
+        source_storage != nullptr
+            ? detail::from_sockaddr(
+                  *static_cast<const sockaddr_storage*>(source_storage))
+            : (config_.sim_peer.has_value() ? *config_.sim_peer : Endpoint{});
     entry.time = now();
     entry.offset = static_cast<std::uint32_t>(offset);
     entry.len = static_cast<std::uint32_t>(len);
   }
   ring_[ring_count_++] = entry;
-}
-
-std::size_t BatchedUdpEngine::refill_from_ring(std::size_t cap,
-                                               std::size_t stride) {
-  std::size_t got = 0;
-  while (got < cap) {
-    const auto frame = ring_view_->poll();
-    if (!frame.has_value()) break;
-    ++stats_.ring_frames;
-    const std::size_t len = std::min(frame->payload.size(), stride);
-    if (len > 0)
-      std::memcpy(rx_buf_.data() + got * stride, frame->payload.data(), len);
-    const std::size_t before = ring_count_;
-    ingest(got * stride, len,
-           frame->truncated || frame->payload.size() > stride, nullptr,
-           &frame->source);
-    // Drop notices and bad frames consume no rx slot; reuse it.
-    if (ring_count_ > before) ++got;
-  }
-  return got;
 }
 
 bool BatchedUdpEngine::refill(bool force) {
@@ -729,18 +683,6 @@ bool BatchedUdpEngine::refill(bool force) {
   ring_count_ = 0;
   const std::size_t cap = config_.batch_size;
   const std::size_t stride = rx_buf_.size() / cap;
-  if (ring_view_ != nullptr) {
-    // AF_PACKET ring path: frames come off the fanout ring view (already
-    // parsed down to UDP payloads); the UDP socket's receive queue stays
-    // unread — the ring captured the same datagrams at the link layer.
-    refill_from_ring(cap, stride);
-    if (ring_count_ == 0) {
-      if (!force) rx_backoff_ = kRxBackoffAttempts;
-      return false;
-    }
-    rx_backoff_ = 0;
-    return true;
-  }
 #if defined(__linux__)
   if (use_mmsg_) {
     auto& m = *mmsg_;

@@ -11,7 +11,8 @@
 // into the kernel's iovec array. Platforms or kernels without
 // sendmmsg/recvmmsg/GSO degrade at runtime to a per-datagram
 // sendto/recvfrom loop with identical semantics (tests/test_hot_paths.cpp
-// gates the batched send at >= 2x that loop).
+// gates the batched send at >= 2x that loop and the recvmmsg drain at zero
+// allocations).
 //
 // Two clock modes:
 //  - kVirtual: now() is a virtual clock that jumps instantly, like
@@ -52,8 +53,6 @@
 #include "util/vclock.hpp"
 
 namespace snmpv3fp::net {
-
-class ShardRingView;  // net/packet_ring.hpp (NetIoStats: net/transport.hpp)
 
 enum class BatchMode {
   kAuto,         // sendmmsg/recvmmsg (+GSO) where available, else fallback
@@ -104,12 +103,6 @@ struct EngineConfig {
   // pacing and would overrun the peer's receive buffer), disabled
   // otherwise.
   std::size_t flow_window = 0;
-  // Allow UDP_SEGMENT send coalescing. Must be off for senders whose
-  // traffic an AF_PACKET ring captures: loopback never segments the
-  // super-datagram on the wire, so the tap would see one merged datagram
-  // where the UDP receive path sees many — the same reason capture stacks
-  // disable NIC segmentation offloads.
-  bool gso = true;
 };
 
 // The 28-byte sim-encapsulation header. Fixed layout:
@@ -169,18 +162,6 @@ class BatchedUdpEngine final : public Transport {
   }
   const NetIoStats* net_stats() const override { return &stats_; }
 
-  // Swaps the receive half from recvmmsg on the UDP socket to an
-  // AF_PACKET ring view (net/packet_ring.hpp): refills pull parsed UDP
-  // frames off the shard's fanout ring and readiness waits watch the
-  // ring fds alongside the socket. Sends are untouched — the UDP socket
-  // keeps flowing (and keeps the port reserved so the kernel does not
-  // ICMP-reject our responders). The view must outlive the engine; pass
-  // nullptr to fall back to recvmmsg. The socket's own receive queue is
-  // left unread while a ring is attached (the ring captures the same
-  // frames at the link layer).
-  void attach_ring(ShardRingView* ring);
-  bool ring_attached() const { return ring_view_ != nullptr; }
-
   // Pushes all pending frames into the kernel now (batch boundary).
   // Invalidates any acquired-but-uncommitted frame.
   void flush();
@@ -220,15 +201,11 @@ class BatchedUdpEngine final : public Transport {
   // Pulls a kernel batch into the rx ring. `force` bypasses the idle
   // throttle. Returns true when the ring has data afterwards.
   bool refill(bool force);
-  // Ring-view refill half: copies parsed frames from the attached
-  // AF_PACKET ring into the rx ring slots. Returns frames ingested.
-  std::size_t refill_from_ring(std::size_t cap, std::size_t stride);
   // Classifies one received wire datagram into the rx ring.
-  // `source_endpoint` (ring path) takes precedence over `source_storage`
-  // (a sockaddr_storage from recvmmsg/recvfrom) for the non-encap source.
+  // `source_storage` is its recvmmsg/recvfrom sockaddr_storage (nullptr on
+  // a connected socket).
   void ingest(std::size_t offset, std::size_t len, bool truncated,
-              const void* source_storage,
-              const Endpoint* source_endpoint = nullptr);
+              const void* source_storage);
   // Moves every ring entry (and everything still in the kernel) into the
   // owned inbox. Allocates — only called off the per-probe hot path.
   void drain_to_inbox();
@@ -271,7 +248,6 @@ class BatchedUdpEngine final : public Transport {
   std::deque<Datagram> inbox_;
 
   std::unique_ptr<MmsgArrays> mmsg_;
-  ShardRingView* ring_view_ = nullptr;  // non-owning; see attach_ring()
   NetIoStats stats_;
 };
 

@@ -21,9 +21,7 @@ inline constexpr std::uint16_t kSnmpPort = 161;
 // Syscall/drop-cause accounting for one real-socket transport (summed
 // across shards into scan::CampaignPair::net_io and reported by
 // core/report.cpp). Lives here rather than in batched_udp.hpp so
-// Transport can expose it polymorphically (net_stats() below) and the
-// packet-ring layer can aggregate into it without depending on the
-// engine.
+// Transport can expose it polymorphically (net_stats() below).
 struct NetIoStats {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;  // includes drop notices/bad frames
@@ -32,15 +30,6 @@ struct NetIoStats {
   std::uint64_t sendto_calls = 0;    // per-datagram fallback sends
   std::uint64_t recvfrom_calls = 0;  // per-datagram fallback receives
   std::uint64_t gso_batches = 0;     // UDP_SEGMENT super-packets sent
-  // AF_PACKET TPACKET_V3 ring receive (net/packet_ring.hpp). blocks/
-  // drops/non_udp/foreign_port are per-ring (a campaign folds them in
-  // once from the PacketRingGroup); frames counts what each engine
-  // consumed, so it sums correctly across shards.
-  std::uint64_t ring_blocks = 0;        // retired ring blocks consumed
-  std::uint64_t ring_frames = 0;        // UDP frames delivered off rings
-  std::uint64_t ring_drops = 0;         // kernel tp_drops (ring overrun)
-  std::uint64_t ring_non_udp = 0;       // frames the link parser rejected
-  std::uint64_t ring_foreign_port = 0;  // UDP to an unregistered port
   // Drop/backpressure causes (satellite of the fabric's Table-1-style
   // accounting, for the real data plane).
   std::uint64_t send_pressure = 0;   // EAGAIN/ENOBUFS: kernel buffer full
@@ -163,9 +152,8 @@ class Transport {
   virtual std::uint64_t rate_limit_signals() const { return 0; }
 
   // Kernel I/O counters for transports that have them (the batched
-  // engine), nullptr otherwise. Telemetry-only: the prober copies ring/
-  // syscall counters into the status dashboard through this, never feeds
-  // them back into scan decisions.
+  // engine), nullptr otherwise. Telemetry-only, never fed back into scan
+  // decisions.
   virtual const NetIoStats* net_stats() const { return nullptr; }
 
  protected:

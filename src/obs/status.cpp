@@ -49,7 +49,6 @@ void StatusBoard::update_slot(std::size_t slot, const ShardStatusRow& row) {
   std::lock_guard<std::mutex> lock(mutex_);
   ShardStatusRow& target = rows_[slot];
   target.point = row.point;
-  target.ring_frames = row.ring_frames;
   target.virtual_now = row.virtual_now;
   target.complete = row.complete;
   maybe_write_locked();
@@ -85,7 +84,6 @@ void row_to_json(JsonWriter& json, const ShardStatusRow& row) {
   json.kv("responses", row.point.responses);
   json.kv("undecodable", row.point.undecodable);
   json.kv("backoffs", row.point.backoffs);
-  json.kv("ring_frames", row.ring_frames);
   json.kv("response_rate", row.response_rate());
   json.kv("pacer_rate_pps", row.point.pacer_rate_pps);
   json.kv("resident_bytes", row.point.store_resident_bytes);
@@ -98,7 +96,7 @@ void row_to_json(JsonWriter& json, const ShardStatusRow& row) {
 std::string render_json(const std::vector<ShardStatusRow>& rows,
                         double wall_ms) {
   std::uint64_t targets = 0, sent = 0, responses = 0, undecodable = 0,
-                backoffs = 0, ring_frames = 0;
+                backoffs = 0;
   std::int64_t resident = 0;
   double eta = 0.0;
   bool complete = !rows.empty();
@@ -108,7 +106,6 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
     responses += row.point.responses;
     undecodable += row.point.undecodable;
     backoffs += row.point.backoffs;
-    ring_frames += row.ring_frames;
     resident += std::max<std::int64_t>(row.point.store_resident_bytes, 0);
     // Shards run concurrently, so the campaign finishes with the slowest.
     eta = std::max(eta, row.eta_seconds());
@@ -125,7 +122,6 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
   json.kv("responses", responses);
   json.kv("undecodable", undecodable);
   json.kv("backoffs", backoffs);
-  json.kv("ring_frames", ring_frames);
   json.kv("response_rate",
           sent == 0 ? 0.0
                     : static_cast<double>(responses) /
@@ -231,13 +227,9 @@ std::string render_status_dashboard(const JsonValue& status) {
       out += "B";
     }
   }
-  if (totals != nullptr && num(totals->find("ring_frames")) >= 1.0) {
-    out += "  ring ";
-    out += util::fmt_compact(num(totals->find("ring_frames")));
-  }
   out += "\n";
   util::TablePrinter table({"stage", "shard", "progress", "resp%", "pps",
-                            "backoffs", "undecodable", "ring", "eta"});
+                            "backoffs", "undecodable", "eta"});
   if (shards != nullptr && shards->is_array()) {
     for (const auto& row : shards->items()) {
       const JsonValue* stage = row.find("stage");
@@ -252,8 +244,6 @@ std::string render_status_dashboard(const JsonValue& status) {
               static_cast<std::size_t>(num(row.find("backoffs")))),
           util::fmt_count(
               static_cast<std::size_t>(num(row.find("undecodable")))),
-          util::fmt_count(
-              static_cast<std::size_t>(num(row.find("ring_frames")))),
           row.find("complete") != nullptr && row.find("complete")->as_bool()
               ? "done"
               : fmt_eta(num(row.find("eta_s"))),

@@ -46,9 +46,6 @@ struct ShardStatusRow {
   // The shard's progress, the same sample a timeline tick records (its
   // `t` stays unused here).
   TimelinePoint point;
-  // Frames this shard's engine pulled off its AF_PACKET ring view
-  // (net/packet_ring.hpp); stays 0 for fabric or recvmmsg transports.
-  std::uint64_t ring_frames = 0;
   util::VTime virtual_now = 0;
   bool complete = false;
 

@@ -10,7 +10,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "net/packet_ring.hpp"
 
 namespace snmpv3fp::scan {
 
@@ -212,10 +211,8 @@ std::uint64_t digest_config(const CampaignOptions& options,
   digest = util::hash_combine(
       digest, static_cast<std::uint64_t>(options.response_timeout));
   // Never resume a fabric checkpoint into a net-engine campaign (or the
-  // reverse): the transports carry incompatible state. Execution-only
-  // knobs (wire_fast_path, ring_receive) stay out of the
-  // digest — a checkpoint taken with the ring receive path resumes
-  // bit-identically without it, and vice versa.
+  // reverse): the transports carry incompatible state. The
+  // execution-only wire_fast_path knob stays out of the digest.
   if (options.net_engine.has_value()) {
     digest = util::hash_combine(digest, 0x7e7e7e7e7e7e7e7eull);
     digest = util::hash_combine(
@@ -290,7 +287,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       net_mode && options.net_engine->clock == net::EngineClock::kWall;
   std::vector<std::unique_ptr<sim::Fabric>> fabrics;
   std::vector<std::unique_ptr<net::BatchedUdpEngine>> engines;
-  std::unique_ptr<net::PacketRingGroup> ring_group;
   std::vector<net::Transport*> transports(shard_count, nullptr);
   if (net_mode) {
     engines.reserve(shard_count);
@@ -303,26 +299,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       }
       engines.push_back(std::move(engine).value());
       transports[shard] = engines.back().get();
-    }
-    if (options.ring_receive) {
-      // First rung of the receive fallback chain: ring -> recvmmsg ->
-      // recvfrom. Ring setup failing (no CAP_NET_RAW, no AF_PACKET) just
-      // leaves the engines on their recvmmsg half.
-      net::PacketRingConfig ring_config;  // loopback engines: capture "lo"
-      auto group = net::PacketRingGroup::create(ring_config, shard_count);
-      if (group.ok()) {
-        ring_group = std::move(group).value();
-        for (std::size_t shard = 0; shard < shard_count; ++shard) {
-          ring_group->register_port(engines[shard]->local_endpoint().port,
-                                    shard);
-          engines[shard]->attach_ring(ring_group->view(shard));
-        }
-        obs::log_info("packet ring receive attached",
-                      {{"shards", shard_count}});
-      } else {
-        obs::log_warn("packet ring unavailable, falling back to recvmmsg",
-                      {{"error", group.error()}});
-      }
     }
   } else {
     fabrics.reserve(shard_count);
@@ -738,9 +714,6 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     out.responder_cache += fabric->cache_stats();
   }
   for (const auto& engine : engines) out.net_io += engine->stats();
-  // Ring blocks/drops/parse rejections are per-ring, not per-engine: fold
-  // the group's aggregate in exactly once.
-  if (ring_group != nullptr) out.net_io += ring_group->stats();
   if (store.enabled()) remove_checkpoint(options.checkpoint_path);
   remove_retired_stores();
   if (derived_store_dir) {

@@ -96,17 +96,6 @@ struct CampaignOptions {
   // Fabric-side knobs (loss, jitter, policing) do not apply — the far
   // side of the wire decides those.
   std::optional<net::EngineConfig> net_engine;
-  // AF_PACKET ring receive (net/packet_ring.hpp): with `net_engine` set
-  // and this true, the campaign opens one TPACKET_V3 ring per shard in a
-  // PACKET_FANOUT_HASH group and swaps each engine's receive half from
-  // recvmmsg to its ring view; sends keep flowing through the UDP
-  // sockets. Needs CAP_NET_RAW — when ring setup fails the campaign logs
-  // a warning and falls back to recvmmsg (which itself falls back to
-  // recvfrom), never errors. Execution-only knob: receive timing rides in
-  // the SimFrame header and records sort by send time, so output is
-  // bit-identical ring on or off — excluded from the checkpoint config
-  // digest like wire_fast_path.
-  bool ring_receive = false;
   // Post-send drain window handed to every shard prober. The 5 s default
   // matches ProbeConfig's and the historical schedule bit for bit; wall
   // campaigns shorten it so the tail wait is real seconds, not virtual.

@@ -321,8 +321,6 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   const auto update_status = [&](std::size_t targets_sent, bool complete) {
     obs::ShardStatusRow row;
     row.point = progress(targets_sent, result, sink, pacer.state());
-    if (const auto* net = transport_.net_stats())
-      row.ring_frames = net->ring_frames;
     row.virtual_now = transport_.now();
     row.complete = complete;
     telemetry.status.update(row);

@@ -75,7 +75,6 @@ util::Result<std::unique_ptr<LoopbackReflector>> LoopbackReflector::start(
   engine_config.bind_loopback = true;
   engine_config.sndbuf_bytes = config.sndbuf_bytes;
   engine_config.rcvbuf_bytes = config.rcvbuf_bytes;
-  engine_config.gso = config.gso;
   auto engines = BatchedUdpEngine::open_group(
       engine_config, std::max<std::size_t>(workers, 1));
   if (!engines.ok()) return R::failure(engines.error());

@@ -63,11 +63,6 @@ struct ReflectorConfig {
   std::size_t batch_size = 64;
   int sndbuf_bytes = 4 << 20;
   int rcvbuf_bytes = 4 << 20;
-  // UDP_SEGMENT coalescing for response sends. Campaigns that capture
-  // the wire with an AF_PACKET ring turn this off: loopback never
-  // segments the super-datagram, so the tap would otherwise see one
-  // merged response where the socket path sees many.
-  bool gso = true;
 };
 
 struct ReflectorStats {

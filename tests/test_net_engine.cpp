@@ -2,8 +2,11 @@
 //
 // Three layers, lowest first (the wall-clock pacer schedule is unit-tested
 // on a fake clock in test_pacer.cpp):
-//  1. Wire plumbing: the SimFrame encapsulation codec and the UdpSocket
-//     send-errno taxonomy (EAGAIN/ECONNREFUSED as distinct outcomes).
+//  1. Wire plumbing: the SimFrame encapsulation codec, the UdpSocket
+//     send- and receive-errno taxonomies (EAGAIN/ECONNREFUSED as distinct
+//     outcomes), and the EINTR contract: an interrupting timer signal
+//     retries the wait instead of surfacing as an error, on a blocking
+//     UdpSocket::receive and through a full engine drain.
 //  2. BatchedUdpEngine over loopback sockets: batched vs per-datagram
 //     delivery, truncation accounting, ICMP refusal surfacing, one port
 //     shared by a group, and a linger that counts probes, not frames.
@@ -19,8 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/time.h>
+
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -140,6 +146,99 @@ TEST(UdpSocketTaxonomy, PortUnreachableSurfacesAsRefused) {
     if (received.ok() && received.value().refused) refused = true;
   }
   EXPECT_TRUE(refused) << "ICMP port-unreachable never surfaced";
+}
+
+// ---------------------------------------------------------------------------
+// Receive errno taxonomy and the EINTR contract
+// ---------------------------------------------------------------------------
+
+TEST(RecvErrnoTaxonomy, ClassifiesTheRecvErrnos) {
+  using net::RecvErrnoAction;
+  EXPECT_EQ(net::classify_recv_errno(EINTR), RecvErrnoAction::kRetry);
+  EXPECT_EQ(net::classify_recv_errno(EAGAIN), RecvErrnoAction::kEmpty);
+  EXPECT_EQ(net::classify_recv_errno(EWOULDBLOCK), RecvErrnoAction::kEmpty);
+  EXPECT_EQ(net::classify_recv_errno(ECONNREFUSED),
+            RecvErrnoAction::kRefused);
+  EXPECT_EQ(net::classify_recv_errno(EBADF), RecvErrnoAction::kHard);
+  EXPECT_EQ(net::classify_recv_errno(ENOMEM), RecvErrnoAction::kHard);
+}
+
+extern "C" void eintr_test_noop_handler(int) {}
+
+// Installs a SIGALRM handler without SA_RESTART (so blocking syscalls
+// really see EINTR) and arms an ITIMER_REAL; restores both on destruction.
+class InterruptingTimer {
+ public:
+  InterruptingTimer(int initial_ms, int interval_ms) {
+    struct sigaction action {};
+    action.sa_handler = eintr_test_noop_handler;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0;  // no SA_RESTART: the point is to surface EINTR
+    sigaction(SIGALRM, &action, &previous_action_);
+    itimerval timer{};
+    timer.it_value.tv_usec = initial_ms * 1000;
+    timer.it_interval.tv_usec = interval_ms * 1000;
+    setitimer(ITIMER_REAL, &timer, &previous_timer_);
+  }
+  ~InterruptingTimer() {
+    setitimer(ITIMER_REAL, &previous_timer_, nullptr);
+    sigaction(SIGALRM, &previous_action_, nullptr);
+  }
+
+ private:
+  struct sigaction previous_action_ {};
+  itimerval previous_timer_{};
+};
+
+TEST(RecvEintr, InterruptedBlockingReceiveTimesOutCleanly) {
+  auto socket = net::UdpSocket::open(net::Family::kIpv4);
+  if (!socket.ok()) GTEST_SKIP() << "sockets unavailable: " << socket.error();
+  const net::Endpoint loopback{net::IpAddress(net::Ipv4(127, 0, 0, 1)), 0};
+  ASSERT_TRUE(socket.value().bind_to(loopback).ok());
+
+  // One-shot timer firing mid-wait: before the fix the EINTR surfaced as
+  // a poll failure; now the wait re-arms and times out empty.
+  InterruptingTimer timer(/*initial_ms=*/10, /*interval_ms=*/0);
+  auto received = socket.value().receive(/*timeout_ms=*/60);
+  ASSERT_TRUE(received.ok()) << received.error();
+  EXPECT_FALSE(received.value().datagram.has_value());
+  EXPECT_FALSE(received.value().refused);
+}
+
+TEST(RecvEintr, InterruptedEngineDrainDeliversEverythingWithoutErrors) {
+  net::EngineConfig config;
+  config.clock = net::EngineClock::kWall;
+  config.batch_size = 32;
+  config.flow_window = 0;
+  auto sender = net::BatchedUdpEngine::open(config);
+  if (!sender.ok()) GTEST_SKIP() << "sockets unavailable: " << sender.error();
+  auto receiver = net::BatchedUdpEngine::open(config);
+  ASSERT_TRUE(receiver.ok()) << receiver.error();
+  net::BatchedUdpEngine& tx = *sender.value();
+  net::BatchedUdpEngine& rx = *receiver.value();
+
+  constexpr std::size_t kCount = 64;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    auto frame = tx.acquire_send_frame(32);
+    std::memset(frame.data(), static_cast<int>(i & 0xff), 32);
+    tx.commit_send_frame({}, rx.local_endpoint(), 32, tx.now());
+  }
+  tx.flush();
+
+  // A fast repeating timer peppers the drain loop with signals. Every
+  // datagram is already queued in the kernel, so each interrupted wait
+  // finds data on retry — the drain must complete with zero recv_errors.
+  std::size_t got = 0;
+  {
+    InterruptingTimer timer(/*initial_ms=*/2, /*interval_ms=*/2);
+    const util::VTime deadline = rx.now() + 2 * util::kSecond;
+    while (got < kCount && rx.now() < deadline) {
+      rx.run_until(rx.now() + 10 * util::kMillisecond);
+      while (rx.receive_view()) ++got;
+    }
+  }
+  EXPECT_EQ(got, kCount);
+  EXPECT_EQ(rx.stats().recv_errors, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //                      [--timeline-virtual <s>] [--timeline-wall-ms <ms>]
 //                      [--flight <path.json> [--flight-ring <n>]
 //                       [--fault-surge <n>]]
-//                      [--status <path.json> [--status-every <n>]]
+//                      [--status <path.json>]
 //                      [--watch <status.json>]
 //   output_dir        where census_report.md / vendor_share.csv land
 //                     (default: current directory)
@@ -32,13 +32,13 @@
 //                     every <s> simulated seconds (RunReport time_series)
 //   --timeline-wall-ms <ms>  sample a full metrics snapshot every <ms> of
 //                     wall time (non-deterministic, diagnostic)
-//   --flight <path>   flight recorder: per-shard rings of notable events,
-//                     dumped atomically to <path> at checkpoints, fault
-//                     surges and exit
+//   --flight <path>   flight rings: each shard's track keeps its recent
+//                     notable events, dumped atomically to <path> at
+//                     checkpoints, fault surges and exit
 //   --flight-ring <n> events kept per shard ring (default 256)
 //   --fault-surge <n> extra dump every n decode faults (default 0: off)
-//   --status <path>   atomically rewrite a live status.json every
-//                     --status-every targets per shard (default 1024)
+//   --status <path>   atomically rewrite a live status.json from the
+//                     shard tracks, at most every 100 ms of wall time
 //   --watch <path>    do not run a campaign; poll <path> (a status.json
 //                     another process is writing) and render a refreshing
 //                     ASCII dashboard until it reports complete
@@ -54,6 +54,7 @@
 #include "core/report.hpp"
 #include "obs/fileio.hpp"
 #include "obs/json.hpp"
+#include "obs/status.hpp"
 #include "obs/trace_export.hpp"
 #include "util/table.hpp"
 
@@ -108,7 +109,7 @@ int main(int argc, char** argv) {
                  "[--trace <path.json>] [--timeline-virtual <s>] "
                  "[--timeline-wall-ms <ms>] [--flight <path.json> "
                  "[--flight-ring <n>] [--fault-surge <n>]] "
-                 "[--status <path.json> [--status-every <n>]] "
+                 "[--status <path.json>] "
                  "[--watch <status.json>]\n";
     return 2;
   };
@@ -152,10 +153,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--status") == 0) {
       if (i + 1 >= argc) return usage();
       telemetry.status.path = argv[++i];
-    } else if (std::strcmp(argv[i], "--status-every") == 0) {
-      if (i + 1 >= argc) return usage();
-      telemetry.status.every_n_targets =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--watch") == 0) {
       if (i + 1 >= argc) return usage();
       watch_path = argv[++i];
@@ -279,7 +276,7 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty()) {
     const std::string trace_json = obs::to_chrome_trace_json(
-        observer.trace().snapshot(), observer.flight().events());
+        observer.trace().snapshot(), observer.timeline().events());
     if (!obs::write_file_atomic(trace_path, trace_json)) {
       std::cerr << "failed to write " << trace_path << "\n";
       return 1;

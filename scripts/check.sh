@@ -16,8 +16,10 @@
 #      incremental build checks only the files it recompiles.
 #   2. Focused race check: TSan build in build-tsan/ running the tests that
 #      exercise the parallel execution and observability layers
-#      (test_parallel, test_obs, test_telemetry) plus test_worlds — the
-#      procedural-vs-materialized equivalence suite drives sharded
+#      (test_parallel, test_obs, test_telemetry; in the latter two, track
+#      registration, the shard writers and the status/flight readers all
+#      share the timeline's one per-shard track registry) plus
+#      test_worlds — the procedural-vs-materialized equivalence suite drives sharded
 #      spec-mode campaigns over the lazy per-fabric device cache — and
 #      test_store's campaign and pipeline suites, since every campaign
 #      sorts its shard record stores on the worker threads and merges

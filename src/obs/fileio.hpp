@@ -1,6 +1,6 @@
 // Atomic file publication for telemetry artifacts.
 //
-// Every live telemetry surface (status.json, flight-recorder dumps, trace
+// Every live telemetry surface (status.json, flight-ring dumps, trace
 // exports) must be readable by an external watcher at any instant, so all
 // of them go through the same write-to-temp + rename idiom the checkpoint
 // codec uses: a reader either sees the previous complete document or the

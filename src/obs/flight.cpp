@@ -1,8 +1,5 @@
 #include "obs/flight.hpp"
 
-#include <algorithm>
-
-#include "obs/fileio.hpp"
 #include "obs/json.hpp"
 
 namespace snmpv3fp::obs {
@@ -21,105 +18,18 @@ std::string_view to_string(FlightEventKind kind) {
   return "unknown";
 }
 
-void FlightRecorder::configure(FlightConfig config) {
-  config_ = config;
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  configured_ = true;
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-FlightHandle FlightRecorder::handle(std::string stage, std::size_t shard) {
-  FlightHandle out;
-  if (!configured_) return out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  detail::FlightRing* ring = nullptr;
-  for (auto& existing : rings_) {
-    if (existing.stage == stage &&
-        existing.shard == static_cast<std::uint32_t>(shard)) {
-      ring = &existing;
-      break;
-    }
-  }
-  if (ring == nullptr) {
-    rings_.emplace_back();
-    ring = &rings_.back();
-    ring->stage = std::move(stage);
-    ring->shard = static_cast<std::uint32_t>(shard);
-  }
-  out.recorder_ = this;
-  out.ring_ = ring;
-  return out;
-}
-
-void FlightHandle::record(FlightEventKind kind, util::VTime virtual_time,
-                          std::int64_t value, std::string_view detail) {
-  if (recorder_ == nullptr) return;
-  recorder_->record(*this, kind, virtual_time, value, detail);
-}
-
-void FlightRecorder::record(const FlightHandle& handle, FlightEventKind kind,
-                            util::VTime virtual_time, std::int64_t value,
-                            std::string_view note) {
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  {
-    detail::FlightRing& ring = *handle.ring_;
-    std::lock_guard<std::mutex> lock(ring.mutex);
-    FlightEvent event;
-    event.kind = kind;
-    event.stage = ring.stage;
-    event.shard = ring.shard;
-    event.virtual_time = virtual_time;
-    event.wall_ms = wall_ms;
-    event.value = value;
-    event.detail = note;
-    event.seq = ring.next_seq++;
-    if (ring.slots.size() < config_.ring_capacity) {
-      ring.slots.push_back(std::move(event));
-    } else {
-      ring.slots[event.seq % config_.ring_capacity] = std::move(event);
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (kind == FlightEventKind::kUndecodable ||
-      kind == FlightEventKind::kWireFallback) {
-    const std::uint64_t faults =
-        faults_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (config_.fault_surge_threshold > 0 &&
-        faults % config_.fault_surge_threshold == 0)
-      dump("fault_surge");
-  }
-}
-
-std::vector<FlightEvent> FlightRecorder::events() const {
-  std::vector<FlightEvent> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring.mutex);
-    out.insert(out.end(), ring.slots.begin(), ring.slots.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              if (a.virtual_time != b.virtual_time)
-                return a.virtual_time < b.virtual_time;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-std::string FlightRecorder::to_json(std::string_view reason) const {
-  const std::vector<FlightEvent> merged = events();
+std::string render_flight_json(const std::vector<FlightEvent>& events,
+                               std::string_view reason,
+                               std::size_t ring_capacity,
+                               std::uint64_t dropped) {
   JsonWriter json;
   json.begin_object();
   json.kv("schema", std::uint64_t{1});
   json.kv("reason", reason);
-  json.kv("ring_capacity", static_cast<std::uint64_t>(config_.ring_capacity));
-  json.kv("dropped", dropped());
+  json.kv("ring_capacity", static_cast<std::uint64_t>(ring_capacity));
+  json.kv("dropped", dropped);
   json.key("events").begin_array();
-  for (const auto& event : merged) {
+  for (const auto& event : events) {
     json.begin_object();
     json.kv("kind", to_string(event.kind));
     json.kv("stage", event.stage);
@@ -134,16 +44,6 @@ std::string FlightRecorder::to_json(std::string_view reason) const {
   json.end_array();
   json.end_object();
   return json.str();
-}
-
-bool FlightRecorder::dump(std::string_view reason) {
-  if (!configured_ || config_.dump_path.empty()) return false;
-  // Shard workers dump concurrently (checkpoint boundaries, fault surges);
-  // the tmp-then-rename pair must not interleave on the shared tmp name.
-  std::lock_guard<std::mutex> lock(dump_mutex_);
-  if (!write_file_atomic(config_.dump_path, to_json(reason))) return false;
-  dumps_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 }  // namespace snmpv3fp::obs

@@ -1,46 +1,24 @@
 // Observability surface threaded through the pipeline.
 //
-// A RunObserver owns one run's trace, metrics registry and accounting
-// rows; ObsOptions is the cheap value handed down the call tree (observer
-// pointer + dotted scope). Observability is EXECUTION-ONLY by contract:
-// nothing behind an ObsOptions may touch an RNG, reorder work, or change
-// a single output bit — `PipelineResult` is bit-identical with observation
-// enabled, disabled, and at any thread count (tests/test_obs.cpp).
+// A RunObserver owns one run's trace, metrics registry and per-shard
+// track registry (obs/timeline.hpp); ObsOptions is the cheap value handed
+// down the call tree (observer pointer + dotted scope). Observability is
+// EXECUTION-ONLY by contract: nothing behind an ObsOptions may touch an
+// RNG, reorder work, or change a single output bit — `PipelineResult` is
+// bit-identical with observation enabled, disabled, and at any thread
+// count (tests/test_obs.cpp).
 #pragma once
 
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/status.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
 namespace snmpv3fp::obs {
-
-// Live telemetry knobs, configured once on the RunObserver before a run
-// (configure_telemetry). All default-off; all execution-only — none of
-// them is hashed into the checkpoint config digest, and results are
-// bit-identical with any combination enabled (tests/test_telemetry.cpp).
-struct TelemetryOptions {
-  TimelineConfig timeline;  // time-series sampling (virtual + wall clock)
-  FlightConfig flight;      // per-shard event rings + atomic JSON dumps
-  StatusConfig status;      // atomically rewritten status.json
-};
-
-// One scan shard's progress row (recorded by the campaign in shard order,
-// after the parallel region joined — deterministic sequence).
-struct ShardProgress {
-  std::string stage;  // e.g. "v4.scan1"
-  std::size_t shard = 0;
-  std::size_t targets = 0;
-  std::size_t responses = 0;
-  double wall_ms = 0.0;
-};
 
 class RunObserver {
  public:
@@ -48,47 +26,33 @@ class RunObserver {
   const Trace& trace() const { return trace_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
+  // The per-(stage, shard) track registry: time series, flight rings,
+  // status rows and shard progress.
   Timeline& timeline() { return timeline_; }
   const Timeline& timeline() const { return timeline_; }
-  FlightRecorder& flight() { return flight_; }
-  const FlightRecorder& flight() const { return flight_; }
-  StatusBoard& status() { return status_; }
-  const StatusBoard& status() const { return status_; }
 
-  // Arms the live telemetry surfaces. Call once, before the run, from a
-  // single thread. Without this call every surface stays a no-op.
+  // Arms sampling, the flight rings and status.json on the tracks. Call
+  // once, before the run, from a single thread. Without this call every
+  // live surface stays a no-op; the tracks still keep shard progress.
   void configure_telemetry(const TelemetryOptions& options) {
-    timeline_.configure(options.timeline, &metrics_);
-    flight_.configure(options.flight);
-    status_.configure(options.status);
+    timeline_.configure(options, &metrics_);
   }
 
-  void add_shard_progress(ShardProgress row) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shard_progress_.push_back(std::move(row));
-  }
   std::vector<ShardProgress> shard_progress() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shard_progress_;
+    return timeline_.shard_progress();
   }
 
  private:
   Trace trace_;
   MetricsRegistry metrics_;
   Timeline timeline_;
-  FlightRecorder flight_;
-  StatusBoard status_;
-  mutable std::mutex mutex_;
-  std::vector<ShardProgress> shard_progress_;
 };
 
 // The per-shard telemetry bundle the campaign hands into the probe loop.
-// Every member is a cheap shard-bound handle whose default-constructed
+// Both members are cheap shard-bound handles whose default-constructed
 // state is a permanent no-op, so the prober carries one unconditionally.
 struct ShardTelemetry {
-  Timeline::Recorder timeline;
-  FlightHandle flight;
-  StatusHandle status;
+  TrackHandle track;
   Histogram rtt_ms;  // probe round-trip time (virtual clock, ms)
 };
 
@@ -101,15 +65,6 @@ struct ObsOptions {
   bool enabled() const { return observer != nullptr; }
   Trace* trace() const {
     return observer == nullptr ? nullptr : &observer->trace();
-  }
-  Timeline* timeline() const {
-    return observer == nullptr ? nullptr : &observer->timeline();
-  }
-  FlightRecorder* flight() const {
-    return observer == nullptr ? nullptr : &observer->flight();
-  }
-  StatusBoard* status_board() const {
-    return observer == nullptr ? nullptr : &observer->status();
   }
 
   ObsOptions sub(std::string_view name) const {

@@ -3,79 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/fileio.hpp"
 #include "obs/json.hpp"
 #include "util/table.hpp"
 
 namespace snmpv3fp::obs {
 
-void StatusBoard::configure(StatusConfig config) {
-  config_ = config;
-  if (config_.every_n_targets == 0) config_.every_n_targets = 1;
-  epoch_ = std::chrono::steady_clock::now();
-}
-
-StatusHandle StatusBoard::add_shard(std::string stage, std::size_t shard,
-                                    std::uint64_t targets_total) {
-  StatusHandle out;
-  if (!enabled()) return out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t slot = rows_.size();
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i].stage == stage &&
-        rows_[i].shard == static_cast<std::uint32_t>(shard)) {
-      slot = i;
-      break;
-    }
-  }
-  if (slot == rows_.size()) rows_.emplace_back();
-  ShardStatusRow& row = rows_[slot];
-  row.stage = std::move(stage);
-  row.shard = static_cast<std::uint32_t>(shard);
-  row.targets_total = targets_total;
-  row.complete = false;
-  out.board_ = this;
-  out.slot_ = slot;
-  out.every_ = config_.every_n_targets;
-  return out;
-}
-
-void StatusHandle::update(const ShardStatusRow& row) {
-  if (board_ == nullptr) return;
-  board_->update_slot(slot_, row);
-}
-
-void StatusBoard::update_slot(std::size_t slot, const ShardStatusRow& row) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ShardStatusRow& target = rows_[slot];
-  target.point = row.point;
-  target.virtual_now = row.virtual_now;
-  target.complete = row.complete;
-  maybe_write_locked();
-}
-
-void StatusBoard::mark_stage_complete(std::string_view stage) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& row : rows_) {
-      if (row.stage == stage) {
-        row.complete = true;
-        row.point.targets_sent =
-            std::max(row.point.targets_sent, row.targets_total);
-      }
-    }
-  }
-  write_now();
-}
-
-std::vector<ShardStatusRow> StatusBoard::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rows_;
-}
-
 namespace {
 
-void row_to_json(JsonWriter& json, const ShardStatusRow& row) {
+void row_to_json(JsonWriter& json, const TrackStatus& row) {
   json.begin_object();
   json.kv("stage", row.stage);
   json.kv("shard", static_cast<std::uint64_t>(row.shard));
@@ -93,8 +28,38 @@ void row_to_json(JsonWriter& json, const ShardStatusRow& row) {
   json.end_object();
 }
 
-std::string render_json(const std::vector<ShardStatusRow>& rows,
-                        double wall_ms) {
+double num(const JsonValue* value) {
+  return value == nullptr ? 0.0 : value->as_number();
+}
+
+std::string fmt_eta(double seconds) {
+  if (seconds <= 0.0) return "-";
+  char buf[32];
+  if (seconds >= 3600.0)
+    std::snprintf(buf, sizeof buf, "%.1fh", seconds / 3600.0);
+  else if (seconds >= 60.0)
+    std::snprintf(buf, sizeof buf, "%.1fm", seconds / 60.0);
+  else
+    std::snprintf(buf, sizeof buf, "%.0fs", seconds);
+  return buf;
+}
+
+std::string fmt_progress(double sent, double total) {
+  std::string out = util::fmt_compact(sent);
+  out += "/";
+  out += util::fmt_compact(total);
+  if (total > 0) {
+    out += " (";
+    out += util::fmt_percent(sent / total, 0);
+    out += ")";
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string render_status_json(const std::vector<TrackStatus>& rows,
+                               double wall_ms) {
   std::uint64_t targets = 0, sent = 0, responses = 0, undecodable = 0,
                 backoffs = 0;
   std::int64_t resident = 0;
@@ -135,75 +100,6 @@ std::string render_json(const std::vector<ShardStatusRow>& rows,
   json.end_object();
   return json.str();
 }
-
-}  // namespace
-
-std::string StatusBoard::to_json() const {
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  std::lock_guard<std::mutex> lock(mutex_);
-  return render_json(rows_, wall_ms);
-}
-
-void StatusBoard::maybe_write_locked() {
-  if (config_.path.empty()) return;
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  if (wall_ms - last_write_ms_ < config_.min_write_interval_ms) return;
-  last_write_ms_ = wall_ms;
-  if (write_file_atomic(config_.path, render_json(rows_, wall_ms)))
-    writes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool StatusBoard::write_now() {
-  if (config_.path.empty()) return false;
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count();
-  std::lock_guard<std::mutex> lock(mutex_);
-  last_write_ms_ = wall_ms;
-  if (!write_file_atomic(config_.path, render_json(rows_, wall_ms)))
-    return false;
-  writes_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-namespace {
-
-double num(const JsonValue* value) {
-  return value == nullptr ? 0.0 : value->as_number();
-}
-
-std::string fmt_eta(double seconds) {
-  if (seconds <= 0.0) return "-";
-  char buf[32];
-  if (seconds >= 3600.0)
-    std::snprintf(buf, sizeof buf, "%.1fh", seconds / 3600.0);
-  else if (seconds >= 60.0)
-    std::snprintf(buf, sizeof buf, "%.1fm", seconds / 60.0);
-  else
-    std::snprintf(buf, sizeof buf, "%.0fs", seconds);
-  return buf;
-}
-
-std::string fmt_progress(double sent, double total) {
-  std::string out = util::fmt_compact(sent);
-  out += "/";
-  out += util::fmt_compact(total);
-  if (total > 0) {
-    out += " (";
-    out += util::fmt_percent(sent / total, 0);
-    out += ")";
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string render_status_dashboard(const JsonValue& status) {
   std::string out;

@@ -1,6 +1,6 @@
 // Chrome trace event export.
 //
-// Serializes a run's spans (and optionally its flight-recorder events) in
+// Serializes a run's spans (and optionally its flight-ring events) in
 // the Chrome trace event format — the JSON that chrome://tracing and
 // Perfetto's legacy importer load directly. Spans become "X" (complete)
 // events with microsecond timestamps relative to the trace epoch, laid

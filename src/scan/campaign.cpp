@@ -427,11 +427,11 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         options.obs.counter(label + ".wire.stamped_probes");
     obs::Counter wire_full_encodes =
         options.obs.counter(label + ".wire.full_encodes");
-    // Live telemetry: every handle (timeline tracks, flight rings, status
-    // slots, the RTT histogram, store metrics) is registered here on the
-    // orchestrating thread; workers only write through the pre-bound
-    // handles. The RTT histogram observes virtual-clock round-trips, so
-    // its buckets are deterministic at any thread count.
+    // Live telemetry: every handle (one track per shard, the RTT
+    // histogram, store metrics) is registered here on the orchestrating
+    // thread; workers only write through the pre-bound handles. The RTT
+    // histogram observes virtual-clock round-trips, so its buckets are
+    // deterministic at any thread count.
     const std::string stage = options.obs.scoped(label);
     obs::Histogram rtt_hist = options.obs.histogram(
         label + ".rtt_ms",
@@ -439,34 +439,23 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
     std::vector<obs::ShardTelemetry> shard_telemetry(shard_count);
     std::vector<obs::SpanRecord> shard_spans(shard_count);
     store::StoreOptions shard_store_options = store_options;
-    obs::FlightHandle scan_flight;  // scan-level boundary events
     if (options.obs.enabled()) {
-      obs::Timeline* timeline = options.obs.timeline();
-      obs::FlightRecorder* flight = options.obs.flight();
-      obs::StatusBoard* board = options.obs.status_board();
+      obs::Timeline& tracks = options.obs.observer->timeline();
       auto& st = shard_store_options.telemetry;
       st.resident_bytes = options.obs.gauge("store.resident_bytes");
       st.sealed_blocks = options.obs.counter("store.sealed_blocks");
       st.spilled_blocks = options.obs.counter("store.spilled_blocks");
       st.evicted_blocks = options.obs.counter("store.evicted_blocks");
       st.patched_records = options.obs.counter("store.patched_records");
-      if (flight->enabled()) {
-        scan_flight = flight->handle(stage, shard_count);
-        scan_flight.record(obs::FlightEventKind::kScanBoundary, start,
-                           static_cast<std::int64_t>(n), "scan_start");
-      }
       for (std::size_t shard = 0; shard < shard_count; ++shard) {
-        auto& telemetry = shard_telemetry[shard];
-        telemetry.rtt_ms = rtt_hist;
-        if (timeline->enabled())
-          telemetry.timeline = timeline->recorder(stage, shard);
-        if (flight->enabled()) telemetry.flight = flight->handle(stage, shard);
-        if (board->enabled()) {
-          const std::size_t begin = shard * base + std::min(shard, extra);
-          const std::size_t end = begin + base + (shard < extra ? 1 : 0);
-          telemetry.status = board->add_shard(stage, shard, end - begin);
-        }
+        const std::size_t shard_targets = base + (shard < extra ? 1 : 0);
+        shard_telemetry[shard] = {tracks.track(stage, shard, shard_targets),
+                                  rtt_hist};
       }
+      // Scan-boundary events ride on the scan's shard-0 track.
+      shard_telemetry[0].track.record(obs::FlightEventKind::kScanBoundary,
+                                      start, static_cast<std::int64_t>(n),
+                                      "scan_start");
     }
     util::parallel_for(0, shard_count, options.parallel, [&](std::size_t shard) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -476,9 +465,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       obs::Span shard_span(options.obs.trace(),
                            stage + ".shard" + std::to_string(shard));
       shard_span.set_shard(static_cast<std::int64_t>(shard));
-      // Per-shard store options: shared aggregate metrics, own flight ring.
+      // Per-shard store options: shared aggregate metrics, own track.
       store::StoreOptions my_store_options = shard_store_options;
-      my_store_options.telemetry.flight = shard_telemetry[shard].flight;
+      my_store_options.telemetry.track = shard_telemetry[shard].track;
       const ShardScanState* resume_state = resume_slots[shard];
       std::shared_ptr<store::RecordStore> shard_store;
       if (resume_state != nullptr) {
@@ -581,9 +570,8 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
           store.record_boundary(shard, std::move(state));
           // The flight trail lands on disk beside every checkpoint, so a
           // crash right after the boundary still leaves a diagnosable dump.
-          if (obs::FlightRecorder* flight = options.obs.flight();
-              flight != nullptr && flight->enabled())
-            flight->dump("checkpoint");
+          if (options.obs.enabled())
+            options.obs.observer->timeline().dump_flight("checkpoint");
         };
       }
       Prober prober(*transports[shard], prober_source);
@@ -623,9 +611,9 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
         options.obs.trace()->record(std::move(record));
       }
       for (std::size_t shard = 0; shard < shard_count; ++shard)
-        options.obs.observer->add_shard_progress(
-            {stage, shard, shard_results[shard].targets_probed,
-             shard_results[shard].responsive(), shard_wall_ms[shard]});
+        shard_telemetry[shard].track.set_progress(
+            shard_results[shard].targets_probed,
+            shard_results[shard].responsive(), shard_wall_ms[shard]);
     }
 
     ScanResult merged = merge_shard_results(shard_results, store_options, label);
@@ -638,14 +626,10 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
       options.obs.counter(label + ".undecodable")
           .add(merged.undecodable_responses);
       options.obs.counter(label + ".backoffs").add(merged.pacer_backoffs);
-      if (scan_flight.enabled())
-        scan_flight.record(obs::FlightEventKind::kScanBoundary,
-                           merged.end_time,
-                           static_cast<std::int64_t>(merged.targets_probed),
-                           "scan_end");
-      if (obs::StatusBoard* board = options.obs.status_board();
-          board->enabled())
-        board->mark_stage_complete(stage);
+      shard_telemetry[0].track.record(
+          obs::FlightEventKind::kScanBoundary, merged.end_time,
+          static_cast<std::int64_t>(merged.targets_probed), "scan_end");
+      options.obs.observer->timeline().mark_stage_complete(stage);
     }
     obs::log_info("scan finished",
                   {{"scan", options.obs.scoped(label)},
@@ -735,12 +719,10 @@ CampaignPair run_two_scan_campaign(topo::WorldModel& model,
   }
   // Final telemetry flush: the flight trail and status surface land on
   // disk once more at campaign exit.
-  if (obs::FlightRecorder* flight = options.obs.flight();
-      flight != nullptr && flight->enabled())
-    flight->dump("exit");
-  if (obs::StatusBoard* board = options.obs.status_board();
-      board != nullptr && board->enabled())
-    board->write_now();
+  if (options.obs.enabled()) {
+    options.obs.observer->timeline().dump_flight("exit");
+    options.obs.observer->timeline().write_status();
+  }
   return out;
 }
 

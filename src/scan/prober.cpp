@@ -142,16 +142,16 @@ std::size_t drain(net::Transport& transport, ScanResult& result,
       auto message = snmp::V3Message::decode(datagram->payload);
       if (!message) {  // non-SNMPv3 noise or corrupted-in-flight bytes
         ++result.undecodable_responses;
-        telemetry.flight.record(obs::FlightEventKind::kUndecodable,
-                                datagram->time,
-                                static_cast<std::int64_t>(
-                                    result.undecodable_responses));
+        telemetry.track.record(obs::FlightEventKind::kUndecodable,
+                               datagram->time,
+                               static_cast<std::int64_t>(
+                                   result.undecodable_responses));
         continue;
       }
       if (wire.enabled) {
         wire.fallbacks.add();
-        telemetry.flight.record(obs::FlightEventKind::kWireFallback,
-                                datagram->time, 1);
+        telemetry.track.record(obs::FlightEventKind::kWireFallback,
+                               datagram->time, 1);
       }
       full = std::move(message).value();
     }
@@ -261,7 +261,7 @@ ScanResult Prober::run_impl(const TargetSequence& order,
                  config.wire_parse_fallbacks};
   obs::Counter stamped_probes = config.wire_stamped_probes;
   obs::Counter full_encodes = config.wire_full_encodes;
-  // Local copy: the timeline recorder carries per-run cursor state (next
+  // Local copy: the track handle carries per-run cursor state (next
   // virtual boundary, wall-check countdown) the shared config must not.
   obs::ShardTelemetry telemetry = config.telemetry;
   std::size_t backoffs_reported = 0;
@@ -318,14 +318,6 @@ ScanResult Prober::run_impl(const TargetSequence& order,
               std::min<std::uint64_t>(order.size(), 4096) / 4));
   }
   result.store = sink_owner;
-  const auto update_status = [&](std::size_t targets_sent, bool complete) {
-    obs::ShardStatusRow row;
-    row.point = progress(targets_sent, result, sink, pacer.state());
-    row.virtual_now = transport_.now();
-    row.complete = complete;
-    telemetry.status.update(row);
-  };
-
   // Batches start at the shard's own cursor, so a resume at any cursor
   // prepares exactly the targets and ids an uninterrupted run sends.
   std::array<net::IpAddress, kProbeBatch> batch_targets;
@@ -389,19 +381,17 @@ ScanResult Prober::run_impl(const TargetSequence& order,
     pacer.on_responses(drained);
     pacer.on_rate_limit_signals(rate_limit_delta);
 
-    if (telemetry.flight.enabled() &&
-        pacer.state().backoffs != backoffs_reported) {
-      backoffs_reported = pacer.state().backoffs;
-      telemetry.flight.record(
-          obs::FlightEventKind::kPacerBackoff, transport_.now(),
-          static_cast<std::int64_t>(pacer.state().rate_pps));
+    if (telemetry.track.enabled()) {
+      if (pacer.state().backoffs != backoffs_reported) {
+        backoffs_reported = pacer.state().backoffs;
+        telemetry.track.record(
+            obs::FlightEventKind::kPacerBackoff, transport_.now(),
+            static_cast<std::int64_t>(pacer.state().rate_pps));
+      }
+      telemetry.track.tick(transport_.now(), [&] {
+        return progress(i + 1, result, sink, pacer.state());
+      });
     }
-    if (telemetry.timeline.enabled())
-      telemetry.timeline.tick(transport_.now(),
-                              progress(i + 1, result, sink, pacer.state()));
-    if (telemetry.status.enabled() &&
-        (i + 1) % telemetry.status.every_n_targets() == 0)
-      update_status(i + 1, false);
 
     // Checkpoint boundaries sit at absolute multiples of the interval, so
     // a resumed run hits the same remaining boundaries as an uninterrupted
@@ -417,9 +407,9 @@ ScanResult Prober::run_impl(const TargetSequence& order,
       state.partial = result;  // scalars; the records ride in the manifest
       state.store_manifest = sink.manifest();
       state.send_window = ring.window(i + 1);
-      telemetry.flight.record(obs::FlightEventKind::kCheckpoint,
-                              transport_.now(),
-                              static_cast<std::int64_t>(i + 1));
+      telemetry.track.record(obs::FlightEventKind::kCheckpoint,
+                             transport_.now(),
+                             static_cast<std::int64_t>(i + 1));
       config.on_checkpoint(state);
     }
   }
@@ -431,7 +421,9 @@ ScanResult Prober::run_impl(const TargetSequence& order,
   sink.seal();
   result.end_time = transport_.now();
   result.pacer_backoffs = pacer.state().backoffs;
-  if (telemetry.status.enabled()) update_status(order.size(), true);
+  if (telemetry.track.enabled())
+    telemetry.track.complete(
+        transport_.now(), progress(order.size(), result, sink, pacer.state()));
   if (obs::Logger::global().enabled(obs::LogLevel::kDebug)) {
     obs::log_debug("probe run finished",
                    {{"label", config.label},

@@ -80,11 +80,11 @@ struct ProbeConfig {
   obs::Counter wire_parse_fallbacks;
   obs::Counter wire_stamped_probes;
   obs::Counter wire_full_encodes;
-  // Live telemetry bundle (obs/obs.hpp): timeline ticks, flight-recorder
-  // events, status-slot updates and the probe-RTT histogram, all recorded
-  // from the probe loop. Default-constructed members are permanent no-ops
-  // (a couple of null checks per probe); everything behind them is
-  // execution-only by the obs contract.
+  // Live telemetry bundle (obs/obs.hpp): the shard's track (time-series
+  // ticks, flight events, status refreshes) and the probe-RTT histogram,
+  // all recorded from the probe loop. Default-constructed members are
+  // permanent no-ops (one enabled() test per probe); everything behind
+  // them is execution-only by the obs contract.
   obs::ShardTelemetry telemetry;
   // Send-time horizon: a first response gets its probe's send time only
   // while that probe was sent no more than this long before the latest

@@ -148,7 +148,7 @@ void RecordStore::seal_block() {
       block.spilled = true;
       spilled_bytes_ += encoded->size();
       options_.telemetry.spilled_blocks.add();
-      options_.telemetry.flight.record(
+      options_.telemetry.track.record(
           obs::FlightEventKind::kStoreSpill, 0,
           static_cast<std::int64_t>(encoded->size()), name_);
     } else {
@@ -182,9 +182,8 @@ void RecordStore::evict_over_budget() {
       options_.telemetry.evicted_blocks.add();
       options_.telemetry.resident_bytes.add(
           -static_cast<std::int64_t>(freed));
-      options_.telemetry.flight.record(obs::FlightEventKind::kStoreEvict, 0,
-                                       static_cast<std::int64_t>(freed),
-                                       name_);
+      options_.telemetry.track.record(obs::FlightEventKind::kStoreEvict, 0,
+                                      static_cast<std::int64_t>(freed), name_);
     }
   }
 }

@@ -36,8 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 #include "scan/record.hpp"
 #include "store/codec.hpp"
 #include "util/result.hpp"
@@ -51,18 +51,18 @@ namespace snmpv3fp::store {
 struct ColumnarBlock;
 
 // Execution-only store instrumentation (values the store already tracks
-// internally, exported to the metrics registry / flight recorder when a
-// run is observed). Default-constructed handles are no-ops; the campaign
-// registers the metrics on the orchestrating thread and copies the bundle
-// into each shard's StoreOptions, so the gauge/counters aggregate across
-// shards while flight events stay per-shard.
+// internally, exported to the metrics registry and the shard's flight ring
+// when a run is observed). Default-constructed handles are no-ops; the
+// campaign registers the metrics on the orchestrating thread and copies
+// the bundle into each shard's StoreOptions, so the gauge/counters
+// aggregate across shards while flight events land on the shard's track.
 struct StoreTelemetry {
   obs::Gauge resident_bytes;     // encoded sealed blocks held in RAM
   obs::Counter sealed_blocks;    // blocks sealed (spilled or resident)
   obs::Counter spilled_blocks;   // blocks safely written to disk
   obs::Counter evicted_blocks;   // resident copies dropped under budget
   obs::Counter patched_records;  // post-seal duplicate patches
-  obs::FlightHandle flight;      // spill/evict events for the ring
+  obs::TrackHandle track;        // spill/evict events for the shard ring
 };
 
 struct StoreOptions {

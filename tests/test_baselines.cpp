@@ -5,7 +5,6 @@
 #include "baselines/nmap_lite.hpp"
 #include "baselines/router_names.hpp"
 #include "baselines/speedtrap.hpp"
-#include "baselines/ttl_fingerprint.hpp"
 #include "topo/generator.hpp"
 
 namespace snmpv3fp::baselines {
@@ -173,7 +172,7 @@ TEST_F(BaselineWorld, RouterNamesPrecisionOnWorld) {
 }
 
 // ---------------------------------------------------------------------------
-// Nmap / TTL
+// Nmap
 // ---------------------------------------------------------------------------
 
 TEST_F(BaselineWorld, NmapSilentOnClosedRouter) {
@@ -208,35 +207,6 @@ TEST_F(BaselineWorld, NmapMatchesOpenHosts) {
   if (checked == 0) GTEST_SKIP() << "no open hosts in tiny world";
   // The trained database should identify most open hosts.
   EXPECT_GT(correct * 10, checked * 7);
-}
-
-TEST(Ttl, InitialTtlInference) {
-  EXPECT_EQ(infer_initial_ttl(20), 32);
-  EXPECT_EQ(infer_initial_ttl(32), 32);
-  EXPECT_EQ(infer_initial_ttl(50), 64);
-  EXPECT_EQ(infer_initial_ttl(100), 128);
-  EXPECT_EQ(infer_initial_ttl(240), 255);
-}
-
-TEST_F(BaselineWorld, TtlFingerprintIsAmbiguous) {
-  for (const auto& device : world_.devices) {
-    if (device.vendor->name != "Cisco") continue;
-    for (const auto& itf : device.interfaces) {
-      if (!itf.v4) continue;
-      const auto fp = ttl_fingerprint(stack_, *itf.v4, 0);
-      if (!fp.responsive) continue;
-      EXPECT_EQ(fp.initial_ttl, 255);
-      // The Cisco/Huawei collision (paper §7.1): both appear as candidates.
-      const auto has = [&](const char* vendor) {
-        return std::find(fp.candidate_vendors.begin(),
-                         fp.candidate_vendors.end(),
-                         vendor) != fp.candidate_vendors.end();
-      };
-      EXPECT_TRUE(has("Cisco"));
-      EXPECT_TRUE(has("Huawei"));
-      return;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-// The live telemetry layer's contracts (obs/timeline, obs/flight,
-// obs/status, obs/trace_export):
+// The live telemetry layer's contracts (obs/timeline's track registry and
+// its views in obs/flight, obs/status and obs/trace_export):
 //  1. EXECUTION-ONLY: PipelineResult is bit-identical with telemetry fully
 //     armed or absent, store-backed or in-RAM, at 1/2/8 threads.
 //  2. Virtual-clock timeline samples are deterministic: same seed => the
@@ -7,12 +7,16 @@
 //  3. The emitted JSON documents (chrome trace, status.json, timeline
 //     section, flight dump) round-trip through obs::JsonValue and carry
 //     their documented schemas.
-//  4. A hostile corpus (corrupted responses) drives fault-surge flight
+//  4. status.json and the flight rings are views of the shard tracks: the
+//     status rows match the shard-progress rows and every flight event
+//     sits on one of its scan's shard tracks.
+//  5. A hostile corpus (corrupted responses) drives fault-surge flight
 //     dumps, and the dump file lands atomically with the events in it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -21,7 +25,6 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "obs/fileio.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/status.hpp"
@@ -109,6 +112,8 @@ struct TelemetryRun {
   obs::TimelineSnapshot timeline;
   std::uint64_t flight_dumps = 0;
   std::uint64_t status_writes = 0;
+  std::vector<obs::ShardProgress> shard_progress;
+  std::vector<obs::FlightEvent> flight_events;
   std::string trace_json, status_json, flight_json;  // the run's artifacts
 };
 
@@ -131,18 +136,19 @@ TelemetryRun run_pipeline(std::size_t threads, bool telemetry,
     config.flight.dump_path = telemetry_dir / "flight.json";
     config.flight.ring_capacity = 64;
     config.status.path = telemetry_dir / "status.json";
-    config.status.every_n_targets = 64;
-    config.status.min_write_interval_ms = 0.0;  // never skip a write
     observer.configure_telemetry(config);
   }
   const auto result = core::run_full_pipeline(options);
   out.digest = digest_result(result);
   if (telemetry) {
-    out.timeline = observer.timeline().snapshot();
-    out.flight_dumps = observer.flight().dump_count();
-    out.status_writes = observer.status().writes();
+    const obs::Timeline& tracks = observer.timeline();
+    out.timeline = tracks.snapshot();
+    out.flight_dumps = tracks.flight_dumps();
+    out.status_writes = tracks.status_writes();
+    out.shard_progress = observer.shard_progress();
+    out.flight_events = tracks.events();
     out.trace_json = obs::to_chrome_trace_json(observer.trace().snapshot(),
-                                               observer.flight().events());
+                                               out.flight_events);
     out.status_json = slurp(telemetry_dir / "status.json");
     out.flight_json = slurp(telemetry_dir / "flight.json");
   }
@@ -244,24 +250,70 @@ TEST(TelemetryContract, BitIdenticalOnOffStoreOnOffAcrossThreads) {
   EXPECT_EQ(on8.timeline.series, on1.timeline.series);
 }
 
+// One record per shard: status.json's rows are the shard-progress rows,
+// and the flight rings hold no event outside a scan's shard tracks.
+TEST(TelemetryContract, StatusAndFlightAreViewsOfTheShardTracks) {
+  const auto run = run_pipeline(2, true, {}, "views");
+  ASSERT_FALSE(run.shard_progress.empty());
+  std::map<std::pair<std::string, std::size_t>, obs::ShardProgress> progress;
+  std::map<std::string, std::size_t> shards_per_stage;
+  for (const auto& row : run.shard_progress) {
+    progress[{row.stage, row.shard}] = row;
+    ++shards_per_stage[row.stage];
+  }
+
+  const auto status = parse_with_keys(run.status_json, {"shards"});
+  ASSERT_TRUE(status.has_value());
+  const auto& shards = status->find("shards")->items();
+  EXPECT_EQ(shards.size(), run.shard_progress.size());
+  for (const auto& item : shards) {
+    const std::string stage = item.find("stage")->as_string();
+    const auto shard =
+        static_cast<std::size_t>(item.find("shard")->as_number());
+    const auto row = progress.find({stage, shard});
+    ASSERT_NE(row, progress.end()) << stage << " shard " << shard;
+    EXPECT_EQ(item.find("targets_total")->as_number(),
+              static_cast<double>(row->second.targets));
+    EXPECT_EQ(item.find("responses")->as_number(),
+              static_cast<double>(row->second.responses));
+  }
+
+  ASSERT_FALSE(run.flight_events.empty());
+  for (const auto& event : run.flight_events) {
+    const auto scan = shards_per_stage.find(event.stage);
+    ASSERT_NE(scan, shards_per_stage.end()) << event.stage;
+    EXPECT_LT(event.shard, scan->second)
+        << event.stage << " " << obs::to_string(event.kind);
+  }
+}
+
 // ---- timeline unit behaviour ----------------------------------------------
+
+// A timeline sampling every virtual second, nothing else armed.
+void arm_virtual_seconds(obs::Timeline& timeline) {
+  obs::TelemetryOptions options;
+  options.timeline.sample_every_virtual = util::kSecond;
+  timeline.configure(options, nullptr);
+}
+
+// Ticks `track` at `now` with a point whose targets_sent is `sent`.
+void tick(obs::TrackHandle& track, util::VTime now, std::uint64_t sent = 0) {
+  track.tick(now, [&] {
+    obs::TimelinePoint point;
+    point.targets_sent = sent;
+    return point;
+  });
+}
 
 TEST(Timeline, VirtualSamplesLandOnAbsoluteBoundaries) {
   obs::Timeline timeline;
-  obs::TimelineConfig config;
-  config.sample_every_virtual = util::kSecond;
-  timeline.configure(config, nullptr);
-  auto recorder = timeline.recorder("stage", 0);
+  arm_virtual_seconds(timeline);
+  auto track = timeline.track("stage", 0, 0);
 
-  obs::TimelinePoint point;
-  point.targets_sent = 1;
-  recorder.tick(util::kSecond / 2, point);  // before the first boundary
-  point.targets_sent = 2;
-  recorder.tick(3 * util::kSecond / 2, point);  // crosses 1s
-  point.targets_sent = 3;
-  recorder.tick(7 * util::kSecond / 4, point);  // still inside [1s, 2s)
-  point.targets_sent = 4;
-  recorder.tick(4 * util::kSecond, point);  // skips ahead: one point at 4s
+  tick(track, util::kSecond / 2, 1);      // before the first boundary
+  tick(track, 3 * util::kSecond / 2, 2);  // crosses 1s
+  tick(track, 7 * util::kSecond / 4, 3);  // still inside [1s, 2s)
+  tick(track, 4 * util::kSecond, 4);      // skips ahead: one point at 4s
 
   const auto snapshot = timeline.snapshot();
   ASSERT_EQ(snapshot.series.size(), 1u);
@@ -275,30 +327,28 @@ TEST(Timeline, VirtualSamplesLandOnAbsoluteBoundaries) {
 
 TEST(Timeline, TrackCapCountsDroppedPoints) {
   obs::Timeline timeline;
-  obs::TimelineConfig config;
-  config.sample_every_virtual = util::kSecond;
-  config.max_points_per_track = 2;
-  timeline.configure(config, nullptr);
-  auto recorder = timeline.recorder("stage", 0);
-  for (int i = 1; i <= 5; ++i)
-    recorder.tick(i * util::kSecond, obs::TimelinePoint{});
+  arm_virtual_seconds(timeline);
+  auto track = timeline.track("stage", 0, 0);
+  constexpr std::size_t kBoundaries = obs::Timeline::kMaxPoints + 3;
+  for (std::size_t i = 1; i <= kBoundaries; ++i)
+    tick(track, static_cast<util::VTime>(i) * util::kSecond);
   const auto snapshot = timeline.snapshot();
   ASSERT_EQ(snapshot.series.size(), 1u);
-  EXPECT_EQ(snapshot.series[0].points.size(), 2u);
+  EXPECT_EQ(snapshot.series[0].points.size(), obs::Timeline::kMaxPoints);
   EXPECT_EQ(snapshot.dropped_points, 3u);
 }
 
 TEST(Timeline, JsonRoundTripsThroughParser) {
   obs::Timeline timeline;
-  obs::TimelineConfig config;
-  config.sample_every_virtual = util::kSecond;
-  timeline.configure(config, nullptr);
-  auto recorder = timeline.recorder("v4.scan1", 3);
-  obs::TimelinePoint point;
-  point.targets_sent = 10;
-  point.responses = 4;
-  point.pacer_rate_pps = 5000.0;
-  recorder.tick(2 * util::kSecond, point);
+  arm_virtual_seconds(timeline);
+  auto handle = timeline.track("v4.scan1", 3, 0);
+  handle.tick(2 * util::kSecond, [] {
+    obs::TimelinePoint point;
+    point.targets_sent = 10;
+    point.responses = 4;
+    point.pacer_rate_pps = 5000.0;
+    return point;
+  });
 
   const auto doc = obs::JsonValue::parse(timeline.snapshot().to_json());
   ASSERT_TRUE(doc.has_value());
@@ -322,24 +372,23 @@ TEST(Timeline, JsonRoundTripsThroughParser) {
 TEST(Status, JsonSchemaAndDashboardRoundTrip) {
   const UniqueDir dir("status_rt");
   const std::string path = dir / "status.json";
-  obs::StatusBoard board;
-  obs::StatusConfig config;
-  config.path = path;
-  config.min_write_interval_ms = 0.0;
-  board.configure(config);
+  obs::Timeline timeline;
+  obs::TelemetryOptions options;
+  options.status.path = path;
+  timeline.configure(options, nullptr);
 
-  auto shard0 = board.add_shard("v4.scan1", 0, 100);
-  auto shard1 = board.add_shard("v4.scan1", 1, 100);
-  obs::ShardStatusRow row;
-  row.point.targets_sent = 40;
-  row.point.responses = 10;
-  row.point.pacer_rate_pps = 2000.0;
-  row.virtual_now = 3 * util::kSecond;
-  shard0.update(row);
-  row.point.targets_sent = 100;
-  row.complete = true;
-  shard1.update(row);
-  ASSERT_TRUE(board.write_now());
+  auto shard0 = timeline.track("v4.scan1", 0, 100);
+  auto shard1 = timeline.track("v4.scan1", 1, 100);
+  obs::TimelinePoint point;
+  point.targets_sent = 40;
+  point.responses = 10;
+  point.pacer_rate_pps = 2000.0;
+  // A running shard's row refreshes when a wall-check stride ends.
+  for (std::uint32_t i = 0; i < obs::TrackHandle::kWallCheckStride; ++i)
+    shard0.tick(3 * util::kSecond, [&] { return point; });
+  point.targets_sent = 100;
+  shard1.complete(3 * util::kSecond, point);
+  ASSERT_TRUE(timeline.write_status());
 
   const auto doc = obs::JsonValue::parse(slurp(path));
   ASSERT_TRUE(doc.has_value());
@@ -361,8 +410,8 @@ TEST(Status, JsonSchemaAndDashboardRoundTrip) {
   EXPECT_NE(dashboard.find("v4.scan1"), std::string::npos);
   EXPECT_NE(dashboard.find("running"), std::string::npos);
 
-  // mark_stage_complete flips every slot and the file.
-  board.mark_stage_complete("v4.scan1");
+  // mark_stage_complete flips every row and the file.
+  timeline.mark_stage_complete("v4.scan1");
   const auto done = obs::JsonValue::parse(slurp(path));
   ASSERT_TRUE(done.has_value());
   EXPECT_TRUE(done->find("complete")->as_bool());
@@ -380,14 +429,13 @@ TEST(TraceExport, ChromeTraceSchemaRoundTrips) {
     inner.set_shard(0);
     inner.set_virtual_duration(5 * util::kSecond);
   }
-  obs::FlightRecorder flight;
-  obs::FlightConfig config;
-  flight.configure(config);
-  auto handle = flight.handle("pipeline.v4.scan1", 0);
-  handle.record(obs::FlightEventKind::kCheckpoint, 2 * util::kSecond, 128);
+  obs::Timeline timeline;
+  timeline.configure({}, nullptr);
+  auto track = timeline.track("pipeline.v4.scan1", 0, 0);
+  track.record(obs::FlightEventKind::kCheckpoint, 2 * util::kSecond, 128);
 
   const std::string json =
-      obs::to_chrome_trace_json(trace.snapshot(), flight.events());
+      obs::to_chrome_trace_json(trace.snapshot(), timeline.events());
   const auto doc = obs::JsonValue::parse(json);
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->is_object());
@@ -424,17 +472,17 @@ TEST(TraceExport, ChromeTraceSchemaRoundTrips) {
 TEST(Flight, RingWrapsAndDumpIsAtomicJson) {
   const UniqueDir dir("flight_rt");
   const std::string path = dir / "flight.json";
-  obs::FlightRecorder flight;
-  obs::FlightConfig config;
-  config.ring_capacity = 4;
-  config.dump_path = path;
-  flight.configure(config);
-  auto handle = flight.handle("stage", 2);
+  obs::Timeline timeline;
+  obs::TelemetryOptions options;
+  options.flight.ring_capacity = 4;
+  options.flight.dump_path = path;
+  timeline.configure(options, nullptr);
+  auto track = timeline.track("stage", 2, 0);
   for (int i = 0; i < 10; ++i)
-    handle.record(obs::FlightEventKind::kNote, i * util::kSecond, i);
-  EXPECT_EQ(flight.dropped(), 6u);
-  ASSERT_TRUE(flight.dump("unit_test"));
-  EXPECT_EQ(flight.dump_count(), 1u);
+    track.record(obs::FlightEventKind::kNote, i * util::kSecond, i);
+  EXPECT_EQ(timeline.flight_dropped(), 6u);
+  ASSERT_TRUE(timeline.dump_flight("unit_test"));
+  EXPECT_EQ(timeline.flight_dumps(), 1u);
 
   const auto doc = obs::JsonValue::parse(slurp(path));
   ASSERT_TRUE(doc.has_value());
@@ -475,7 +523,7 @@ TEST(Flight, HostileCorpusTriggersFaultSurgeDumps) {
             4u);
   // ...so at least one surge dump fired during the scan (plus campaign
   // exit), and the final file is valid JSON with undecodable events.
-  EXPECT_GT(observer.flight().dump_count(), 1u);
+  EXPECT_GT(observer.timeline().flight_dumps(), 1u);
   const auto doc = obs::JsonValue::parse(slurp(telemetry.flight.dump_path));
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("reason")->as_string(), "exit");

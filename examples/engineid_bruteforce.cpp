@@ -22,19 +22,19 @@ int main() {
   using snmp::AuthProtocol;
 
   // --- the victim router, configured like the paper's lab device --------
-  topo::Device router;
+  topo::OwnedDevice router;
   router.kind = topo::DeviceKind::kRouter;
   router.vendor = &topo::vendor_profile("Cisco");
   topo::Interface itf;
   itf.mac = net::MacAddress::from_oui(0x00000c, 0x31db80);
   itf.v4 = net::Ipv4(192, 0, 2, 1);
-  router.interfaces.push_back(itf);
+  router.set_interfaces({itf});
   router.snmpv3_enabled = true;
   router.engine_id = snmp::EngineId::make_mac(9, itf.mac);
-  router.reboots = {-30 * util::kDay};
+  router.set_reboots({-30 * util::kDay});
   router.boots_before_history = 147;
-  router.usm_user = "netops";
-  router.usm_auth_password = "Summer2021!";  // the weak operator password
+  // The weak operator password.
+  router.set_usm({.name = "netops", .auth_password = "Summer2021!"});
 
   util::Rng rng(1);
 
@@ -49,12 +49,12 @@ int main() {
 
   // --- step 2: capture one authenticated operator packet ------------------
   const auto operator_key = snmp::derive_localized_key(
-      AuthProtocol::kHmacSha1_96, router.usm_auth_password, engine_id);
+      AuthProtocol::kHmacSha1_96, router.usm->auth_password, engine_id);
   auto poll = snmp::make_discovery_request(7000, 7001);
   poll.usm.authoritative_engine_id = engine_id;
   poll.usm.engine_boots = report.value().usm.engine_boots;
   poll.usm.engine_time = report.value().usm.engine_time;
-  poll.usm.user_name = router.usm_user;
+  poll.usm.user_name = router.usm->name;
   poll.scoped_pdu.context_engine_id = engine_id.raw();
   poll.scoped_pdu.pdu.bindings = {{snmp::kOidSysDescr, snmp::VarValue::null()}};
   const auto captured =

@@ -17,25 +17,26 @@ using namespace snmpv3fp;
 
 namespace {
 
-topo::Device make_lab_router(const topo::VendorProfile& vendor,
-                             bool v2c_configured) {
-  topo::Device device;
+topo::OwnedDevice make_lab_router(const topo::VendorProfile& vendor,
+                                  bool v2c_configured) {
+  topo::OwnedDevice device;
   device.kind = topo::DeviceKind::kRouter;
   device.vendor = &vendor;
   // Three interfaces with distinct MACs and addresses.
+  std::vector<topo::Interface> interfaces;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    topo::Interface itf;
+    topo::Interface& itf = interfaces.emplace_back();
     itf.mac = net::MacAddress::from_oui(0x00000c, 0x31db80 + i);
     itf.v4 = net::Ipv4(192, 0, 2, static_cast<std::uint8_t>(10 + i));
-    device.interfaces.push_back(itf);
   }
+  device.set_interfaces(std::move(interfaces));
   // "snmp-server community pass123 RO": enabling v2c implicitly enables v3.
   device.snmpv2_enabled = v2c_configured;
   device.snmpv3_enabled = v2c_configured;
   // Engine ID from the FIRST interface's MAC (the lab observation).
   device.engine_id = snmp::EngineId::make_mac(vendor.enterprise_pen,
                                               device.interfaces.front().mac);
-  device.reboots = {-30 * util::kDay};
+  device.set_reboots({-30 * util::kDay});
   device.boots_before_history = 147;  // engineBoots = 148 after the reboot
   return device;
 }

@@ -140,9 +140,9 @@ if [[ "$RUN_ASAN" == 1 ]]; then
       --target test_hostile test_asn1 test_snmp_message test_checkpoint \
                test_pacer test_store test_wire test_columnar test_topo \
                test_probe_validation test_address_map test_crash \
-               test_worlds test_util
+               test_worlds test_util test_sim test_mib test_world_digest
   (cd build-asan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
-      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn|AddressMap|TargetGenerator|ProceduralWorld|SpecModeCampaign|Rng)\.")
+      -R "^(HostileInput|HostileFabric|Ber|BerMalformed|V3Message|V2cMessage|DiscoveryRequest|DiscoveryReport|PduType|PeekVersion|ProbeIds|WirePath/ProbeValidation|SendWindow|CheckpointCodec|Pacer|RngState|StoreCodec|RecordStoreTest|StoreCampaignTest|ColumnarFilterTest|StorePipelineTest|WireTemplate|WireFastParse|WireReportWriter|WireTransport|WireCampaign|Churn|AddressMap|TargetGenerator|ProceduralWorld|SpecModeCampaign|Rng|Generator|Device|Datasets|Vendors|Agent|Mib|WorldDigest)\.")
   (cd build-asan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 

@@ -113,6 +113,19 @@ constexpr PenSeed kPenSeeds[] = {
 OuiRegistry::OuiRegistry(std::vector<Entry> entries) : entries_(std::move(entries)) {
   std::sort(entries_.begin(), entries_.end(),
             [](const Entry& a, const Entry& b) { return a.oui < b.oui; });
+  // The per-vendor index: a stable sort by name keeps each vendor's OUIs
+  // in ascending order.
+  std::vector<Entry> by_vendor = entries_;
+  std::stable_sort(by_vendor.begin(), by_vendor.end(),
+                   [](const Entry& a, const Entry& b) { return a.vendor < b.vendor; });
+  ouis_by_vendor_.reserve(by_vendor.size());
+  for (const Entry& e : by_vendor) {
+    if (vendors_.empty() || vendors_.back().vendor != e.vendor)
+      vendors_.push_back(
+          {e.vendor, static_cast<std::uint32_t>(ouis_by_vendor_.size()), 0});
+    ouis_by_vendor_.push_back(e.oui);
+    ++vendors_.back().count;
+  }
 }
 
 const OuiRegistry& OuiRegistry::embedded() {
@@ -133,11 +146,14 @@ std::optional<std::string_view> OuiRegistry::vendor_of(std::uint32_t oui) const 
   return it->vendor;
 }
 
-std::vector<std::uint32_t> OuiRegistry::ouis_of(std::string_view vendor) const {
-  std::vector<std::uint32_t> out;
-  for (const auto& e : entries_)
-    if (e.vendor == vendor) out.push_back(e.oui);
-  return out;
+std::span<const std::uint32_t> OuiRegistry::ouis_of(
+    std::string_view vendor) const {
+  const auto it = std::lower_bound(
+      vendors_.begin(), vendors_.end(), vendor,
+      [](const VendorBlock& b, std::string_view v) { return b.vendor < v; });
+  if (it == vendors_.end() || it->vendor != vendor) return {};
+  return std::span<const std::uint32_t>(ouis_by_vendor_).subspan(it->first,
+                                                                it->count);
 }
 
 EnterpriseRegistry::EnterpriseRegistry(std::vector<Entry> entries)

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,9 +31,10 @@ class OuiRegistry {
   }
   bool contains(std::uint32_t oui) const { return vendor_of(oui).has_value(); }
 
-  // All OUIs registered to `vendor` (the generator assigns device MACs from
-  // these blocks).
-  std::vector<std::uint32_t> ouis_of(std::string_view vendor) const;
+  // All OUIs registered to `vendor`, ascending (the generator assigns
+  // device MACs from these blocks); empty for an unknown vendor. A view
+  // into the per-vendor index built with the registry: no allocation.
+  std::span<const std::uint32_t> ouis_of(std::string_view vendor) const;
 
   std::size_t size() const { return entries_.size(); }
 
@@ -41,8 +43,16 @@ class OuiRegistry {
     std::uint32_t oui;
     std::string_view vendor;
   };
+  // One vendor's OUIs: ouis_by_vendor_[first, first + count).
+  struct VendorBlock {
+    std::string_view vendor;
+    std::uint32_t first;
+    std::uint32_t count;
+  };
   explicit OuiRegistry(std::vector<Entry> entries);
   std::vector<Entry> entries_;  // sorted by oui
+  std::vector<std::uint32_t> ouis_by_vendor_;  // grouped by vendor, ascending
+  std::vector<VendorBlock> vendors_;           // sorted by vendor name
 };
 
 class EnterpriseRegistry {

@@ -36,8 +36,9 @@ std::vector<util::Bytes> handle_authenticated_v3(const topo::Device& device,
                                                  util::Rng& rng,
                                                  const AgentConfig& config) {
   constexpr auto kProto = snmp::AuthProtocol::kHmacSha1_96;
-  const auto auth_key = snmp::derive_localized_key(
-      kProto, device.usm_auth_password, device.engine_id);
+  const topo::UsmUser& user = *device.usm;
+  const auto auth_key =
+      snmp::derive_localized_key(kProto, user.auth_password, device.engine_id);
   // Authentication covers the message as transmitted (ciphertext included).
   if (!snmp::verify_authentication(kProto, auth_key, request))
     return {};  // wrong digest: usmStatsWrongDigests, no disclosure needed
@@ -47,9 +48,9 @@ std::vector<util::Bytes> handle_authenticated_v3(const topo::Device& device,
   V3Message plain_request = request;
   util::Bytes priv_key;
   if (priv) {
-    if (device.usm_priv_password.empty()) return {};  // user has no priv
-    priv_key = snmp::derive_privacy_key(kProto, device.usm_priv_password,
-                                        device.engine_id);
+    if (user.priv_password.empty()) return {};  // user has no priv
+    priv_key =
+        snmp::derive_privacy_key(kProto, user.priv_password, device.engine_id);
     auto decrypted = snmp::decrypt_scoped_pdu(priv_key, request);
     if (!decrypted) return {};  // wrong privacy key / garbled ciphertext
     plain_request = std::move(decrypted).value();
@@ -126,7 +127,8 @@ std::vector<util::Bytes> handle_v3(const topo::Device& device,
 
   // Configured-user path: correct engine ID + user + HMAC -> Response.
   if ((request.header.msg_flags & snmp::kFlagAuth) &&
-      !device.usm_user.empty() && request.usm.user_name == device.usm_user &&
+      device.usm != nullptr && !device.usm->name.empty() &&
+      request.usm.user_name == device.usm->name &&
       request.usm.authoritative_engine_id == device.engine_id)
     return handle_authenticated_v3(device, request, rng, config);
 

@@ -20,42 +20,43 @@ std::string_view to_string(EngineIdFormat format) {
   return "?";
 }
 
-Bytes EngineId::prefix(std::uint32_t enterprise, std::uint8_t format_byte) {
+Bytes EngineId::prefix(std::uint32_t enterprise, std::uint8_t format_byte,
+                       std::size_t payload_size) {
   Bytes out;
+  out.reserve(5 + payload_size);
   util::append_be(out, (enterprise & 0x7fffffffu) | 0x80000000u, 4);
   out.push_back(format_byte);
   return out;
 }
 
 EngineId EngineId::make_mac(std::uint32_t enterprise, const net::MacAddress& mac) {
-  Bytes raw = prefix(enterprise, 3);
-  const auto mac_bytes = mac.to_bytes();
+  const auto& mac_bytes = mac.bytes();
+  Bytes raw = prefix(enterprise, 3, mac_bytes.size());
   raw.insert(raw.end(), mac_bytes.begin(), mac_bytes.end());
   return EngineId(std::move(raw));
 }
 
 EngineId EngineId::make_ipv4(std::uint32_t enterprise, net::Ipv4 address) {
-  Bytes raw = prefix(enterprise, 1);
-  const auto addr_bytes = address.to_bytes();
-  raw.insert(raw.end(), addr_bytes.begin(), addr_bytes.end());
+  Bytes raw = prefix(enterprise, 1, 4);
+  util::append_be(raw, address.value(), 4);
   return EngineId(std::move(raw));
 }
 
 EngineId EngineId::make_ipv6(std::uint32_t enterprise, const net::Ipv6& address) {
-  Bytes raw = prefix(enterprise, 2);
-  const auto addr_bytes = address.to_bytes();
+  const auto& addr_bytes = address.bytes();
+  Bytes raw = prefix(enterprise, 2, addr_bytes.size());
   raw.insert(raw.end(), addr_bytes.begin(), addr_bytes.end());
   return EngineId(std::move(raw));
 }
 
 EngineId EngineId::make_text(std::uint32_t enterprise, std::string_view text) {
-  Bytes raw = prefix(enterprise, 4);
+  Bytes raw = prefix(enterprise, 4, text.size());
   raw.insert(raw.end(), text.begin(), text.end());
   return EngineId(std::move(raw));
 }
 
 EngineId EngineId::make_octets(std::uint32_t enterprise, ByteView octets) {
-  Bytes raw = prefix(enterprise, 5);
+  Bytes raw = prefix(enterprise, 5, octets.size());
   raw.insert(raw.end(), octets.begin(), octets.end());
   return EngineId(std::move(raw));
 }
@@ -63,7 +64,7 @@ EngineId EngineId::make_octets(std::uint32_t enterprise, ByteView octets) {
 EngineId EngineId::make_netsnmp(std::uint64_t random_payload) {
   // Net-SNMP default: PEN 8072, enterprise-specific format 0x80 followed by
   // a method byte and random data (here: 8 random bytes).
-  Bytes raw = prefix(net::kPenNetSnmp, 0x80);
+  Bytes raw = prefix(net::kPenNetSnmp, 0x80, 8);
   util::append_be(raw, random_payload, 8);
   return EngineId(std::move(raw));
 }

@@ -84,7 +84,10 @@ class EngineId {
   auto operator<=>(const EngineId&) const = default;
 
  private:
-  static Bytes prefix(std::uint32_t enterprise, std::uint8_t format_byte);
+  // The 5-byte RFC 3411 prefix in a buffer sized for the whole ID, so the
+  // payload appends without reallocating.
+  static Bytes prefix(std::uint32_t enterprise, std::uint8_t format_byte,
+                      std::size_t payload_size);
   Bytes raw_;
 };
 

@@ -96,14 +96,15 @@ std::vector<PtrRecord> export_ptr_records(const World& world) {
   std::vector<PtrRecord> out;
   for (const auto& device : world.devices) {
     for (const auto& itf : device.interfaces) {
-      if (itf.ptr_name.empty()) continue;
-      if (itf.v4) out.push_back({net::IpAddress(*itf.v4), itf.ptr_name});
+      const std::string_view name = world.ptr_name(itf);
+      if (name.empty()) continue;
+      if (itf.v4) out.push_back({net::IpAddress(*itf.v4), std::string(name)});
       // Some dual-stack interfaces publish the same hostname under
       // ip6.arpa — that minority is what gives rDNS its dual-stack
       // resolution power (and why it found far fewer dual-stack aliases
       // than SNMPv3 in the paper's §5.2).
-      if (itf.v6 && util::fnv1a64(itf.ptr_name) % 16 == 0)
-        out.push_back({net::IpAddress(*itf.v6), itf.ptr_name});
+      if (itf.v6 && util::fnv1a64(name) % 16 == 0)
+        out.push_back({net::IpAddress(*itf.v6), std::string(name)});
     }
   }
   return out;

@@ -1,12 +1,15 @@
 #include "topo/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <optional>
 
 #include "net/registry.hpp"
+#include "topo/engine_state.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -16,7 +19,6 @@ namespace {
 
 using net::Ipv4;
 using net::Ipv6;
-using net::MacAddress;
 using snmp::EngineId;
 using util::Rng;
 using util::VTime;
@@ -95,195 +97,73 @@ constexpr std::string_view kCities[] = {
 constexpr std::string_view kIfPrefixes[] = {"xe-0-0-", "ge-0-1-", "eth",
                                             "te1-", "hu0-0-0-"};
 
-// Naming schemes (paper §5.2 / Luckie et al.): 0 and 1 embed a stable
-// router name; 2 embeds only the IP (no alias information); -1 = none.
-std::string ptr_name(int scheme, const std::string& router_name,
-                     std::string_view if_name, const Ipv4& v4,
-                     const std::string& domain) {
+void append_number(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto end = std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  out.append(digits, end);
+}
+
+// Writes an interface's PTR name into `out`. Naming schemes (paper §5.2 /
+// Luckie et al.): 0 and 1 embed a stable router name; 2 embeds only the IP
+// (no alias information).
+void compose_ptr_name(std::string& out, int scheme, std::string_view router_name,
+                      std::string_view if_prefix, std::size_t if_number,
+                      const Ipv4& v4, std::string_view domain) {
+  out.clear();
   switch (scheme) {
     case 0:
-      return std::string(if_name) + "." + router_name + "." + domain;
+      out.append(if_prefix);
+      append_number(out, if_number);
+      out.append(".").append(router_name);
+      break;
     case 1:
-      return router_name + "-" + std::string(if_name) + "." + domain;
-    case 2: {
-      std::string ip = v4.to_string();
-      std::replace(ip.begin(), ip.end(), '.', '-');
-      return "ip-" + ip + "." + domain;
-    }
+      out.append(router_name).append("-").append(if_prefix);
+      append_number(out, if_number);
+      break;
     default:
-      return {};
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Engine state synthesis
-// ---------------------------------------------------------------------------
-
-// The paper's Cisco constant-engine-ID bug value (§4.3), byte for byte:
-// 0x800000090300000000000000 — enterprise 9 (Cisco), format byte 3 (MAC)
-// followed by SEVEN zero bytes (one more than a MAC holds; the strict
-// classifier therefore degrades it to Octets, and fingerprinting falls
-// back on the enterprise number, which still says Cisco).
-EngineId constant_bug_engine_id() {
-  return EngineId(
-      util::from_hex("800000090300000000000000").value());
-}
-
-// Payloads reused verbatim across vendors — the "promiscuous" filter prey.
-util::Bytes promiscuous_payload(Rng& rng) {
-  static const util::Bytes kTemplates[] = {
-      {0x64, 0x65, 0x66, 0x61, 0x75, 0x6c, 0x74},          // "default"
-      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff},                // all-ones MAC
-      {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc},                // doc example
-  };
-  return kTemplates[rng.next_below(std::size(kTemplates))];
-}
-
-struct EngineStateRates {
-  double empty_engine_id;
-  double zero_time;
-  double future_time;
-  double time_jitter;
-  double promiscuous = 0.004;
-  double unregistered_mac = 0.003;
-  double short_nonconforming = 0.30;  // within the non-conforming class
-  double private_ipv4_engine = 0.25;  // within the IPv4-format class
-};
-
-MacAddress vendor_mac(Rng& rng, const VendorProfile& vendor,
-                      bool unregistered) {
-  if (unregistered) {
-    // An OUI absent from the registry; locally-administered style.
-    const std::uint32_t oui = 0x020000 | (rng.next() & 0x00ff00) | 0x42;
-    return MacAddress::from_oui(oui, static_cast<std::uint32_t>(rng.next()) &
-                                         0xffffff);
-  }
-  const auto ouis = net::OuiRegistry::embedded().ouis_of(vendor.name);
-  // Vendors missing from the OUI registry fall back to Intel-style NICs.
-  const std::uint32_t oui =
-      ouis.empty() ? 0x001b21 : ouis[rng.next_below(ouis.size())];
-  return MacAddress::from_oui(oui,
-                              static_cast<std::uint32_t>(rng.next()) & 0xffffff);
-}
-
-EngineId synthesize_engine_id(Rng& rng, const Device& device,
-                              const VendorProfile& vendor,
-                              const EngineStateRates& rates,
-                              const std::string& router_name) {
-  const auto& p = vendor.engine_id_policy;
-  if (rng.chance(rates.promiscuous)) {
-    const auto payload = promiscuous_payload(rng);
-    return EngineId::make_octets(vendor.enterprise_pen, payload);
-  }
-  const std::vector<double> weights = {p.mac,        p.ipv4,     p.text,
-                                       p.octets,     p.enterprise, p.net_snmp,
-                                       p.non_conforming};
-  switch (rng.weighted_index(weights)) {
-    case 0: {  // MAC
-      // Per the lab experiment (§6.2.1): the MAC of the "first" interface.
-      MacAddress mac = device.interfaces.front().mac;
-      if (rng.chance(rates.unregistered_mac))
-        mac = vendor_mac(rng, vendor, /*unregistered=*/true);
-      return EngineId::make_mac(vendor.enterprise_pen, mac);
-    }
-    case 1: {  // IPv4
-      if (rng.chance(rates.private_ipv4_engine)) {
-        // Management loopback in RFC 1918 space: unroutable filter food.
-        return EngineId::make_ipv4(
-            vendor.enterprise_pen,
-            Ipv4(10, static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next())));
+      out.append("ip");
+      for (int i = 0; i < 4; ++i) {
+        out.append("-");
+        append_number(out, v4.octet(i));
       }
-      for (const auto& itf : device.interfaces)
-        if (itf.v4) return EngineId::make_ipv4(vendor.enterprise_pen, *itf.v4);
-      return EngineId::make_ipv4(vendor.enterprise_pen,
-                                 Ipv4(10, 0, 0, 1));  // v6-only device
-    }
-    case 2:  // Text: the device's FQDN — unique-ish, as in the wild
-      return EngineId::make_text(vendor.enterprise_pen,
-                                 router_name.empty() ? "snmp-agent"
-                                                     : router_name);
-    case 3: {  // Octets: random bytes, Hamming weight ~0.5 (Figure 6)
-      util::Bytes payload;
-      const std::size_t len = 6 + rng.next_below(7);
-      for (std::size_t i = 0; i < len; ++i)
-        payload.push_back(static_cast<std::uint8_t>(rng.next()));
-      return EngineId::make_octets(vendor.enterprise_pen, payload);
-    }
-    case 4: {  // enterprise-specific format
-      util::Bytes raw;
-      util::append_be(raw, (vendor.enterprise_pen & 0x7fffffffu) | 0x80000000u,
-                      4);
-      raw.push_back(static_cast<std::uint8_t>(128 + rng.next_below(4)));
-      const std::size_t len = 4 + rng.next_below(8);
-      for (std::size_t i = 0; i < len; ++i)
-        raw.push_back(static_cast<std::uint8_t>(rng.next()));
-      return EngineId(std::move(raw));
-    }
-    case 5:  // Net-SNMP scheme
-      return EngineId::make_netsnmp(rng.next());
-    default: {  // non-conforming: raw bytes, positively-skewed Hamming weight
-      std::size_t len = 8 + rng.next_below(5);
-      if (rng.chance(rates.short_nonconforming)) len = 1 + rng.next_below(3);
-      util::Bytes raw;
-      for (std::size_t i = 0; i < len; ++i) {
-        std::uint8_t b = 0;
-        for (int bit = 0; bit < 8; ++bit)
-          b = static_cast<std::uint8_t>((b << 1) | (rng.chance(0.35) ? 1 : 0));
-        raw.push_back(b);
-      }
-      return EngineId::make_nonconforming(raw);
-    }
+      break;
   }
-}
-
-// Uptime draw calibrated against Figure 13: ~20% rebooted within a month,
-// ~50% within ~3.5 months, ~75% within a year (router baseline, scaled by
-// the vendor's mean time between reboots).
-double draw_uptime_days(Rng& rng, double mtbr_days) {
-  const double scale = mtbr_days / 300.0;
-  if (rng.chance(0.72)) return rng.exponential(100.0 * scale);
-  return rng.uniform(0.0, 2500.0 * scale);
-}
-
-void synthesize_reboot_history(Rng& rng, Device& device, double mtbr_days,
-                               VTime horizon) {
-  const double age_days = rng.uniform(360.0, 3600.0);
-  const double uptime_days = std::min(draw_uptime_days(rng, mtbr_days),
-                                      age_days);
-  const VTime last_reboot = -util::from_seconds(uptime_days * 86400.0);
-  device.reboots.push_back(last_reboot);
-  // Forward reboots over the measurement horizon (causes the
-  // "inconsistent engine boots" filter drops between scans).
-  VTime t = 0;
-  while (true) {
-    t += util::from_seconds(rng.exponential(mtbr_days * 86400.0));
-    if (t >= horizon) break;
-    device.reboots.push_back(t);
-  }
-  const double prior = age_days / std::max(mtbr_days, 1.0);
-  device.boots_before_history = 1 + static_cast<std::uint32_t>(
-                                        std::max(0.0, rng.normal(prior,
-                                                                 prior * 0.2)));
+  out.append(".").append(domain);
 }
 
 // ---------------------------------------------------------------------------
 // Generator
 // ---------------------------------------------------------------------------
 
+// Deployment weight per router vendor: observed share / responsiveness.
+using VendorWeights = std::array<double, std::size(kRouterShares)>;
+
+std::size_t population_size(const WorldConfig& config,
+                            const PopulationSpec& pop) {
+  return static_cast<std::size_t>(pop.count / config.device_scale);
+}
+
 class Generator {
  public:
   explicit Generator(const WorldConfig& config)
       : config_(config), rng_(config.seed) {
-    rates_.empty_engine_id = config.empty_engine_id_rate;
-    rates_.zero_time = config.zero_time_rate;
-    rates_.future_time = config.future_time_rate;
-    rates_.time_jitter = config.time_jitter_rate;
+    // Vendor tables resolved once, not per AS or per router.
+    for (std::size_t vi = 0; vi < std::size(kRouterShares); ++vi)
+      router_profiles_[vi] = &vendor_profile(kRouterShares[vi].vendor);
+    for (std::size_t ri = 0; ri < std::size(kRegions); ++ri)
+      for (std::size_t vi = 0; vi < std::size(kRouterShares); ++vi)
+        region_vendor_weights_[ri][vi] =
+            kRouterShares[vi].share[ri] /
+            std::max(router_profiles_[vi]->snmpv3_responsive, 0.02);
   }
 
   World build() {
     make_ases();
+    std::size_t devices = 0;
+    for (const std::size_t routers : router_targets_) devices += routers;
+    for (const auto& pop : config_.populations)
+      devices += population_size(config_, pop);
+    world_.devices.reserve(devices);
     populate_routers();
     populate_extra_devices();
     world_.reindex();
@@ -332,8 +212,14 @@ class Generator {
              mega.primary_vendor);
 
     // Heavy-tailed per-AS router counts: P(X >= x) = x^-alpha.
+    static constexpr auto kRegionWeights = [] {
+      std::array<double, std::size(kRegions)> weights{};
+      for (std::size_t ri = 0; ri < weights.size(); ++ri)
+        weights[ri] = kRegions[ri].as_weight;
+      return weights;
+    }();
     for (std::size_t i = 0; i < config_.tail_as_count; ++i) {
-      const std::size_t ri = rng_.weighted_index(region_weights());
+      const std::size_t ri = rng_.weighted_index(kRegionWeights);
       const auto& spec = kRegions[ri];
       double u;
       do {
@@ -349,32 +235,11 @@ class Generator {
     world_.v4_cursor.assign(world_.ases.size(), 0);
   }
 
-  static const std::vector<double>& region_weights() {
-    static const std::vector<double> weights = [] {
-      std::vector<double> w;
-      for (const auto& r : kRegions) w.push_back(r.as_weight);
-      return w;
-    }();
-    return weights;
-  }
-
-  std::vector<double> vendor_weights_for_region(std::size_t ri) const {
-    std::vector<double> weights;
-    weights.reserve(std::size(kRouterShares));
-    for (const auto& row : kRouterShares) {
-      const auto& profile = vendor_profile(row.vendor);
-      // Observed share / responsiveness = deployment weight.
-      weights.push_back(row.share[ri] /
-                        std::max(profile.snmpv3_responsive, 0.02));
-    }
-    return weights;
-  }
-
   void populate_routers() {
     for (std::size_t as_index = 0; as_index < world_.ases.size(); ++as_index) {
-      auto& as = world_.ases[as_index];
-      const std::size_t ri = region_index(as.region);
-      const auto weights = vendor_weights_for_region(ri);
+      const auto& as = world_.ases[as_index];
+      const VendorWeights& weights =
+          region_vendor_weights_[region_index(as.region)];
       Rng as_rng = rng_.fork("as" + std::to_string(as.asn));
 
       // Vendor dominance target (Figures 17/18): group SA/AS/AF runs less
@@ -395,8 +260,7 @@ class Generator {
       for (std::size_t i = 0; i < count; ++i) {
         std::size_t vi = primary;
         if (!as_rng.chance(dominance)) vi = as_rng.weighted_index(weights);
-        const auto& profile = vendor_profile(kRouterShares[vi].vendor);
-        make_device(as_rng, as_index, profile, DeviceKind::kRouter,
+        make_device(as_rng, as_index, *router_profiles_[vi], DeviceKind::kRouter,
                     /*itdk_eligible=*/true);
       }
     }
@@ -412,8 +276,7 @@ class Generator {
 
     for (const auto& pop : config_.populations) {
       const auto& profile = vendor_profile(pop.vendor);
-      const auto count = static_cast<std::size_t>(pop.count /
-                                                  config_.device_scale);
+      const std::size_t count = population_size(config_, pop);
       Rng pop_rng = rng_.fork("pop" + pop.vendor);
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t as_index =
@@ -426,12 +289,13 @@ class Generator {
     }
   }
 
+  // Builds one device in the scratch arrays, then copies it into the world.
   void make_device(Rng& rng, std::size_t as_index, const VendorProfile& vendor,
                    DeviceKind kind, bool itdk_eligible,
                    std::optional<double> extra_interfaces_override = {}) {
     auto& as = world_.ases[as_index];
+    const auto ouis = net::OuiRegistry::embedded().ouis_of(vendor.name);
     Device device;
-    device.index = static_cast<DeviceIndex>(world_.devices.size());
     device.kind = kind;
     device.vendor = &vendor;
     device.as_index = static_cast<std::uint32_t>(as_index);
@@ -451,16 +315,19 @@ class Generator {
     // ~2% of dual-stack routers are observed v6-only (no v4 reachability).
     const bool v6_only = dual && rng.chance(0.08);
 
-    const std::string router_name =
-        std::string(kCities[rng.next_below(std::size(kCities))]) + "-" +
-        (kind == DeviceKind::kRouter ? "cr" : "host") +
-        std::to_string(rng.next_below(kind == DeviceKind::kRouter ? 400000
-                                                                  : 4000000));
+    // The serial is drawn before the city: the order every world has
+    // been generated in.
+    const bool router = kind == DeviceKind::kRouter;
+    const std::uint64_t serial = rng.next_below(router ? 400000 : 4000000);
+    router_name_.assign(kCities[rng.next_below(std::size(kCities))]);
+    router_name_.append(router ? "-cr" : "-host");
+    append_number(router_name_, serial);
     const auto if_prefix = kIfPrefixes[rng.next_below(std::size(kIfPrefixes))];
 
+    interfaces_.clear();
     for (std::size_t i = 0; i < if_count; ++i) {
       Interface itf;
-      itf.mac = vendor_mac(rng, vendor, /*unregistered=*/false);
+      itf.mac = vendor_mac(rng, ouis, /*unregistered=*/false);
       const bool want_v4 = !v6_only && (i == 0 || rng.chance(0.95));
       if (want_v4) {
         const std::uint64_t offset =
@@ -477,13 +344,13 @@ class Generator {
       }
       if (as.naming_scheme >= 0 && itf.v4 &&
           rng.chance(config_.ptr_record_coverage)) {
-        itf.ptr_name =
-            ptr_name(as.naming_scheme, router_name,
-                     std::string(if_prefix) + std::to_string(i), *itf.v4,
-                     as.domain);
+        compose_ptr_name(ptr_name_, as.naming_scheme, router_name_, if_prefix,
+                         i, *itf.v4, as.domain);
+        itf.ptr_name = world_.add_ptr_name(ptr_name_);
       }
-      device.interfaces.push_back(std::move(itf));
+      interfaces_.push_back(itf);
     }
+    device.interfaces = interfaces_;
 
     // ---- SNMP engine ----
     device.snmpv3_enabled = rng.chance(vendor.snmpv3_responsive);
@@ -495,23 +362,26 @@ class Generator {
     // (no discipline on the engine-time counter) — the long tail of
     // Figure 8 and a large share of the "inconsistent last reboot" drops.
     if (rng.chance(0.22)) device.clock_skew_ppm *= 30.0;
-    if (rng.chance(rates_.time_jitter))
+    if (rng.chance(config_.time_jitter_rate))
       device.time_jitter_s = rng.uniform(-30.0, 30.0);
     const double mtbr =
         vendor.mean_days_between_reboots * std::exp(rng.normal(0.0, 0.4));
-    synthesize_reboot_history(rng, device, mtbr, kHorizon);
+    reboots_.clear();
+    device.boots_before_history =
+        synthesize_reboot_history(rng, mtbr, kHorizon, reboots_);
+    device.reboots = reboots_;
 
     if (rng.chance(vendor.constant_engine_id_bug)) {
       device.engine_id = constant_bug_engine_id();
     } else if (rng.chance(vendor.cloned_engine_id)) {
-      device.engine_id = clone_template(vendor);
+      device.engine_id = clone_template(vendor, ouis);
     } else {
-      device.engine_id = synthesize_engine_id(rng, device, vendor, rates_,
-                                              router_name + "." + as.domain);
+      device.engine_id =
+          synthesize_engine_id(rng, device, vendor, router_name_, as.domain);
     }
-    device.empty_engine_id_bug = rng.chance(rates_.empty_engine_id);
-    device.zero_time_bug = rng.chance(rates_.zero_time);
-    device.future_time_bug = rng.chance(rates_.future_time);
+    device.empty_engine_id_bug = rng.chance(config_.empty_engine_id_rate);
+    device.zero_time_bug = rng.chance(config_.zero_time_rate);
+    device.future_time_bug = rng.chance(config_.future_time_rate);
 
     device.amplification = 1;
     if (rng.chance(vendor.amplifier))
@@ -530,24 +400,28 @@ class Generator {
 
     // Load-balancer VIPs (paper §9 future work): a sliver of server
     // addresses front several real engines.
+    backend_engines_.clear();
     if (kind == DeviceKind::kServer && rng.chance(config_.load_balancer_rate)) {
       const std::size_t backends = 1 + rng.next_below(3);
       for (std::size_t b = 0; b < backends; ++b)
-        device.backend_engines.push_back(EngineId::make_netsnmp(rng.next()));
+        backend_engines_.push_back(EngineId::make_netsnmp(rng.next()));
     }
+    device.backend_engines = backend_engines_;
     // NAT frontends: the same engine is also reachable via an address
-    // translated in a *different* network.
+    // translated in a *different* network. Appended after the engine ID,
+    // which reads the device's own interfaces.
     if (kind == DeviceKind::kRouter && device.snmpv3_enabled &&
         rng.chance(config_.nat_frontend_rate) && world_.ases.size() > 1) {
       std::size_t other = rng.next_below(world_.ases.size());
       if (other == as_index) other = (other + 1) % world_.ases.size();
       auto& frontend_as = world_.ases[other];
       Interface frontend;
-      frontend.mac = vendor_mac(rng, vendor, /*unregistered=*/false);
+      frontend.mac = vendor_mac(rng, ouis, /*unregistered=*/false);
       const std::uint64_t offset =
           world_.v4_cursor[other]++ % frontend_as.v4_prefix.size();
       frontend.v4 = frontend_as.v4_prefix.at(offset);
-      device.interfaces.push_back(std::move(frontend));
+      interfaces_.push_back(frontend);
+      device.interfaces = interfaces_;
     }
 
     // ---- stack personality ----
@@ -560,27 +434,35 @@ class Generator {
     device.initial_ttl = vendor.initial_ttl;
     device.tcp_open = rng.chance(vendor.tcp_service_open);
 
-    as.devices.push_back(device.index);
-    world_.devices.push_back(std::move(device));
+    as.devices.push_back(world_.add_device(std::move(device)));
   }
 
-  EngineId clone_template(const VendorProfile& vendor) {
-    auto& templates = clone_templates_[vendor.name];
+  EngineId clone_template(const VendorProfile& vendor,
+                          std::span<const std::uint32_t> ouis) {
+    auto& templates = clone_templates_[&vendor];
     if (templates.size() < 3) {
       templates.push_back(EngineId::make_mac(
           vendor.enterprise_pen,
-          vendor_mac(rng_, vendor, /*unregistered=*/false)));
+          vendor_mac(rng_, ouis, /*unregistered=*/false)));
     }
     return templates[rng_.next_below(templates.size())];
   }
 
   const WorldConfig& config_;
   Rng rng_;
-  EngineStateRates rates_{};
   World world_;
+  std::array<const VendorProfile*, std::size(kRouterShares)> router_profiles_{};
+  std::array<VendorWeights, std::size(kRegions)> region_vendor_weights_{};
   std::vector<std::size_t> router_targets_;
   std::vector<std::string> pinned_primary_;
-  std::map<std::string, std::vector<EngineId>> clone_templates_;
+  std::map<const VendorProfile*, std::vector<EngineId>> clone_templates_;
+  // Scratch for the device being built, reused so a device costs no
+  // allocation of its own beyond its engine ID.
+  std::string router_name_;
+  std::string ptr_name_;
+  std::vector<Interface> interfaces_;
+  std::vector<VTime> reboots_;
+  std::vector<EngineId> backend_engines_;
 };
 
 }  // namespace

@@ -4,12 +4,14 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <list>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "net/registry.hpp"
 #include "topo/datasets.hpp"
+#include "topo/engine_state.hpp"
 #include "topo/generator.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -21,7 +23,6 @@ namespace {
 
 using net::Ipv4;
 using net::Ipv6;
-using net::MacAddress;
 using snmp::EngineId;
 using util::hash_combine;
 using util::Rng;
@@ -36,15 +37,6 @@ constexpr std::uint64_t kSiteSalt = 0xa11cca575a170002ull;    // anycast sites
 constexpr std::uint64_t kIidSalt = 0x11d5a170ddf00d03ull;     // aliased-/64 IIDs
 
 constexpr VTime kHorizon = 30 * util::kDay;
-
-// Engine-state synthesis below mirrors topo/generator.cpp's calibration
-// (the rates and draw shapes that reproduce the paper's figures) but runs
-// against an independent per-device seed; the two backends share numbers,
-// not RNG streams.
-constexpr double kPromiscuousRate = 0.004;
-constexpr double kUnregisteredMacRate = 0.003;
-constexpr double kShortNonconformingRate = 0.30;
-constexpr double kPrivateIpv4EngineRate = 0.25;
 
 void check(bool ok, const char* message) {
   if (!ok) throw std::invalid_argument(std::string("ProceduralWorld: ") + message);
@@ -69,128 +61,6 @@ DeviceKind device_kind_of(ScenarioKind kind) {
     default:
       return DeviceKind::kRouter;
   }
-}
-
-MacAddress vendor_mac(Rng& rng, const VendorProfile& vendor, bool unregistered) {
-  if (unregistered) {
-    const std::uint32_t oui = 0x020000 | (rng.next() & 0x00ff00) | 0x42;
-    return MacAddress::from_oui(
-        oui, static_cast<std::uint32_t>(rng.next()) & 0xffffff);
-  }
-  const auto ouis = net::OuiRegistry::embedded().ouis_of(vendor.name);
-  const std::uint32_t oui =
-      ouis.empty() ? 0x001b21 : ouis[rng.next_below(ouis.size())];
-  return MacAddress::from_oui(oui,
-                              static_cast<std::uint32_t>(rng.next()) & 0xffffff);
-}
-
-// The paper's Cisco constant-engine-ID bug value (§4.3).
-EngineId constant_bug_engine_id() {
-  return EngineId(util::from_hex("800000090300000000000000").value());
-}
-
-util::Bytes promiscuous_payload(Rng& rng) {
-  static const util::Bytes kTemplates[] = {
-      {0x64, 0x65, 0x66, 0x61, 0x75, 0x6c, 0x74},  // "default"
-      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff},        // all-ones MAC
-      {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc},        // doc example
-  };
-  return kTemplates[rng.next_below(std::size(kTemplates))];
-}
-
-// Raw skewed-Hamming-weight bytes for non-conforming IDs (Figure 6 tail).
-util::Bytes skewed_bytes(Rng& rng, std::size_t len) {
-  util::Bytes raw;
-  for (std::size_t i = 0; i < len; ++i) {
-    std::uint8_t b = 0;
-    for (int bit = 0; bit < 8; ++bit)
-      b = static_cast<std::uint8_t>((b << 1) | (rng.chance(0.35) ? 1 : 0));
-    raw.push_back(b);
-  }
-  return raw;
-}
-
-EngineId synthesize_engine_id(Rng& rng, const Device& device,
-                              const VendorProfile& vendor,
-                              const std::string& router_name) {
-  const auto& p = vendor.engine_id_policy;
-  if (rng.chance(kPromiscuousRate))
-    return EngineId::make_octets(vendor.enterprise_pen,
-                                 promiscuous_payload(rng));
-  const std::vector<double> weights = {p.mac,    p.ipv4,       p.text,
-                                       p.octets, p.enterprise, p.net_snmp,
-                                       p.non_conforming};
-  switch (rng.weighted_index(weights)) {
-    case 0: {  // MAC: the first interface's, per the lab finding (§6.2.1)
-      MacAddress mac = device.interfaces.front().mac;
-      if (rng.chance(kUnregisteredMacRate))
-        mac = vendor_mac(rng, vendor, /*unregistered=*/true);
-      return EngineId::make_mac(vendor.enterprise_pen, mac);
-    }
-    case 1: {  // IPv4
-      if (rng.chance(kPrivateIpv4EngineRate)) {
-        return EngineId::make_ipv4(
-            vendor.enterprise_pen,
-            Ipv4(10, static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next())));
-      }
-      for (const auto& itf : device.interfaces)
-        if (itf.v4) return EngineId::make_ipv4(vendor.enterprise_pen, *itf.v4);
-      return EngineId::make_ipv4(vendor.enterprise_pen, Ipv4(10, 0, 0, 1));
-    }
-    case 2:
-      return EngineId::make_text(
-          vendor.enterprise_pen,
-          router_name.empty() ? "snmp-agent" : router_name);
-    case 3: {  // Octets: random bytes, Hamming weight ~0.5
-      util::Bytes payload;
-      const std::size_t len = 6 + rng.next_below(7);
-      for (std::size_t i = 0; i < len; ++i)
-        payload.push_back(static_cast<std::uint8_t>(rng.next()));
-      return EngineId::make_octets(vendor.enterprise_pen, payload);
-    }
-    case 4: {  // enterprise-specific format
-      util::Bytes raw;
-      util::append_be(raw, (vendor.enterprise_pen & 0x7fffffffu) | 0x80000000u,
-                      4);
-      raw.push_back(static_cast<std::uint8_t>(128 + rng.next_below(4)));
-      const std::size_t len = 4 + rng.next_below(8);
-      for (std::size_t i = 0; i < len; ++i)
-        raw.push_back(static_cast<std::uint8_t>(rng.next()));
-      return EngineId(std::move(raw));
-    }
-    case 5:
-      return EngineId::make_netsnmp(rng.next());
-    default: {  // non-conforming
-      std::size_t len = 8 + rng.next_below(5);
-      if (rng.chance(kShortNonconformingRate)) len = 1 + rng.next_below(3);
-      return EngineId::make_nonconforming(skewed_bytes(rng, len));
-    }
-  }
-}
-
-double draw_uptime_days(Rng& rng, double mtbr_days) {
-  const double scale = mtbr_days / 300.0;
-  if (rng.chance(0.72)) return rng.exponential(100.0 * scale);
-  return rng.uniform(0.0, 2500.0 * scale);
-}
-
-void synthesize_reboot_history(Rng& rng, Device& device, double mtbr_days) {
-  const double age_days = rng.uniform(360.0, 3600.0);
-  const double uptime_days =
-      std::min(draw_uptime_days(rng, mtbr_days), age_days);
-  device.reboots.push_back(-util::from_seconds(uptime_days * 86400.0));
-  VTime t = 0;
-  while (true) {
-    t += util::from_seconds(rng.exponential(mtbr_days * 86400.0));
-    if (t >= kHorizon) break;
-    device.reboots.push_back(t);
-  }
-  const double prior = age_days / std::max(mtbr_days, 1.0);
-  device.boots_before_history =
-      1 + static_cast<std::uint32_t>(
-              std::max(0.0, rng.normal(prior, prior * 0.2)));
 }
 
 Ipv6 v6_from_parts(std::uint64_t net64, std::uint64_t iid) {
@@ -431,8 +301,8 @@ net::IpAddress ProceduralWorld::primary_address(std::uint32_t region,
 // Device derivation
 // ---------------------------------------------------------------------------
 
-Device ProceduralWorld::derive_device(std::uint32_t region,
-                                      std::uint64_t member) const {
+OwnedDevice ProceduralWorld::derive_device(std::uint32_t region,
+                                           std::uint64_t member) const {
   const RegionInfo& info = regions_[region];
   const ScenarioRegion& spec = info.spec;
 
@@ -445,7 +315,7 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
     identity = hash_combine(identity, epoch_seed_);
   Rng rng(identity);
 
-  Device device;
+  OwnedDevice device;
   device.index = static_cast<DeviceIndex>(info.device_base + member);
   device.as_index = region;
   device.kind = device_kind_of(spec.kind);
@@ -468,15 +338,16 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
   else
     vendor = info.vendor_profiles[id_rng.weighted_index(info.vendor_weights)];
   device.vendor = vendor;
+  const auto ouis = net::OuiRegistry::embedded().ouis_of(vendor->name);
 
   // ---- interfaces ----
+  std::vector<Interface> interfaces;
   switch (spec.kind) {
     case ScenarioKind::kAliasedPrefix: {
       for (const auto& iid : pool_iids(region, member)) {
-        Interface itf;
-        itf.mac = vendor_mac(rng, *vendor, /*unregistered=*/false);
+        Interface& itf = interfaces.emplace_back();
+        itf.mac = vendor_mac(rng, ouis, /*unregistered=*/false);
         itf.v6 = iid;
-        device.interfaces.push_back(std::move(itf));
       }
       device.answers_whole_v6_prefix = true;
       break;
@@ -485,22 +356,22 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
       // The frontend owns every address of its pool; one engine, many IPs.
       const std::uint64_t pool_size = std::uint64_t{1} << spec.pool_bits;
       const std::uint64_t base_offset = member << spec.pool_bits;
+      interfaces.reserve(pool_size);
       for (std::uint64_t j = 0; j < pool_size; ++j) {
-        Interface itf;
-        itf.mac = vendor_mac(rng, *vendor, /*unregistered=*/false);
+        Interface& itf = interfaces.emplace_back();
+        itf.mac = vendor_mac(rng, ouis, /*unregistered=*/false);
         itf.v4 = spec.v4.at(base_offset + j);
-        device.interfaces.push_back(std::move(itf));
       }
       break;
     }
     default: {
-      Interface itf;
-      itf.mac = vendor_mac(rng, *vendor, /*unregistered=*/false);
+      Interface& itf = interfaces.emplace_back();
+      itf.mac = vendor_mac(rng, ouis, /*unregistered=*/false);
       itf.v4 = primary_address(region, member).v4();
-      device.interfaces.push_back(std::move(itf));
       break;
     }
   }
+  device.set_interfaces(std::move(interfaces));
 
   // ---- engine clocks ----
   device.snmpv3_enabled = true;  // procedural devices exist iff they answer
@@ -511,16 +382,20 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
     device.time_jitter_s = id_rng.uniform(-30.0, 30.0);
   const double mtbr =
       vendor->mean_days_between_reboots * std::exp(id_rng.normal(0.0, 0.4));
-  synthesize_reboot_history(id_rng, device, mtbr);
+  std::vector<VTime> reboots;
+  device.boots_before_history =
+      synthesize_reboot_history(id_rng, mtbr, kHorizon, reboots);
+  device.set_reboots(std::move(reboots));
 
   // ---- engine identity ----
-  const std::string name = "dev" + std::to_string(device.index) + ".proc" +
-                           std::to_string(region) + ".example.net";
   switch (spec.kind) {
     case ScenarioKind::kLoadBalancer: {
       device.engine_id = EngineId::make_netsnmp(rng.next());
+      std::vector<EngineId> backends;
+      backends.reserve(spec.backends);
       for (std::uint32_t b = 0; b < spec.backends; ++b)
-        device.backend_engines.push_back(EngineId::make_netsnmp(rng.next()));
+        backends.push_back(EngineId::make_netsnmp(rng.next()));
+      device.set_backend_engines(std::move(backends));
       break;
     }
     case ScenarioKind::kAnycast:
@@ -528,15 +403,26 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
       break;
     case ScenarioKind::kMiddlebox:
       // Mangled: short non-conforming ID and zeroed engine timers.
-      device.engine_id =
-          EngineId::make_nonconforming(skewed_bytes(rng, 1 + rng.next_below(3)));
+      device.engine_id = skewed_nonconforming_id(rng, 1 + rng.next_below(3));
       device.zero_time_bug = true;
       break;
     default: {  // kPlain, kNatPool, kCgnatChurn, kAliasedPrefix
-      if (rng.chance(vendor->constant_engine_id_bug))
+      if (rng.chance(vendor->constant_engine_id_bug)) {
         device.engine_id = constant_bug_engine_id();
-      else
-        device.engine_id = synthesize_engine_id(rng, device, *vendor, name);
+      } else {
+        // The text format's FQDN: dev<index>.proc<region>.example.net.
+        char host[32];
+        char domain[48];
+        const int host_size = std::snprintf(host, sizeof host, "dev%u",
+                                            static_cast<unsigned>(device.index));
+        const int domain_size =
+            std::snprintf(domain, sizeof domain, "proc%u.example.net",
+                          static_cast<unsigned>(region));
+        device.engine_id = synthesize_engine_id(
+            rng, device, *vendor,
+            std::string_view(host, static_cast<std::size_t>(host_size)),
+            std::string_view(domain, static_cast<std::size_t>(domain_size)));
+      }
       device.empty_engine_id_bug = rng.chance(config_.empty_engine_id_rate);
       device.zero_time_bug = rng.chance(config_.zero_time_rate);
       device.future_time_bug = rng.chance(config_.future_time_rate);
@@ -554,7 +440,7 @@ Device ProceduralWorld::derive_device(std::uint32_t region,
   return device;
 }
 
-std::optional<Device> ProceduralWorld::derive(
+std::optional<OwnedDevice> ProceduralWorld::derive(
     const net::IpAddress& address) const {
   const auto resolved = resolve(address);
   if (!resolved) return std::nullopt;
@@ -636,10 +522,9 @@ World ProceduralWorld::materialize() const {
   for (std::uint32_t region = 0; region < regions_.size(); ++region) {
     for (std::uint64_t member = 0; member < regions_[region].device_count;
          ++member) {
-      Device device = derive_device(region, member);
-      world.ases[region].devices.push_back(device.index);
+      OwnedDevice device = derive_device(region, member);
       assert(device.index == world.devices.size());
-      world.devices.push_back(std::move(device));
+      world.ases[region].devices.push_back(world.add_device(std::move(device)));
     }
   }
   world.v4_cursor.assign(world.ases.size(), 0);
@@ -708,7 +593,7 @@ class ProceduralView final : public DeviceView {
   struct Entry {
     std::uint64_t key;
     net::IpAddress primary;
-    Device device;
+    OwnedDevice device;  // list nodes never move, so its views stay put
   };
 
   void sync_epoch() {

@@ -130,7 +130,8 @@ class ProceduralWorld final : public WorldModel {
 
   // Derives the device behind `address` in the current epoch (nullopt for
   // dead space). Pure: same (config, epoch, address) -> same Device bytes.
-  std::optional<Device> derive(const net::IpAddress& address) const;
+  // The result owns the arrays its views point into.
+  std::optional<OwnedDevice> derive(const net::IpAddress& address) const;
 
  private:
   friend class ProceduralView;
@@ -181,7 +182,7 @@ class ProceduralWorld final : public WorldModel {
   // first is the pool device's primary address.
   std::vector<net::Ipv6> pool_iids(std::uint32_t region,
                                    std::uint64_t member) const;
-  Device derive_device(std::uint32_t region, std::uint64_t member) const;
+  OwnedDevice derive_device(std::uint32_t region, std::uint64_t member) const;
   // The canonical (first-interface) address of a device — the cache/
   // checkpoint key that resolves back to the same (region, member).
   net::IpAddress primary_address(std::uint32_t region,

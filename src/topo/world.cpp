@@ -43,6 +43,148 @@ std::size_t Device::v6_count() const {
   return n;
 }
 
+void OwnedDevice::set_interfaces(std::vector<Interface> items) {
+  owned_interfaces_ = std::move(items);
+  interfaces = owned_interfaces_;
+}
+
+void OwnedDevice::set_reboots(std::vector<util::VTime> times) {
+  owned_reboots_ = std::move(times);
+  reboots = owned_reboots_;
+}
+
+void OwnedDevice::set_backend_engines(std::vector<snmp::EngineId> engines) {
+  owned_backend_engines_ = std::move(engines);
+  backend_engines = owned_backend_engines_;
+}
+
+void OwnedDevice::set_usm(UsmUser user) {
+  owned_usm_ = std::make_unique<UsmUser>(std::move(user));
+  usm = owned_usm_.get();
+}
+
+// ---------------------------------------------------------------------------
+// Flat storage
+// ---------------------------------------------------------------------------
+
+World::World(const World& other)
+    : ases(other.ases),
+      devices(other.devices),
+      v4_cursor(other.v4_cursor),
+      interfaces_(other.interfaces_),
+      reboots_(other.reboots_),
+      backend_engines_(other.backend_engines_),
+      usm_users_(other.usm_users_),
+      ptr_names_(other.ptr_names_),
+      pending_(other.pending_),
+      address_map_(other.address_map_),
+      aliased_v6_prefixes_(other.aliased_v6_prefixes_),
+      unique_holders_(other.unique_holders_) {
+  // Pending views point nowhere yet; the next reindex() binds them here.
+  if (pending_.empty()) rebase_views(other);
+}
+
+World& World::operator=(const World& other) {
+  if (this != &other) *this = World(other);
+  return *this;
+}
+
+namespace {
+
+template <typename T>
+std::uint32_t append_run(std::vector<T>& array, std::span<const T> run) {
+  array.insert(array.end(), run.begin(), run.end());
+  return static_cast<std::uint32_t>(run.size());
+}
+
+template <typename T>
+std::span<const T> rebased(std::span<const T> view, const std::vector<T>& from,
+                           const std::vector<T>& to) {
+  if (view.empty()) return {};
+  return {to.data() + (view.data() - from.data()), view.size()};
+}
+
+}  // namespace
+
+DeviceIndex World::add_device(Device device) {
+  // Growing an array may move it under the devices already bound: from the
+  // first append on, every device waits for bind_views().
+  if (pending_.empty())
+    for (const Device& held : devices)
+      pending_.push_back({static_cast<std::uint32_t>(held.interfaces.size()),
+                          static_cast<std::uint32_t>(held.reboots.size()),
+                          static_cast<std::uint32_t>(held.backend_engines.size()),
+                          held.usm != nullptr});
+  assert(pending_.size() == devices.size());
+  PendingViews& runs = pending_.emplace_back();
+  runs.interfaces = append_run(interfaces_, device.interfaces);
+  runs.reboots = append_run(reboots_, device.reboots);
+  runs.backend_engines = append_run(backend_engines_, device.backend_engines);
+  runs.usm = device.usm != nullptr;
+  if (runs.usm) usm_users_.push_back(*device.usm);
+  device.interfaces = {};
+  device.reboots = {};
+  device.backend_engines = {};
+  device.usm = nullptr;
+  device.index = static_cast<DeviceIndex>(devices.size());
+  devices.push_back(std::move(device));
+  return devices.back().index;
+}
+
+NameRef World::add_ptr_name(std::string_view name) {
+  assert(ptr_names_.size() + name.size() <= ~std::uint32_t{0});
+  const NameRef ref{static_cast<std::uint32_t>(ptr_names_.size()),
+                    static_cast<std::uint32_t>(name.size())};
+  ptr_names_.append(name);
+  return ref;
+}
+
+void World::bind_views() {
+  assert(pending_.size() == devices.size());
+  const std::span<const Interface> interfaces = interfaces_;
+  const std::span<const util::VTime> reboots = reboots_;
+  const std::span<const snmp::EngineId> backend_engines = backend_engines_;
+  std::size_t interface = 0, reboot = 0, backend = 0, usm = 0;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    Device& device = devices[i];
+    const PendingViews& runs = pending_[i];
+    device.interfaces = interfaces.subspan(interface, runs.interfaces);
+    device.reboots = reboots.subspan(reboot, runs.reboots);
+    device.backend_engines = backend_engines.subspan(backend, runs.backend_engines);
+    device.usm = runs.usm ? &usm_users_[usm++] : nullptr;
+    interface += runs.interfaces;
+    reboot += runs.reboots;
+    backend += runs.backend_engines;
+  }
+  assert(interface == interfaces_.size() && reboot == reboots_.size() &&
+         backend == backend_engines_.size() && usm == usm_users_.size());
+  pending_ = {};
+}
+
+void World::rebase_views(const World& source) {
+  for (Device& device : devices) {
+    device.interfaces =
+        rebased(device.interfaces, source.interfaces_, interfaces_);
+    device.reboots = rebased(device.reboots, source.reboots_, reboots_);
+    device.backend_engines = rebased(device.backend_engines,
+                                     source.backend_engines_, backend_engines_);
+    if (device.usm != nullptr)
+      device.usm = usm_users_.data() + (device.usm - source.usm_users_.data());
+  }
+}
+
+std::span<Interface> World::mutable_interfaces(DeviceIndex device) {
+  const std::span<const Interface> view = devices[device].interfaces;
+  if (view.empty()) return {};
+  const auto first = view.data() - interfaces_.data();
+  return std::span<Interface>(interfaces_).subspan(
+      static_cast<std::size_t>(first), view.size());
+}
+
+// ---------------------------------------------------------------------------
+// Address mapping
+// ---------------------------------------------------------------------------
+
 const Device* World::device_at(const net::IpAddress& address) const {
   const auto index = device_index_at(address);
   return index == kNoDevice ? nullptr : &devices[index];
@@ -76,21 +218,21 @@ std::vector<net::IpAddress> sorted_unique(std::vector<Address> typed) {
 
 template <typename Address>
 std::vector<net::IpAddress> interface_addresses(
-    const std::vector<Device>& devices,
+    std::span<const Interface> interfaces,
     std::optional<Address> Interface::*field) {
   std::vector<Address> typed;
-  for (const auto& device : devices)
-    for (const auto& itf : device.interfaces)
-      if (itf.*field) typed.push_back(*(itf.*field));
+  for (const auto& itf : interfaces)
+    if (itf.*field) typed.push_back(*(itf.*field));
   return sorted_unique(std::move(typed));
 }
 
 }  // namespace
 
 std::vector<net::IpAddress> World::addresses(net::Family family) const {
+  // Every device's interfaces, in one array.
   return family == net::Family::kIpv4
-             ? interface_addresses(devices, &Interface::v4)
-             : interface_addresses(devices, &Interface::v6);
+             ? interface_addresses(interfaces_, &Interface::v4)
+             : interface_addresses(interfaces_, &Interface::v6);
 }
 
 World::ChurnPlan World::plan_churn(std::uint64_t epoch_seed,
@@ -179,7 +321,8 @@ void World::rebind_churning_devices(std::uint64_t epoch_seed) {
   // leases move between churned slots.
   const auto unbind = [&](const auto& leases, auto Interface::*field) {
     for (const auto& lease : leases) {
-      auto& address = devices[lease.device].interfaces[lease.interface].*field;
+      auto& address =
+          mutable_interfaces(lease.device)[lease.interface].*field;
       if (patch) {
         const DeviceIndex* holder = address_map_.find(*address);
         patch = holder != nullptr && *holder == lease.device;
@@ -215,12 +358,13 @@ std::vector<net::IpAddress> World::churn_leases(std::uint64_t epoch_seed,
 }
 
 void World::reindex() {
+  if (!pending_.empty()) bind_views();
   address_map_.clear();
   std::size_t v4_interfaces = 0;
   std::size_t v6_interfaces = 0;
-  for (const auto& device : devices) {
-    v4_interfaces += device.v4_count();
-    v6_interfaces += device.v6_count();
+  for (const auto& itf : interfaces_) {
+    v4_interfaces += itf.v4.has_value();
+    v6_interfaces += itf.v6.has_value();
   }
   address_map_.reserve(net::Family::kIpv4, v4_interfaces);
   address_map_.reserve(net::Family::kIpv6, v6_interfaces);

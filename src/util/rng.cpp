@@ -123,7 +123,7 @@ std::size_t Rng::zipf(std::size_t n, double s) {
   }
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
+std::size_t Rng::weighted_index(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) total += (w > 0.0 ? w : 0.0);
   assert(total > 0.0);

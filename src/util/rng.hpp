@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -69,7 +70,7 @@ class Rng {
 
   // Index into `weights` chosen proportionally to the weights (which need
   // not be normalized; non-positive weights are treated as zero).
-  std::size_t weighted_index(const std::vector<double>& weights);
+  std::size_t weighted_index(std::span<const double> weights);
 
   // Fisher-Yates shuffle.
   template <typename Container>

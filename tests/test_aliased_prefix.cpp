@@ -19,20 +19,19 @@ topo::World aliased_world() {
   world.v4_cursor.assign(1, 0);
 
   const auto add_server = [&](std::uint16_t subnet, bool aliased) {
-    topo::Device device;
-    device.index = static_cast<topo::DeviceIndex>(world.devices.size());
+    topo::OwnedDevice device;
     device.kind = topo::DeviceKind::kServer;
     device.vendor = &topo::vendor_profile("Net-SNMP");
     device.snmpv3_enabled = true;
     device.engine_id = snmp::EngineId::make_netsnmp(0x9000 + subnet);
-    device.reboots = {-util::kDay};
+    device.set_reboots({-util::kDay});
     device.boots_before_history = 1;
     device.answers_whole_v6_prefix = aliased;
     topo::Interface itf;
     itf.mac = net::MacAddress::from_oui(0x001b21, subnet);
     itf.v6 = net::Ipv6::from_groups({0x2001, 0x64, subnet, 0, 0, 0, 0, 1});
-    device.interfaces.push_back(std::move(itf));
-    world.devices.push_back(std::move(device));
+    device.set_interfaces({itf});
+    world.add_device(std::move(device));
   };
   add_server(1, /*aliased=*/true);   // 2001:64:1::/64 answers everywhere
   add_server(2, /*aliased=*/false);  // 2001:64:2::1 only

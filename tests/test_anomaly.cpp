@@ -24,16 +24,14 @@ topo::World fixture_world() {
   }
   world.v4_cursor.assign(2, 1000);
 
-  const auto add_device = [&](std::uint32_t as_index) -> topo::Device& {
-    topo::Device device;
-    device.index = static_cast<topo::DeviceIndex>(world.devices.size());
+  const auto make_device = [](std::vector<topo::Interface> interfaces) {
+    topo::OwnedDevice device;
     device.vendor = &topo::vendor_profile("Cisco");
-    device.as_index = as_index;
     device.snmpv3_enabled = true;
-    device.reboots = {-10 * util::kDay};
+    device.set_interfaces(std::move(interfaces));
+    device.set_reboots({-10 * util::kDay});
     device.boots_before_history = 4;
-    world.devices.push_back(std::move(device));
-    return world.devices.back();
+    return device;
   };
   const auto iface = [](std::uint8_t a, std::uint8_t d) {
     topo::Interface itf;
@@ -43,32 +41,32 @@ topo::World fixture_world() {
   };
 
   // 0: control router, two interfaces in AS 0.
-  auto& control = add_device(0);
-  control.interfaces = {iface(60, 1), iface(60, 2)};
+  auto control = make_device({iface(60, 1), iface(60, 2)});
   control.engine_id = snmp::EngineId::make_mac(9, control.interfaces[0].mac);
+  world.add_device(std::move(control));
 
   // 1: load-balancer VIP fronting two backends.
-  auto& lb = add_device(0);
+  auto lb = make_device({iface(60, 10)});
   lb.kind = topo::DeviceKind::kServer;
-  lb.interfaces = {iface(60, 10)};
   lb.engine_id = snmp::EngineId::make_netsnmp(0x1111);
-  lb.backend_engines = {snmp::EngineId::make_netsnmp(0x2222),
-                        snmp::EngineId::make_netsnmp(0x3333)};
+  lb.set_backend_engines({snmp::EngineId::make_netsnmp(0x2222),
+                          snmp::EngineId::make_netsnmp(0x3333)});
+  world.add_device(std::move(lb));
 
   // 2+3: churning CPE pair (addresses recycle between the two of them).
   for (std::uint32_t c = 0; c < 2; ++c) {
-    auto& cpe = add_device(0);
+    auto cpe = make_device({iface(60, static_cast<std::uint8_t>(20 + c))});
     cpe.kind = topo::DeviceKind::kCpe;
-    cpe.interfaces = {iface(60, static_cast<std::uint8_t>(20 + c))};
     cpe.engine_id = snmp::EngineId::make_mac(
         4413, net::MacAddress::from_oui(0xd07ab5, 20 + c));
     cpe.churns = true;
+    world.add_device(std::move(cpe));
   }
 
   // 4: NAT'd router — same engine reachable in AS 0 and AS 1.
-  auto& nat = add_device(0);
-  nat.interfaces = {iface(60, 30), iface(61, 30)};
+  auto nat = make_device({iface(60, 30), iface(61, 30)});
   nat.engine_id = snmp::EngineId::make_mac(9, nat.interfaces[0].mac);
+  world.add_device(std::move(nat));
 
   world.reindex();
   return world;

@@ -14,7 +14,9 @@
 //    eight 256-probe bursts and allocates nothing per frame;
 //  - spec mode: dead-space device_at and batched target generation
 //    allocate nothing, and a census shard run allocates in proportion to
-//    its responses, not its probes.
+//    its responses, not its probes;
+//  - world build: generate_world makes at most two heap allocations per
+//    device (its engine ID, plus the flat arrays' amortized growth).
 // The socket cases GTEST_SKIP with the reason when the sandbox denies
 // sockets or sendmmsg.
 #include <gtest/gtest.h>
@@ -41,6 +43,7 @@
 #include "scan/targets.hpp"
 #include "sim/fabric.hpp"
 #include "snmp/message.hpp"
+#include "topo/generator.hpp"
 #include "topo/procedural.hpp"
 #include "wire/probe_template.hpp"
 #include "wire/report_codec.hpp"
@@ -270,6 +273,18 @@ TEST(HotPaths, SpecModeProbePathAllocatesOnlyPerResponse) {
   constexpr std::uint64_t kPerResponse = 64;
   EXPECT_LE(used, kPerRun + kPerResponse * responses)
       << generator.size() << " probes, " << responses << " responses";
+}
+
+// ---- world build -----------------------------------------------------------
+
+TEST(HotPaths, WorldBuildAllocatesAboutOncePerDevice) {
+  (void)topo::generate_world(topo::WorldConfig::tiny());  // registry set-up
+  const std::uint64_t before = allocations();
+  const topo::World world = topo::generate_world(topo::WorldConfig::tiny());
+  const std::uint64_t used = allocations() - before;
+  ASSERT_GT(world.devices.size(), 0u);
+  EXPECT_LE(used, 2 * world.devices.size())
+      << used << " allocations for " << world.devices.size() << " devices";
 }
 
 // ---- kernel send and receive ----------------------------------------------

@@ -6,21 +6,22 @@
 namespace snmpv3fp {
 namespace {
 
-topo::Device lab_device() {
-  topo::Device device;
+topo::OwnedDevice lab_device() {
+  topo::OwnedDevice device;
   device.index = 7;
   device.kind = topo::DeviceKind::kRouter;
   device.vendor = &topo::vendor_profile("Cisco");
+  std::vector<topo::Interface> interfaces;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    topo::Interface itf;
+    topo::Interface& itf = interfaces.emplace_back();
     itf.mac = net::MacAddress::from_oui(0x00000c, 0x100 + i);
     itf.v4 = net::Ipv4(192, 0, 2, static_cast<std::uint8_t>(10 + i));
-    device.interfaces.push_back(itf);
   }
+  device.set_interfaces(std::move(interfaces));
   device.snmpv2_enabled = true;
   device.snmpv3_enabled = true;
   device.engine_id = snmp::EngineId::make_mac(9, device.interfaces[0].mac);
-  device.reboots = {-util::kDay};
+  device.set_reboots({-util::kDay});
   device.boots_before_history = 1;
   return device;
 }

@@ -152,20 +152,20 @@ TEST(Privacy, CiphertextHidesPlaintextOids) {
 // ---------------------------------------------------------------------------
 
 TEST(Privacy, AgentAnswersAuthPrivGet) {
-  topo::Device device;
+  topo::OwnedDevice device;
   device.kind = topo::DeviceKind::kRouter;
   device.vendor = &topo::vendor_profile("Cisco");
   topo::Interface itf;
   itf.mac = net::MacAddress::from_oui(0x00000c, 0x42);
   itf.v4 = net::Ipv4(192, 0, 2, 9);
-  device.interfaces.push_back(itf);
+  device.set_interfaces({itf});
   device.snmpv3_enabled = true;
   device.engine_id = snmp::EngineId::make_mac(9, itf.mac);
-  device.reboots = {-util::kDay};
+  device.set_reboots({-util::kDay});
   device.boots_before_history = 1;
-  device.usm_user = "netops";
-  device.usm_auth_password = "authpass";
-  device.usm_priv_password = "privpass";
+  device.set_usm({.name = "netops",
+                  .auth_password = "authpass",
+                  .priv_password = "privpass"});
 
   constexpr auto kProto = snmp::AuthProtocol::kHmacSha1_96;
   const auto auth_key =

@@ -15,20 +15,19 @@
 namespace snmpv3fp {
 namespace {
 
-topo::Device hardened_device() {
-  topo::Device device;
+topo::OwnedDevice hardened_device() {
+  topo::OwnedDevice device;
   device.kind = topo::DeviceKind::kRouter;
   device.vendor = &topo::vendor_profile("Cisco");
   topo::Interface itf;
   itf.mac = net::MacAddress::from_oui(0x00000c, 1);
   itf.v4 = net::Ipv4(192, 0, 2, 1);
-  device.interfaces.push_back(itf);
+  device.set_interfaces({itf});
   device.snmpv3_enabled = true;
   device.snmpv2_enabled = true;
-  device.usm_user = "netops";
-  device.usm_auth_password = "pw";
+  device.set_usm({.name = "netops", .auth_password = "pw"});
   device.engine_id = snmp::EngineId::make_mac(9, itf.mac);
-  device.reboots = {-util::kDay};
+  device.set_reboots({-util::kDay});
   device.boots_before_history = 1;
   return device;
 }

@@ -14,18 +14,18 @@ using snmp::EngineId;
 using snmp::PduType;
 using snmp::V3Message;
 
-topo::Device make_device() {
-  topo::Device device;
+topo::OwnedDevice make_device() {
+  topo::OwnedDevice device;
   device.kind = topo::DeviceKind::kRouter;
   device.vendor = &topo::vendor_profile("Cisco");
   topo::Interface itf;
   itf.mac = net::MacAddress::from_oui(0x00000c, 0x31db80);
   itf.v4 = net::Ipv4(192, 0, 2, 1);
-  device.interfaces.push_back(itf);
+  device.set_interfaces({itf});
   device.snmpv3_enabled = true;
   device.snmpv2_enabled = true;
   device.engine_id = EngineId::make_mac(9, itf.mac);
-  device.reboots = {-10 * util::kDay};
+  device.set_reboots({-10 * util::kDay});
   device.boots_before_history = 4;
   return device;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -22,9 +23,9 @@ const World& tiny_world() {
 // ---------------------------------------------------------------------------
 
 TEST(Device, EngineBootsCounting) {
-  Device device;
+  OwnedDevice device;
   device.boots_before_history = 10;
-  device.reboots = {-100 * util::kDay, 5 * util::kDay, 10 * util::kDay};
+  device.set_reboots({-100 * util::kDay, 5 * util::kDay, 10 * util::kDay});
   EXPECT_EQ(device.engine_boots_at(-200 * util::kDay), 10u);
   EXPECT_EQ(device.engine_boots_at(0), 11u);
   EXPECT_EQ(device.engine_boots_at(5 * util::kDay), 12u);
@@ -33,8 +34,8 @@ TEST(Device, EngineBootsCounting) {
 }
 
 TEST(Device, EngineTimeFollowsLastReboot) {
-  Device device;
-  device.reboots = {-util::kDay, 2 * util::kDay};
+  OwnedDevice device;
+  device.set_reboots({-util::kDay, 2 * util::kDay});
   EXPECT_EQ(device.engine_time_at(0), 86400u);
   EXPECT_EQ(device.engine_time_at(util::kDay), 2 * 86400u);
   // After the second reboot the counter restarts.
@@ -42,8 +43,8 @@ TEST(Device, EngineTimeFollowsLastReboot) {
 }
 
 TEST(Device, ClockSkewScalesEngineTime) {
-  Device device;
-  device.reboots = {-100000 * util::kSecond};
+  OwnedDevice device;
+  device.set_reboots({-100000 * util::kSecond});
   device.clock_skew_ppm = 1000.0;  // 0.1%
   EXPECT_NEAR(device.engine_time_at(0), 100100u, 1);
   device.clock_skew_ppm = -1000.0;
@@ -51,11 +52,11 @@ TEST(Device, ClockSkewScalesEngineTime) {
 }
 
 TEST(Device, DualStackCounting) {
-  Device device;
+  OwnedDevice device;
   Interface a, b;
   a.v4 = net::Ipv4(192, 0, 2, 1);
   b.v6 = net::Ipv6::parse("2001:db8::1").value();
-  device.interfaces = {a, b};
+  device.set_interfaces({a, b});
   EXPECT_TRUE(device.dual_stack());
   EXPECT_EQ(device.v4_count(), 1u);
   EXPECT_EQ(device.v6_count(), 1u);
@@ -73,7 +74,7 @@ TEST(Generator, DeterministicFromSeed) {
   for (std::size_t i = 0; i < a.devices.size(); ++i) {
     EXPECT_EQ(a.devices[i].engine_id, b.devices[i].engine_id);
     EXPECT_EQ(a.devices[i].interfaces.size(), b.devices[i].interfaces.size());
-    EXPECT_EQ(a.devices[i].reboots, b.devices[i].reboots);
+    EXPECT_TRUE(std::ranges::equal(a.devices[i].reboots, b.devices[i].reboots));
   }
 }
 
@@ -307,8 +308,8 @@ TEST(Churn, PatchedIndexMatchesRebuild) {
   {
     World world = seeded_tiny_worlds().front();
     std::vector<Interface*> static_v4, churning_v4;
-    for (auto& device : world.devices)
-      for (auto& itf : device.interfaces)
+    for (const auto& device : world.devices)
+      for (auto& itf : world.mutable_interfaces(device.index))
         if (itf.v4) (device.churns ? churning_v4 : static_v4).push_back(&itf);
     ASSERT_GE(static_v4.size(), 16u);
     ASSERT_GE(churning_v4.size(), 16u);
@@ -332,7 +333,7 @@ TEST(Churn, PatchedIndexMatchesRebuild) {
     for (auto& device : world.devices) {
       if (!device.churns || device.v6_count() == 0 || aliased == 8) continue;
       device.answers_whole_v6_prefix = true;
-      for (auto& itf : device.interfaces) {
+      for (auto& itf : world.mutable_interfaces(device.index)) {
         if (!itf.v6) continue;
         std::array<std::uint16_t, 8> groups{};
         for (int g = 0; g < 8; ++g) groups[g] = itf.v6->group(g);
@@ -359,8 +360,8 @@ TEST(Churn, PatchedIndexMatchesRebuild) {
         fresh = lease;
     ASSERT_TRUE(fresh.has_value());
     Interface* holder = nullptr;
-    for (auto& device : world.devices)
-      for (auto& itf : device.interfaces)
+    for (const auto& device : world.devices)
+      for (auto& itf : world.mutable_interfaces(device.index))
         if (!device.churns && itf.v4) holder = &itf;
     ASSERT_NE(holder, nullptr);
     holder->v4 = fresh->v4();

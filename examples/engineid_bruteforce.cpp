@@ -34,7 +34,8 @@ int main() {
   router.set_reboots({-30 * util::kDay});
   router.boots_before_history = 147;
   // The weak operator password.
-  router.set_usm({.name = "netops", .auth_password = "Summer2021!"});
+  router.set_usm(
+      {.name = "netops", .auth_password = "Summer2021!", .priv_password = {}});
 
   util::Rng rng(1);
 

@@ -127,7 +127,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # between scans. The crash harness resumes killed campaigns and
   # pipelines on 1, 4 and 8 threads.
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -LE crash_harness \
-      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarBlockTest|ColumnarCursorTest|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest|JoinOrder|NetEnginePipeline|NetEngineCampaign)\.")
+      -R "^(ParallelFor|ParallelMap|ParallelDeterminism|Metrics|Json|Log|Trace|ObsContract|EngineDictionaryTest|TelemetryContract|Timeline|Status|TraceExport|Flight|Report|ColumnarFilterTest|ColumnarAliasTest|ColumnarPipelineTest|TargetGenerator|ProceduralWorld|SpecModeCampaign|ScenarioLayers|StoreCampaignTest|StorePipelineTest|JoinOrder|NetEnginePipeline|NetEngineCampaign)\.")
   (cd build-tsan && ctest --output-on-failure -j "$JOBS" -L crash_harness)
 fi
 

@@ -6,7 +6,8 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "store/columnar.hpp"
+#include "store/engine_dictionary.hpp"
+#include "util/rng.hpp"
 
 namespace snmpv3fp::core {
 
@@ -147,7 +148,7 @@ AliasResolution resolve_aliases(
   // Per-code hash of the ID bytes, computed once per distinct ID.
   std::vector<std::uint64_t> id_hash(dict.size());
   for (std::size_t c = 0; c < dict.size(); ++c)
-    id_hash[c] = store::fnv1a(dict.entries()[c].raw());
+    id_hash[c] = util::fnv1a64(dict.entries()[c].raw());
 
   // Phase 1b: per-record key scalars and a 64-bit key hash, in parallel —
   // integer-only now that the ID contribution is a per-code table lookup.

@@ -4,6 +4,7 @@
 
 #include "net/registry.hpp"
 #include "obs/log.hpp"
+#include "util/rng.hpp"
 
 namespace snmpv3fp::core {
 
@@ -149,7 +150,7 @@ FilterReport ColumnarFunnel::finish(std::span<const JoinedRecord> rows,
     std::vector<Slot> table(capacity);
     const std::uint64_t mask = capacity - 1;
     const auto find_slot = [&](util::ByteView key) -> Slot& {
-      std::uint64_t h = store::fnv1a(key) & mask;
+      std::uint64_t h = util::fnv1a64(key) & mask;
       while (true) {
         Slot& slot = table[h];
         if (slot.code_plus1 == 0 ||

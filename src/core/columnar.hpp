@@ -1,6 +1,8 @@
 // Columnar execution of the analysis funnel: the one implementation of the
-// ten-stage filter (FilterPipeline::apply_columnar and the overlapped
-// store join both drive ColumnarFunnel).
+// ten-stage filter. Its input is joined rows (JoinedRecord); the columns
+// are the per-row engine codes and verdicts it builds from them.
+// FilterPipeline::apply_columnar and the overlapped store join both drive
+// ColumnarFunnel.
 //
 // The filter funnel consults a handful of scalar fields per record plus a
 // few predicates of the engine ID. Both scans' engine IDs are
@@ -24,7 +26,7 @@
 #include <span>
 
 #include "core/filters.hpp"
-#include "store/columnar.hpp"
+#include "store/engine_dictionary.hpp"
 
 namespace snmpv3fp::core {
 

@@ -5,41 +5,33 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "store/columnar.hpp"
 #include "store/record_store.hpp"
 
 namespace snmpv3fp::core {
 
 namespace {
 
-// One side of the columnar merge join: a columnar block cursor plus the
-// in-block position. Advancing past the last row loads the next block.
-struct BlockStream {
-  store::RecordStore::ColumnarCursor cursor;
-  store::ColumnarBlock block;
-  std::size_t pos = 0;
+// One side of the merge join: a store cursor and the record it last
+// yielded. `have` turns false at the end of the store or on a read error.
+struct RecordStream {
+  store::RecordStore::Cursor cursor;
+  scan::ScanRecord record;
   bool have = false;
 
-  explicit BlockStream(const store::RecordStore& owner)
-      : cursor(owner.columnar_cursor()) {
-    advance_block();
+  explicit RecordStream(const store::RecordStore& owner)
+      : cursor(owner.cursor()) {
+    advance();
   }
-  void advance_block() {
-    pos = 0;
-    have = cursor.next_block(block);
-  }
-  void advance() {
-    if (++pos >= block.size()) advance_block();
-  }
-  const net::IpAddress& address() const { return block.target[pos]; }
+  void advance() { have = cursor.next(record); }
 };
 
 }  // namespace
 
 // Spilled path: external-sort both stores by address (bounded RAM),
-// then a two-cursor columnar merge join. Addresses are unique within a
-// scan, so the address-ordered match sequence is exactly the resident
-// join's output.
+// then merge-join the two sorted stores through row cursors, moving each
+// matched pair into its JoinedRecord. Addresses are unique within a scan,
+// so the address-ordered match sequence is exactly the resident join's
+// output.
 bool join_stores_blocked(
     const scan::ScanResult& first, const scan::ScanResult& second,
     std::size_t block_rows,
@@ -71,15 +63,16 @@ bool join_stores_blocked(
   if (block_rows == 0) block_rows = 1;
   std::vector<JoinedRecord> out;
   out.reserve(block_rows);
-  BlockStream s1(*sorted1);
-  BlockStream s2(*sorted2);
+  RecordStream s1(*sorted1);
+  RecordStream s2(*sorted2);
   while (s1.have && s2.have) {
-    if (s1.address() < s2.address()) {
+    if (s1.record.target < s2.record.target) {
       s1.advance();
-    } else if (s2.address() < s1.address()) {
+    } else if (s2.record.target < s1.record.target) {
       s2.advance();
     } else {
-      out.push_back({s1.address(), s1.block.row(s1.pos), s2.block.row(s2.pos)});
+      const net::IpAddress address = s1.record.target;
+      out.push_back({address, std::move(s1.record), std::move(s2.record)});
       if (out.size() >= block_rows) {
         emit(std::move(out));
         out = {};

@@ -49,22 +49,22 @@ bool stores_spill(const scan::ScanResult& first,
 // materialized on two threads, one per scan, each sorting fixed-width
 // address keys; one linear merge of the key runs pairs the rows, and each
 // matched record is moved into its JoinedRecord. Spilled stores
-// (stores_spill) never come into RAM whole: both are external-sorted by
-// address and merge-joined through streaming cursors, falling back to the
-// materializing join on a damaged block.
+// (stores_spill) never come into RAM whole: join_stores_blocked sorts and
+// merge-joins them, falling back to the materializing join on a damaged
+// block. Both shapes read the stores through store::RecordStore::Cursor.
 std::vector<JoinedRecord> join_scans(
     const scan::ScanResult& first, const scan::ScanResult& second,
     JoinStats* stats = nullptr,
     const util::ParallelOptions& parallel = {});
 
 // Streaming join: external-sorts both stores by address — the two sorts
-// run concurrently on dedicated threads — then merge-joins them through
-// columnar block cursors (store/columnar.hpp), so each sealed block is
-// decoded once, straight into columns, and only *matched* rows ever
-// materialize as ScanRecords. Matched pairs are emitted in address order
-// as blocks of at most `block_rows` JoinedRecords; `emit` is called on the
-// joining thread, in order. Returns false when a store block read fails
-// (the caller falls back to the materializing join).
+// run concurrently on dedicated threads — then steps one
+// store::RecordStore::Cursor over each sorted store, decoding one block at
+// a time, and moves each matched pair of records into its JoinedRecord.
+// Matched pairs are emitted in address order as blocks of at most
+// `block_rows` JoinedRecords; `emit` is called on the joining thread, in
+// order. Returns false when a store block read fails (the caller falls
+// back to the materializing join).
 bool join_stores_blocked(
     const scan::ScanResult& first, const scan::ScanResult& second,
     std::size_t block_rows,

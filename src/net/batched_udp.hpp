@@ -56,8 +56,6 @@ namespace snmpv3fp::net {
 
 enum class BatchMode {
   kAuto,         // sendmmsg/recvmmsg (+GSO) where available, else fallback
-  kBatched,      // same as kAuto (batching cannot be forced onto a kernel
-                 // without it; the engine still degrades at runtime)
   kPerDatagram,  // force the portable sendto/recvfrom loop
 };
 

@@ -7,7 +7,6 @@
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "store/columnar.hpp"
 
 namespace snmpv3fp::store {
 
@@ -231,27 +230,6 @@ void RecordStore::apply_patches(std::vector<scan::ScanRecord>& records,
   }
 }
 
-void RecordStore::apply_patches_columnar(ColumnarBlock& block,
-                                         std::size_t base_index) const {
-  if (patches_.empty()) return;
-  const auto end = patches_.lower_bound(base_index + block.size());
-  for (auto it = patches_.lower_bound(base_index); it != end; ++it) {
-    const auto row = static_cast<std::uint32_t>(it->first - base_index);
-    block.response_count[row] += it->second.extra_responses;
-    if (it->second.extra_engines.empty()) continue;
-    // The overlay stays sorted by row: patches iterate in ascending index
-    // order, but a decoded block may already carry an entry for this row.
-    auto pos = std::lower_bound(
-        block.extra_engines.begin(), block.extra_engines.end(), row,
-        [](const auto& entry, std::uint32_t r) { return entry.first < r; });
-    if (pos == block.extra_engines.end() || pos->first != row)
-      pos = block.extra_engines.insert(
-          pos, {row, std::vector<snmp::EngineId>()});
-    for (const auto& engine : it->second.extra_engines)
-      insert_sorted_unique(pos->second, engine);
-  }
-}
-
 // ---- Cursor ----
 
 RecordStore::Cursor::Cursor(const RecordStore& owner)
@@ -299,72 +277,6 @@ bool RecordStore::Cursor::next(scan::ScanRecord& out) {
   return true;
 }
 
-// ---- ColumnarCursor ----
-
-RecordStore::ColumnarCursor::ColumnarCursor(const RecordStore& owner)
-    : owner_(&owner), file_(nullptr, std::fclose) {}
-
-bool RecordStore::ColumnarCursor::next_block(ColumnarBlock& out) {
-  if (!error_.empty()) return false;
-  if (block_ < owner_->blocks_.size()) {
-    const Block& meta = owner_->blocks_[block_];
-    // Hold a reference so concurrent readers of a still-resident block
-    // stay safe even if the writer has since evicted it.
-    const std::shared_ptr<const util::Bytes> resident = meta.resident;
-    util::Bytes from_disk;
-    util::ByteView view;
-    if (resident != nullptr) {
-      view = *resident;
-    } else {
-      if (file_ == nullptr) {
-        file_.reset(std::fopen(owner_->seg_path().c_str(), "rb"));
-        if (file_ == nullptr) {
-          error_ = "store: cannot open " + owner_->seg_path();
-          return false;
-        }
-      }
-      from_disk.resize(meta.bytes);
-      if (std::fseek(file_.get(), static_cast<long>(meta.offset), SEEK_SET) !=
-              0 ||
-          std::fread(from_disk.data(), 1, from_disk.size(), file_.get()) !=
-              from_disk.size()) {
-        error_ = "store: short read from " + owner_->seg_path();
-        return false;
-      }
-      view = from_disk;
-    }
-    auto decoded = decode_block_columnar(view);
-    if (!decoded) {
-      error_ = "store: block " + std::to_string(block_) + ": " +
-               decoded.error();
-      return false;
-    }
-    if (decoded.value().size() != meta.records) {
-      error_ = "store: block " + std::to_string(block_) +
-               ": record count disagrees with index";
-      return false;
-    }
-    out = std::move(decoded).value();
-    base_ = next_base_;
-    next_base_ = base_ + out.size();
-    owner_->apply_patches_columnar(out, base_);
-    ++block_;
-    return true;
-  }
-  if (block_ == owner_->blocks_.size()) {
-    // Open tail: pivoted in place, never patched (patches cover sealed
-    // blocks only).
-    ++block_;
-    if (!owner_->tail_.empty()) {
-      out = ColumnarBlock::from_records(owner_->tail_);
-      base_ = next_base_;
-      next_base_ = base_ + out.size();
-      return true;
-    }
-  }
-  return false;
-}
-
 util::Status RecordStore::for_each(
     const std::function<void(const scan::ScanRecord&, std::size_t)>& fn)
     const {
@@ -379,13 +291,13 @@ util::Status RecordStore::for_each(
 std::vector<scan::ScanRecord> RecordStore::materialize() const {
   std::vector<scan::ScanRecord> records;
   records.reserve(size());
-  const auto status = for_each(
-      [&records](const scan::ScanRecord& record, std::size_t) {
-        records.push_back(record);
-      });
-  if (!status.ok())
+  // The cursor yields each decoded record once, so it moves in uncopied.
+  auto cur = cursor();
+  scan::ScanRecord record;
+  while (cur.next(record)) records.push_back(std::move(record));
+  if (!cur.error().empty())
     obs::log_warn("record store materialize stopped early",
-                  {{"store", name_}, {"error", status.error()}});
+                  {{"store", name_}, {"error", cur.error()}});
   return records;
 }
 

@@ -23,6 +23,12 @@
 // past the manifest (a crash can leave blocks the checkpoint never
 // committed) and continues appending bit-identically.
 //
+// Reading: Cursor is the one way to read a store. It fetches one sealed
+// block at a time from RAM or the segment, decodes it with decode_block
+// and overlays that block's patches, then yields the records in append
+// order. for_each, materialize, the external sort and the spilled merge
+// join (core/join.hpp) all read through it.
+//
 // Concurrency: one writer thread per store (the owning shard); any number
 // of Cursors may read a store after writing has finished. Cursors hold an
 // independent file handle and decode one block at a time, so a full-store
@@ -47,8 +53,6 @@ class JsonValue;
 }
 
 namespace snmpv3fp::store {
-
-struct ColumnarBlock;
 
 // Execution-only store instrumentation (values the store already tracks
 // internally, exported to the metrics registry and the shard's flight ring
@@ -172,32 +176,6 @@ class RecordStore {
   };
   Cursor cursor() const { return Cursor(*this); }
 
-  // Streaming columnar reader (store/columnar.hpp): yields one pivoted
-  // block at a time in append order, decoding each sealed block straight
-  // into columns (decoded exactly once, no per-record materialization)
-  // with the patch overlay applied. Same concurrency contract as Cursor.
-  class ColumnarCursor {
-   public:
-    // Replaces `out` with the next block; false at end of store or on a
-    // read/decode error (check error()).
-    bool next_block(ColumnarBlock& out);
-    // Global record index of row 0 of the block last returned.
-    std::size_t base() const { return base_; }
-    const std::string& error() const { return error_; }
-
-   private:
-    friend class RecordStore;
-    explicit ColumnarCursor(const RecordStore& owner);
-
-    const RecordStore* owner_;
-    std::size_t block_ = 0;  // next block to load; blocks_.size() = tail
-    std::size_t base_ = 0;
-    std::size_t next_base_ = 0;
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> file_;
-    std::string error_;
-  };
-  ColumnarCursor columnar_cursor() const { return ColumnarCursor(*this); }
-
   // Applies `fn(record, index)` to every record in append order; fails
   // closed on a damaged block.
   util::Status for_each(
@@ -239,8 +217,6 @@ class RecordStore {
                           std::vector<scan::ScanRecord>& out) const;
   void apply_patches(std::vector<scan::ScanRecord>& records,
                      std::size_t base_index) const;
-  void apply_patches_columnar(ColumnarBlock& block,
-                              std::size_t base_index) const;
 
   StoreOptions options_;
   std::string name_;

@@ -100,11 +100,12 @@ EngineId synthesize_engine_id(Rng& rng, const Device& device,
     case 1: {  // IPv4
       if (rng.chance(kPrivateIpv4EngineRate)) {
         // Management loopback in RFC 1918 space: unroutable filter food.
-        return EngineId::make_ipv4(
-            vendor.enterprise_pen,
-            Ipv4(10, static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next()),
-                 static_cast<std::uint8_t>(rng.next())));
+        // Named draws, last octet first: argument order is unspecified.
+        const auto octet4 = static_cast<std::uint8_t>(rng.next());
+        const auto octet3 = static_cast<std::uint8_t>(rng.next());
+        const auto octet2 = static_cast<std::uint8_t>(rng.next());
+        return EngineId::make_ipv4(vendor.enterprise_pen,
+                                   Ipv4(10, octet2, octet3, octet4));
       }
       for (const auto& itf : device.interfaces)
         if (itf.v4) return EngineId::make_ipv4(vendor.enterprise_pen, *itf.v4);

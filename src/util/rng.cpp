@@ -154,13 +154,18 @@ void Rng::restore_state(const RngState& state) {
   spare_normal_ = std::bit_cast<double>(state.spare_normal_bits);
 }
 
-std::uint64_t fnv1a64(std::string_view text) {
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+std::uint64_t fnv1a64(std::string_view text) {
+  return fnv1a64(std::span(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
 }
 
 }  // namespace snmpv3fp::util

@@ -97,7 +97,9 @@ class Rng {
   double spare_normal_ = 0.0;
 };
 
-// Stable 64-bit FNV-1a hash, used to derive per-entity seeds from names.
+// Stable 64-bit FNV-1a hash, used to derive per-entity seeds from names
+// and to key the hash tables over engine-ID bytes.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 std::uint64_t fnv1a64(std::string_view text);
 
 }  // namespace snmpv3fp::util

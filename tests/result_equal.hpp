@@ -51,13 +51,17 @@ inline void expect_same_joined(const std::vector<core::JoinedRecord>& a,
     EXPECT_EQ(a[i].first.engine_id, b[i].first.engine_id);
     EXPECT_EQ(a[i].second.engine_id, b[i].second.engine_id);
     EXPECT_EQ(a[i].first.engine_boots, b[i].first.engine_boots);
+    EXPECT_EQ(a[i].second.engine_boots, b[i].second.engine_boots);
     EXPECT_EQ(a[i].first.engine_time, b[i].first.engine_time);
+    EXPECT_EQ(a[i].second.engine_time, b[i].second.engine_time);
     EXPECT_EQ(a[i].first.send_time, b[i].first.send_time);
     EXPECT_EQ(a[i].second.send_time, b[i].second.send_time);
     EXPECT_EQ(a[i].first.receive_time, b[i].first.receive_time);
     EXPECT_EQ(a[i].second.receive_time, b[i].second.receive_time);
     EXPECT_EQ(a[i].first.response_count, b[i].first.response_count);
+    EXPECT_EQ(a[i].second.response_count, b[i].second.response_count);
     EXPECT_EQ(a[i].first.extra_engines, b[i].first.extra_engines);
+    EXPECT_EQ(a[i].second.extra_engines, b[i].second.extra_engines);
   }
 }
 

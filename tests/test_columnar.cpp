@@ -1,302 +1,29 @@
-// Columnar analysis + stage-overlap tests.
+// Columnar analysis tests.
 //
-// The load-bearing guarantees: (1) the columnar block pivot is lossless —
-// row(i) reconstructs the exact ScanRecord, the single-pass columnar block
-// decoder accepts and rejects exactly what the row decoder does, and the
-// columnar store cursor agrees with the row cursor including patch
-// overlays; (2) the radix-hash alias grouping reproduces the canonical
-// map-based grouping bit for bit at any thread count; (3) the columnar
-// filter funnel agrees with the sequential reference funnel
-// (filter_oracle.hpp) at 1/2/8 threads, fed whole or in uneven slices. A
-// store-backed pipeline killed mid-campaign and resumed through the
-// overlapped join+filter is tests/test_crash.cpp's.
+// The load-bearing guarantees: (1) the radix-hash alias grouping
+// reproduces the canonical map-based grouping bit for bit at any thread
+// count; (2) the columnar filter funnel agrees with the sequential
+// reference funnel (filter_oracle.hpp) at 1/2/8 threads, fed whole or in
+// uneven slices. A store-backed pipeline killed mid-campaign and resumed
+// through the overlapped join+filter is tests/test_crash.cpp's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "result_equal.hpp"
-#include "unique_dir.hpp"
 #include "core/columnar.hpp"
 #include "core/pipeline.hpp"
 #include "filter_oracle.hpp"
-#include "scan/checkpoint.hpp"
-#include "sim/faults.hpp"
-#include "store/codec.hpp"
-#include "store/columnar.hpp"
-#include "store/record_store.hpp"
 #include "topo/generator.hpp"
 
 namespace snmpv3fp {
 namespace {
-
-using testing_util::UniqueDir;
-
-using store::ColumnarBlock;
-using store::EngineDictionary;
-using store::RecordStore;
-using store::StoreOptions;
-
-// Same deliberately varied record shapes as test_store.cpp: v4/v6 mix,
-// missing / long / duplicate engine IDs, extra engines.
-scan::ScanRecord make_record(std::size_t i) {
-  scan::ScanRecord r;
-  if (i % 3 == 0) {
-    std::array<std::uint8_t, 16> bytes{};
-    bytes[0] = 0x20;
-    bytes[1] = 0x01;
-    bytes[15] = static_cast<std::uint8_t>(i);
-    bytes[14] = static_cast<std::uint8_t>(i >> 8);
-    r.target = net::IpAddress(net::Ipv6(bytes));
-  } else {
-    r.target = net::IpAddress(net::Ipv4(
-        10, static_cast<std::uint8_t>(i >> 8), static_cast<std::uint8_t>(i),
-        static_cast<std::uint8_t>(i * 7)));
-  }
-  if (i % 5 != 1) {
-    // i % 16 collapses many records onto the same ID — the dictionary must
-    // see real duplicates, not only distinct entries.
-    util::Bytes id{0x80, 0x00, 0x1f, 0x88, static_cast<std::uint8_t>(i % 16),
-                   static_cast<std::uint8_t>(i % 3)};
-    if (i % 7 == 0) id.resize(id.size() + i % 23, 0xab);
-    r.engine_id = snmp::EngineId(id);
-  }
-  r.engine_boots = static_cast<std::uint32_t>(1 + i % 9);
-  r.engine_time = static_cast<std::uint32_t>(i * 13 % 100000);
-  r.send_time = static_cast<util::VTime>(1000000 + i * 200);
-  r.receive_time = r.send_time + 31000 + static_cast<util::VTime>(i % 50);
-  r.response_count = 1 + i % 4;
-  r.response_bytes = 90 + i % 40;
-  if (i % 11 == 0)
-    r.extra_engines.push_back(
-        snmp::EngineId(util::Bytes{0x80, 0x00, 0x1f, 0x88, 0x99}));
-  return r;
-}
-
-std::vector<scan::ScanRecord> make_records(std::size_t n) {
-  std::vector<scan::ScanRecord> records;
-  records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) records.push_back(make_record(i));
-  return records;
-}
-
-void expect_same_record(const scan::ScanRecord& a, const scan::ScanRecord& b,
-                        std::size_t i) {
-  ASSERT_EQ(a.target, b.target) << "record " << i;
-  EXPECT_EQ(a.engine_id, b.engine_id) << "record " << i;
-  EXPECT_EQ(a.engine_boots, b.engine_boots) << "record " << i;
-  EXPECT_EQ(a.engine_time, b.engine_time) << "record " << i;
-  EXPECT_EQ(a.send_time, b.send_time) << "record " << i;
-  EXPECT_EQ(a.receive_time, b.receive_time) << "record " << i;
-  EXPECT_EQ(a.response_count, b.response_count) << "record " << i;
-  EXPECT_EQ(a.response_bytes, b.response_bytes) << "record " << i;
-  EXPECT_EQ(a.extra_engines, b.extra_engines) << "record " << i;
-}
-
-// ---- EngineDictionary -----------------------------------------------------
-
-TEST(EngineDictionaryTest, CodesAreDenseStableAndFirstAppearanceOrdered) {
-  EngineDictionary dict;
-  // The empty ID is an ordinary entry.
-  EXPECT_EQ(dict.encode({}), 0u);
-  util::Bytes a{0x80, 0x01};
-  util::Bytes b{0x80, 0x02, 0x03};
-  EXPECT_EQ(dict.encode(a), 1u);
-  EXPECT_EQ(dict.encode(b), 2u);
-  // Re-encoding returns the existing code; entries never move.
-  EXPECT_EQ(dict.encode(a), 1u);
-  EXPECT_EQ(dict.encode({}), 0u);
-  ASSERT_EQ(dict.size(), 3u);
-  EXPECT_TRUE(dict.entries()[0].raw().empty());
-  EXPECT_EQ(dict.entries()[1].raw(), a);
-  EXPECT_EQ(dict.entries()[2].raw(), b);
-
-  std::uint32_t code = 99;
-  EXPECT_TRUE(dict.find(b, code));
-  EXPECT_EQ(code, 2u);
-  EXPECT_FALSE(dict.find(util::Bytes{0x77}, code));
-}
-
-TEST(EngineDictionaryTest, SurvivesGrowthPastInitialCapacity) {
-  EngineDictionary dict;
-  std::vector<util::Bytes> ids;
-  for (std::size_t i = 0; i < 500; ++i) {
-    ids.push_back(util::Bytes{0x80, static_cast<std::uint8_t>(i),
-                              static_cast<std::uint8_t>(i >> 8), 0x44});
-    EXPECT_EQ(dict.encode(ids.back()), i);
-  }
-  ASSERT_EQ(dict.size(), 500u);
-  // Every code still resolves after the table grew several times.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    std::uint32_t code = 0;
-    ASSERT_TRUE(dict.find(ids[i], code));
-    EXPECT_EQ(code, i);
-    EXPECT_EQ(dict.entries()[i].raw(), ids[i]);
-  }
-}
-
-// ---- block pivot ----------------------------------------------------------
-
-TEST(ColumnarBlockTest, FromRecordsRoundTripsEveryRow) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{512}}) {
-    const auto records = make_records(n);
-    const auto block = ColumnarBlock::from_records(records);
-    ASSERT_EQ(block.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_same_record(block.row(i), records[i], i);
-      EXPECT_EQ(block.last_reboot(i), records[i].last_reboot());
-    }
-    // The dictionary actually deduplicates (make_record collapses IDs onto
-    // ~16 shapes plus the empty ID and the long variants).
-    if (n == 512) {
-      EXPECT_LT(block.dictionary().size(), n / 4);
-    }
-  }
-}
-
-TEST(ColumnarBlockTest, DecodeColumnarMatchesRowDecode) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{512}}) {
-    const auto records = make_records(n);
-    const auto encoded = store::encode_block(records);
-    const auto rows = store::decode_block(encoded);
-    ASSERT_TRUE(rows.ok()) << rows.error();
-    auto columnar = store::decode_block_columnar(encoded);
-    ASSERT_TRUE(columnar.ok()) << columnar.error();
-    ASSERT_EQ(columnar.value().size(), rows.value().size());
-    for (std::size_t i = 0; i < rows.value().size(); ++i)
-      expect_same_record(columnar.value().row(i), rows.value()[i], i);
-  }
-}
-
-// Fail-closed parity: the single-pass columnar decoder must reject every
-// truncation the row decoder rejects, and must never disagree with it on
-// the fault-mutation corpus — same accept/reject verdict, and identical
-// records whenever both accept.
-TEST(ColumnarBlockTest, TruncationsRejectedExactlyLikeRowDecode) {
-  const auto records = make_records(48);
-  const auto encoded = store::encode_block(records);
-  for (std::size_t len = 0; len < encoded.size(); ++len) {
-    const util::Bytes prefix(encoded.begin(), encoded.begin() + len);
-    EXPECT_FALSE(store::decode_block_columnar(prefix).ok()) << "length " << len;
-    EXPECT_FALSE(store::decode_block(prefix).ok()) << "length " << len;
-  }
-}
-
-TEST(ColumnarBlockTest, FaultCorpusVerdictsMatchRowDecode) {
-  const auto records = make_records(64);
-  const auto encoded = store::encode_block(records);
-  for (std::size_t kind = 0; kind < sim::kFaultKindCount; ++kind) {
-    for (std::uint64_t seed = 0; seed < 64; ++seed) {
-      util::Rng rng(seed * 1000 + kind);
-      const auto mutated =
-          sim::apply_fault(encoded, static_cast<sim::FaultKind>(kind), rng);
-      const auto rows = store::decode_block(mutated);
-      const auto columnar = store::decode_block_columnar(mutated);
-      ASSERT_EQ(columnar.ok(), rows.ok())
-          << sim::to_string(static_cast<sim::FaultKind>(kind)) << " seed "
-          << seed << ": columnar "
-          << (columnar.ok() ? "accepted" : columnar.error()) << ", row "
-          << (rows.ok() ? "accepted" : rows.error());
-      if (!rows.ok()) continue;
-      // Both accepted (the mutation was a byte-level no-op): the records
-      // must still agree. The clean accept path is covered by
-      // DecodeColumnarMatchesRowDecode.
-      ASSERT_EQ(columnar.value().size(), rows.value().size());
-      for (std::size_t i = 0; i < rows.value().size(); ++i)
-        expect_same_record(columnar.value().row(i), rows.value()[i], i);
-    }
-  }
-}
-
-// ---- columnar store cursor ------------------------------------------------
-
-TEST(ColumnarCursorTest, MatchesRowCursorOnPatchedSpilledStore) {
-  StoreOptions options;
-  const UniqueDir dir("columnar_cursor");
-  options.dir = dir.path();
-  options.records_per_block = 16;
-  options.max_resident_bytes = 2048;  // force spill + eviction
-  RecordStore store(options, "patched");
-  const auto records = make_records(200);
-  for (const auto& record : records) store.append(record);
-
-  // Patch overlays on sealed rows and on the unsealed tail: extra
-  // responses and extra engines must come through the columnar cursor.
-  const snmp::EngineId other(util::Bytes{0x80, 0x00, 0x00, 0x63, 0x01});
-  for (const std::size_t index : {3u, 3u, 40u, 130u, 197u})
-    store.note_duplicate(index, &other);
-  store.note_duplicate(77, nullptr);
-  store.seal();
-  ASSERT_TRUE(store.status().ok()) << store.status().error();
-
-  std::vector<scan::ScanRecord> via_rows;
-  {
-    auto cursor = store.cursor();
-    scan::ScanRecord record;
-    while (cursor.next(record)) via_rows.push_back(record);
-    ASSERT_TRUE(cursor.error().empty()) << cursor.error();
-  }
-  std::vector<scan::ScanRecord> via_columns;
-  {
-    auto cursor = store.columnar_cursor();
-    ColumnarBlock block;
-    std::size_t expected_base = 0;
-    while (cursor.next_block(block)) {
-      EXPECT_EQ(cursor.base(), expected_base);
-      expected_base += block.size();
-      for (std::size_t i = 0; i < block.size(); ++i)
-        via_columns.push_back(block.row(i));
-    }
-    ASSERT_TRUE(cursor.error().empty()) << cursor.error();
-  }
-  ASSERT_EQ(via_columns.size(), via_rows.size());
-  ASSERT_EQ(via_columns.size(), store.size());
-  for (std::size_t i = 0; i < via_rows.size(); ++i)
-    expect_same_record(via_columns[i], via_rows[i], i);
-}
-
-TEST(ColumnarCursorTest, FailsClosedOnDamagedSegment) {
-  StoreOptions options;
-  const UniqueDir dir("columnar_cursor_damage");
-  options.dir = dir.path();
-  options.records_per_block = 16;
-  options.max_resident_bytes = 1024;  // evict so reads go to disk
-  store::StoreManifest manifest;
-  {
-    RecordStore store(options, "damaged");
-    for (const auto& record : make_records(128)) store.append(record);
-    store.seal();
-    manifest = store.manifest();
-  }
-  const auto seg = options.dir + "/damaged.seg";
-  const auto size = std::filesystem::file_size(seg);
-  {
-    std::fstream file(seg, std::ios::in | std::ios::out | std::ios::binary);
-    char byte = 0;
-    file.seekg(static_cast<std::streamoff>(size / 2));
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x20);
-    file.seekp(static_cast<std::streamoff>(size / 2));
-    file.write(&byte, 1);
-  }
-  auto restored = RecordStore::restore(options, manifest);
-  ASSERT_NE(restored, nullptr);
-  auto cursor = restored->columnar_cursor();
-  ColumnarBlock block;
-  while (cursor.next_block(block)) {
-  }
-  EXPECT_FALSE(cursor.error().empty());
-}
 
 // ---- columnar filter funnel -----------------------------------------------
 

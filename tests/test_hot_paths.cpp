@@ -16,7 +16,9 @@
 //    allocate nothing, and a census shard run allocates in proportion to
 //    its responses, not its probes;
 //  - world build: generate_world makes at most two heap allocations per
-//    device (its engine ID, plus the flat arrays' amortized growth).
+//    device (its engine ID, plus the flat arrays' amortized growth);
+//  - store read-back: RecordStore::materialize makes about one heap
+//    allocation per record (the engine ID its decode builds).
 // The socket cases GTEST_SKIP with the reason when the sandbox denies
 // sockets or sendmmsg.
 #include <gtest/gtest.h>
@@ -43,6 +45,7 @@
 #include "scan/targets.hpp"
 #include "sim/fabric.hpp"
 #include "snmp/message.hpp"
+#include "store/record_store.hpp"
 #include "topo/generator.hpp"
 #include "topo/procedural.hpp"
 #include "wire/probe_template.hpp"
@@ -285,6 +288,44 @@ TEST(HotPaths, WorldBuildAllocatesAboutOncePerDevice) {
   ASSERT_GT(world.devices.size(), 0u);
   EXPECT_LE(used, 2 * world.devices.size())
       << used << " allocations for " << world.devices.size() << " devices";
+}
+
+// ---- record store read-back ------------------------------------------------
+
+TEST(HotPaths, MaterializeAllocatesAboutOncePerRecord) {
+  constexpr std::size_t kRecords = 4096;
+  store::StoreOptions options;  // RAM-only: sealed blocks stay resident
+  options.records_per_block = 512;
+  store::RecordStore store(options, "materialize");
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    scan::ScanRecord record;
+    record.target = net::IpAddress(
+        net::Ipv4(0x0a000000u + static_cast<std::uint32_t>(i)));
+    record.engine_id = snmp::EngineId(
+        util::Bytes{0x80, 0x00, 0x00, 0x09, 0x03,
+                    static_cast<std::uint8_t>(i),
+                    static_cast<std::uint8_t>(i >> 8)});
+    record.engine_boots = 3;
+    record.engine_time = static_cast<std::uint32_t>(1000 + i);
+    record.send_time = static_cast<util::VTime>(i * 100);
+    record.receive_time = record.send_time + 5000;
+    record.response_count = 1;
+    record.response_bytes = 120;
+    store.append(std::move(record));
+  }
+  store.seal();
+  ASSERT_EQ(store.block_count(), kRecords / options.records_per_block);
+
+  const std::uint64_t before = allocations();
+  const auto records = store.materialize();
+  const std::uint64_t used = allocations() - before;
+  ASSERT_EQ(records.size(), kRecords);
+  // Decoding builds one engine ID per record and one record vector per
+  // block; the output vector is reserved once. Copying each decoded record
+  // into the output would add a second engine ID per record.
+  EXPECT_LE(used, kRecords + 2 * store.block_count() + 8)
+      << used << " allocations for " << kRecords << " records in "
+      << store.block_count() << " blocks";
 }
 
 // ---- kernel send and receive ----------------------------------------------

@@ -80,15 +80,58 @@ Scans make_scans() {
   return scans;
 }
 
+// A duplicate response to the record appended at `index`: `engine` is a
+// further engine ID, or null when the duplicate repeats the record's own.
+struct Duplicate {
+  std::size_t index = 0;
+  const snmp::EngineId* engine = nullptr;
+};
+
 scan::ScanResult to_result(const std::vector<scan::ScanRecord>& records,
                            const store::StoreOptions& options,
-                           const std::string& name) {
+                           const std::string& name,
+                           const std::vector<Duplicate>& duplicates = {}) {
   scan::ScanResult result;
   result.label = name;
   result.store = std::make_shared<store::RecordStore>(options, name);
   for (const auto& record : records) result.store->append(record);
+  // Noted before the final seal, as a campaign notes them: sealed records
+  // take a patch, the open tail is updated in place.
+  for (const auto& duplicate : duplicates)
+    result.store->note_duplicate(duplicate.index, duplicate.engine);
   result.store->seal();
   return result;
+}
+
+// Duplicates on every 13th record: a new extra engine twice (the count
+// rises by two, the engine joins once) and, six records on, a repeat of
+// the record's own engine ID.
+std::vector<Duplicate> duplicates_for(std::size_t records,
+                                      const snmp::EngineId& extra) {
+  std::vector<Duplicate> duplicates;
+  for (std::size_t i = 0; i + 6 < records; i += 13) {
+    duplicates.push_back({i, &extra});
+    duplicates.push_back({i, &extra});
+    duplicates.push_back({i + 6, nullptr});
+  }
+  return duplicates;
+}
+
+// `records` as a reader must see them once `duplicates` are noted.
+std::vector<scan::ScanRecord> with_duplicates(
+    std::vector<scan::ScanRecord> records,
+    const std::vector<Duplicate>& duplicates) {
+  for (const auto& duplicate : duplicates) {
+    auto& record = records[duplicate.index];
+    ++record.response_count;
+    if (duplicate.engine == nullptr) continue;
+    auto& extra = record.extra_engines;
+    const auto it = std::lower_bound(extra.begin(), extra.end(),
+                                     *duplicate.engine);
+    if (it == extra.end() || *it != *duplicate.engine)
+      extra.insert(it, *duplicate.engine);
+  }
+  return records;
 }
 
 // The join by definition: pair records with equal targets, then sort the
@@ -154,6 +197,32 @@ TEST(JoinOrder, MixedFamiliesMatchSortedReferenceAndStreamingJoin) {
   ASSERT_TRUE(core::stores_spill(spilled_first, spilled_second));
   expect_same_joined(core::join_scans(spilled_first, spilled_second),
                      expected);
+
+  // Duplicate responses patched onto sealed blocks: the spilled join's
+  // external sort folds the overlay into its sorted runs, and the resident
+  // join reads it through materialize. Both must see it.
+  const snmp::EngineId extra(util::Bytes{0x80, 0x00, 0x00, 0x09, 0x7f});
+  const auto dups_first = duplicates_for(scans.first.size(), extra);
+  const auto dups_second = duplicates_for(scans.second.size(), extra);
+  const auto patched_expected =
+      reference_join(with_duplicates(scans.first, dups_first),
+                     with_duplicates(scans.second, dups_second));
+  const auto patched_first = to_result(scans.first, resident,
+                                       "patched_first", dups_first);
+  const auto patched_second = to_result(scans.second, resident,
+                                        "patched_second", dups_second);
+  ASSERT_GT(patched_first.store->patch_count(), 0u);
+  expect_same_joined(core::join_scans(patched_first, patched_second),
+                     patched_expected);
+  const auto spilled_patched_first =
+      to_result(scans.first, options, "spill_patched_first", dups_first);
+  const auto spilled_patched_second =
+      to_result(scans.second, options, "spill_patched_second", dups_second);
+  ASSERT_GT(spilled_patched_first.store->patch_count(), 0u);
+  ASSERT_GT(spilled_patched_second.store->patch_count(), 0u);
+  expect_same_joined(
+      core::join_scans(spilled_patched_first, spilled_patched_second),
+      patched_expected);
 }
 
 TEST(JoinOrder, DamagedSpilledStoreStillJoinsItsCleanBlocks) {

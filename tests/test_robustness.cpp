@@ -25,7 +25,8 @@ topo::OwnedDevice hardened_device() {
   device.set_interfaces({itf});
   device.snmpv3_enabled = true;
   device.snmpv2_enabled = true;
-  device.set_usm({.name = "netops", .auth_password = "pw"});
+  device.set_usm(
+      {.name = "netops", .auth_password = "pw", .priv_password = {}});
   device.engine_id = snmp::EngineId::make_mac(9, itf.mac);
   device.set_reboots({-util::kDay});
   device.boots_before_history = 1;

@@ -6,6 +6,8 @@
 // whose stores spill to disk are bit-identical to the default resident
 // (RAM-only) ones at any thread count. Their kill/resume cycle, whose
 // checkpoints carry only per-shard store deltas, is tests/test_crash.cpp's.
+// The engine dictionary's codes are checked here too: dense, stable and in
+// first-appearance order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "scan/campaign.hpp"
 #include "sim/faults.hpp"
 #include "store/codec.hpp"
+#include "store/engine_dictionary.hpp"
 #include "store/record_store.hpp"
 #include "topo/generator.hpp"
 
@@ -191,6 +194,48 @@ TEST(StoreCodec, TruncationsAndGarbageAreRejected) {
     util::Bytes garbage(rng.next() % 256);
     for (auto& byte : garbage) byte = static_cast<std::uint8_t>(rng.next());
     EXPECT_FALSE(store::decode_block(garbage).ok());
+  }
+}
+
+// ---- EngineDictionary -----------------------------------------------------
+
+TEST(EngineDictionaryTest, CodesAreDenseStableAndFirstAppearanceOrdered) {
+  store::EngineDictionary dict;
+  // The empty ID is an ordinary entry.
+  EXPECT_EQ(dict.encode({}), 0u);
+  util::Bytes a{0x80, 0x01};
+  util::Bytes b{0x80, 0x02, 0x03};
+  EXPECT_EQ(dict.encode(a), 1u);
+  EXPECT_EQ(dict.encode(b), 2u);
+  // Re-encoding returns the existing code; entries never move.
+  EXPECT_EQ(dict.encode(a), 1u);
+  EXPECT_EQ(dict.encode({}), 0u);
+  ASSERT_EQ(dict.size(), 3u);
+  EXPECT_TRUE(dict.entries()[0].raw().empty());
+  EXPECT_EQ(dict.entries()[1].raw(), a);
+  EXPECT_EQ(dict.entries()[2].raw(), b);
+
+  std::uint32_t code = 99;
+  EXPECT_TRUE(dict.find(b, code));
+  EXPECT_EQ(code, 2u);
+  EXPECT_FALSE(dict.find(util::Bytes{0x77}, code));
+}
+
+TEST(EngineDictionaryTest, SurvivesGrowthPastInitialCapacity) {
+  store::EngineDictionary dict;
+  std::vector<util::Bytes> ids;
+  for (std::size_t i = 0; i < 500; ++i) {
+    ids.push_back(util::Bytes{0x80, static_cast<std::uint8_t>(i),
+                              static_cast<std::uint8_t>(i >> 8), 0x44});
+    EXPECT_EQ(dict.encode(ids.back()), i);
+  }
+  ASSERT_EQ(dict.size(), 500u);
+  // Every code still resolves after the table grew several times.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::uint32_t code = 0;
+    ASSERT_TRUE(dict.find(ids[i], code));
+    EXPECT_EQ(code, i);
+    EXPECT_EQ(dict.entries()[i].raw(), ids[i]);
   }
 }
 
